@@ -41,7 +41,6 @@ from .fitters import (
     slr_closed,
     univariate_nra,
 )
-from .linsolve import cramer_2x2, solve_normal
 from .simulate import Circle, ConstantNormal, Ellipse, GeneratorSpec, Line, Uniform, generate
 from .terms import (
     CONIC_TERMS,

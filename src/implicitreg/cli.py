@@ -23,12 +23,10 @@ from . import conics, diagnostics, fitters, simulate, terms
 from .errors import (
     DegenerateError,
     DomainViolation,
-    ImplicitRegError,
     InputError,
     InvalidSpec,
     NotAnEllipse,
     NotRepresentable,
-    SingularSystem,
 )
 
 EXIT_OK = 0
@@ -176,7 +174,9 @@ def _parse_model(model: str) -> tuple[str, Optional[str]]:
     raise InvalidSpec(f"unknown model {model!r}")
 
 
-def _fit_report(args) -> Report:
+def _fit_report(args) -> tuple[Report, Any, Any, list]:
+    """The fit report, with the data, the fit and the term list behind it
+    (the data is the MultiDataset for the standard model)."""
     kind, pivot_txt = _parse_model(args.model)
     warnings: list[str] = []
 
@@ -188,7 +188,7 @@ def _fit_report(args) -> Report:
                    "terms": list(md.column_names), "intercept": True},
             coefficients=_coeff_rows(fit), r_squared=fit.r_squared,
             r2_formula=fit.r2_formula, sigma2_hat=fit.sigma2_hat,
-            f_stat=fit.f_stat, warnings=warnings)
+            f_stat=fit.f_stat, warnings=warnings), md, fit, []
 
     if kind == "univariate":
         d = terms.load_csv(args.input, args.x_col, args.y_col)
@@ -200,7 +200,7 @@ def _fit_report(args) -> Report:
                            "stderr": None, "t_stat": None}],
             r_squared=res.r2, r2_formula=fitters.R2_UNIVARIATE,
             univariate={"alpha": res.alpha, "mu_hat": res.mu_hat, "r2": res.r2},
-            warnings=warnings)
+            warnings=warnings), d, res, []
 
     d = terms.load_csv(args.input, args.x_col, args.y_col)
     term_list = terms.parse_terms(args.terms)
@@ -216,7 +216,7 @@ def _fit_report(args) -> Report:
         c = _conic_coeffs_from_fit(term_list, fit.coeffs)
         if c is not None:
             report.conic = _conic_dict(c, warnings)
-        return report
+        return report, d, fit, term_list
 
     # rotation
     pivot_term = terms.parse_terms(pivot_txt)[0]
@@ -229,11 +229,11 @@ def _fit_report(args) -> Report:
                "terms": [t.label() for t in term_list], "intercept": True},
         coefficients=_coeff_rows(fit), r_squared=fit.r_squared,
         r2_formula=fit.r2_formula, sigma2_hat=fit.sigma2_hat,
-        f_stat=fit.f_stat, warnings=warnings)
+        f_stat=fit.f_stat, warnings=warnings), d, fit, term_list
 
 
 def cmd_fit(args) -> int:
-    return _emit(args, _fit_report(args))
+    return _emit(args, _fit_report(args)[0])
 
 
 def cmd_rotate_all(args) -> int:
@@ -262,37 +262,23 @@ def cmd_rotate_all(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    report = _fit_report(args)
-    kind, _ = _parse_model(args.model)
-    d = terms.load_csv(args.input, args.x_col, args.y_col) if kind != "standard" else None
-
+    report, d, fit, term_list = _fit_report(args)
+    kind = report.model["kind"]
     if kind == "nonresponse":
-        term_list = terms.parse_terms(args.terms)
-        fit = fitters.fit_nonresponse(d, term_list)
         c = _conic_coeffs_from_fit(term_list, fit.coeffs)
         if c is None:
             raise InvalidSpec("diagnosis needs terms drawn from {x, y, xy, x2, y2}")
         x_hat, y_hat, _bad = diagnostics.reconstruct_from_conic(c, d)
         sep = diagnostics.separation_bivariate(d.x, x_hat, d.y, y_hat)
-        report.separation = _separation_dict(sep)
-        if sep.perfect_fit:
-            report.warnings.append("PerfectFit")
-        if set(term_list) == {terms.Term(1, 0), terms.Term(0, 1)}:
-            report.pinwheel = [dataclasses.asdict(p) for p in diagnostics.pinwheel_data(d)]
     elif kind in ("rotation", "standard"):
-        if kind == "standard":
-            md = terms.load_multi_csv(args.input, args.response_col)
-            fit = fitters.fit_standard(md)
-        else:
-            term_list = terms.parse_terms(args.terms)
-            pivot_term = terms.parse_terms(args.model.split(":", 1)[1])[0]
-            fit = fitters.fit_rotation(d, term_list, term_list.index(pivot_term))
         sep = diagnostics.separation_univariate(fit.target, fit.fitted)
-        report.separation = _separation_dict(sep)
-        if sep.perfect_fit:
-            report.warnings.append("PerfectFit")
     else:
         raise InvalidSpec("diagnose supports nonresponse, rotation, and standard models")
+    report.separation = _separation_dict(sep)
+    if sep.perfect_fit:
+        report.warnings.append("PerfectFit")
+    if kind == "nonresponse" and set(term_list) == {terms.Term(1, 0), terms.Term(0, 1)}:
+        report.pinwheel = [dataclasses.asdict(p) for p in diagnostics.pinwheel_data(d)]
     return _emit(args, report)
 
 
@@ -305,9 +291,16 @@ _SIM_PARAMS = {
 }
 
 
+def _floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")] if text else []
+    except ValueError:
+        raise InvalidSpec(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def cmd_simulate(args) -> int:
     cls, names = _SIM_PARAMS[args.kind]
-    values = [float(v) for v in args.params.split(",")] if args.params else []
+    values = _floats(args.params, "--params")
     if len(values) != len(names):
         raise InvalidSpec(f"kind {args.kind} takes parameters {','.join(names)}")
     spec = simulate.GeneratorSpec(kind=cls(*values), n=args.n,
@@ -322,7 +315,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    values = [float(v) for v in args.values.split(",")]
+    values = _floats(args.values, "--values")
     if args.direction == "beta-from-alpha":
         out = fitters.beta_from_alpha(values)
         label = "beta"
@@ -406,10 +399,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegenerateError as exc:
@@ -418,8 +408,8 @@ def main(argv=None) -> int:
     except DomainViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ImplicitRegError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:   # last resort: any other failure is a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -4,10 +4,21 @@ Generic implicit fit, the unity-regressand (non-response) fit, rotational
 fits, alias matrices, standard multi-column OLS, closed-form SLR and
 two-term bivariate solutions, the univariate self-weighting estimator, and
 the conversion between unit-constant and response-form coefficients.
+
+Every least-squares fit regresses one column of a design Z on some of its
+other columns: the unit column of Z = [T_1..T_m, 1] in the non-response
+fit, a term (on the unit column and the other terms) in a rotation, y in
+Z = [1, X, y] for standard OLS.  Z is scaled to unit-norm columns and
+reduced once to its small triangular factor R, merging row blocks as
+R <- qr([R; next block]) so memory stays flat in n.  Each fit is then the
+small problem R[:, S] b ~ R[:, j], whose own QR gives the coefficients,
+the Gram inverse and the rank (Golub & Van Loan, Matrix Computations,
+section 5.3).  The Gram matrix W'W is never formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -21,17 +32,26 @@ from .errors import (
     Underdetermined,
     ZeroVariance,
 )
-from .linsolve import cramer_2x2, gauss_solve, solve_normal, singular_tolerance
-from .terms import ColumnSpec, Dataset, LhsKind, ModelSpec, MultiDataset, Term, design_matrix
+from .terms import Dataset, LhsKind, ModelSpec, MultiDataset, Term, design_matrix
 
 R2_NONRESPONSE = "Eq12-nonresponse"
 R2_CENTERED = "Eq8-centered"
 R2_UNIVARIATE = "Eq14-univariate"
 
+ROW_BLOCK = 16384           # rows of Z per QR merge step
+RANK_TOL = math.sqrt(np.finfo(float).eps)   # on the diagonal of a unit-column factor
+TOL_SINGULAR_FACTOR = 1e-12
+
+
+def singular_tolerance(A: np.ndarray) -> float:
+    """Scale-aware tolerance for the closed forms: 1e-12 times the largest
+    entry magnitude."""
+    return TOL_SINGULAR_FACTOR * max(float(np.max(np.abs(A))), 1e-300)
+
 
 @dataclass
 class FitResult:
-    spec: Union[ModelSpec, ColumnSpec]
+    spec: ModelSpec
     coeffs: np.ndarray          # rhs order, intercept first when present
     residuals: np.ndarray       # target - W @ coeffs
     fitted: np.ndarray
@@ -51,10 +71,46 @@ class FitResult:
         return float(self.residuals @ self.residuals)
 
 
-def _finish(spec: Union[ModelSpec, ColumnSpec], W: np.ndarray, t: np.ndarray,
-            column_labels: Optional[list[str]] = None) -> FitResult:
+def _factor(W: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column norms of Z = [W, t] and the R factor of Z scaled to unit columns.
+
+    Z is never materialised: each ROW_BLOCK rows are scaled and merged into
+    R by one small QR.  A zero column keeps scale 1 and stays zero.
+    """
+    norms = np.sqrt(np.append(np.einsum("ij,ij->j", W, W), t @ t))
+    scale = np.where(norms > 0, norms, 1.0)
+    R = np.empty((0, len(scale)))
+    for a in range(0, len(t), ROW_BLOCK):
+        block = np.column_stack([W[a:a + ROW_BLOCK], t[a:a + ROW_BLOCK]]) / scale
+        R = np.linalg.qr(np.vstack([R, block]), mode="r")
+    return scale, R
+
+
+def _lstsq(scale: np.ndarray, R: np.ndarray, j: int, S: Sequence[int],
+           labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of column j of the factored design on columns S, in
+    original units, and the Gram inverse of those columns.
+
+    Raises SingularSystem naming the first column of S whose unit-scale
+    distance from the span of the columns before it falls below RANK_TOL.
+    """
+    S = list(S)
+    q, r = np.linalg.qr(R[:, S])
+    diag = np.abs(np.diag(r))
+    k = next((i for i, v in enumerate(diag) if v < RANK_TOL), len(diag))
+    if k < len(S):
+        raise SingularSystem(message=f"singular system: {labels[k]!r} is collinear "
+                                     "with the columns before it")
+    sol = np.linalg.solve(r, np.column_stack([q.T @ R[:, j], np.eye(len(S))]))
+    s = scale[S]
+    return sol[:, 0] * scale[j] / s, (sol[:, 1:] @ sol[:, 1:].T) / np.outer(s, s)
+
+
+def _finish(spec: ModelSpec, W: np.ndarray, t: np.ndarray, scale: np.ndarray,
+            R: np.ndarray, j: int, S: Sequence[int]) -> FitResult:
     n, m = W.shape
-    coeffs, gram_inverse = solve_normal(W, t)
+    labels = spec.column_labels()
+    coeffs, gram_inverse = _lstsq(scale, R, j, S, labels)
     fitted = W @ coeffs
     residuals = t - fitted
     sse = float(residuals @ residuals)
@@ -85,14 +141,19 @@ def _finish(spec: Union[ModelSpec, ColumnSpec], W: np.ndarray, t: np.ndarray,
         spec=spec, coeffs=coeffs, residuals=residuals, fitted=fitted, target=t,
         r_squared=r2, r2_formula=tag, sigma2_hat=sigma2, cov=cov,
         t_stats=t_stats, f_stat=f_stat, gram_inverse=gram_inverse, n=n,
-        column_labels=column_labels if column_labels is not None else spec.column_labels(),
+        column_labels=labels,
     )
+
+
+def _fit(spec: ModelSpec, W: np.ndarray, t: np.ndarray) -> FitResult:
+    """Regress t on every column of W."""
+    m = W.shape[1]
+    return _finish(spec, W, t, *_factor(W, t), m, range(m))
 
 
 def fit_implicit(d: Dataset, spec: ModelSpec) -> FitResult:
     """Least-squares fit of the implicit model given by spec."""
-    W, t = design_matrix(d, spec)
-    return _finish(spec, W, t)
+    return _fit(spec, *design_matrix(d, spec))
 
 
 def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:
@@ -100,22 +161,45 @@ def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:
     return fit_implicit(d, ModelSpec.nonresponse(terms))
 
 
+def _rotation(terms: Sequence[Term], W: np.ndarray, ones: np.ndarray, scale: np.ndarray,
+              R: np.ndarray, pivot: int) -> FitResult:
+    """Rotation on one pivot, read off the factor of Z = [T_1..T_m, 1]."""
+    spec = ModelSpec.rotation(terms, pivot)
+    m = W.shape[1]
+    others = [k for k in range(m) if k != pivot]
+    return _finish(spec, np.column_stack([ones, W[:, others]]), W[:, pivot].copy(),
+                   scale, R, pivot, [m] + others)
+
+
+def _term_factor(d: Dataset, terms: Sequence[Term]):
+    """Terms evaluated once, the unit column, and the factor of both."""
+    W, ones = design_matrix(d, ModelSpec.nonresponse(terms))
+    return (W, ones) + _factor(W, ones)
+
+
 def fit_rotation(d: Dataset, terms: Sequence[Term], pivot: int) -> FitResult:
     """OLS of the pivot term on an intercept plus every remaining term."""
-    return fit_implicit(d, ModelSpec.rotation(terms, pivot))
+    ModelSpec.rotation(terms, pivot)   # validate before any evaluation
+    return _rotation(terms, *_term_factor(d, terms), pivot)
 
 
 def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult, DegenerateError]]:
-    """One rotation fit per pivot, in term order.
+    """One rotation fit per pivot, in term order, from one term evaluation
+    and one factorization.
 
     A degenerate pivot (singular design, constant target) is recorded in
     its slot as the exception instance rather than aborting the remaining
-    rotations; global errors (domain violations) still propagate.
+    rotations; global errors (domain violations) still propagate.  Too few
+    observations fill every slot.
     """
+    try:
+        factored = _term_factor(d, terms)
+    except Underdetermined as exc:
+        return [exc] * len(terms)
     out: list[Union[FitResult, DegenerateError]] = []
     for pivot in range(len(terms)):
         try:
-            out.append(fit_rotation(d, terms, pivot))
+            out.append(_rotation(terms, *factored, pivot))
         except DegenerateError as exc:
             out.append(exc)
     return out
@@ -129,7 +213,13 @@ def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     X2 = np.asarray(X2, dtype=float)
     if X2.ndim == 1:
         X2 = X2[:, None]
-    return gauss_solve(X1.T @ X1, X1.T @ X2)
+    k = X1.shape[1]
+    labels = [f"X1[:, {i}]" for i in range(k)]
+    columns = []
+    for i in range(X2.shape[1]):
+        scale, R = _factor(X1, X2[:, i])
+        columns.append(_lstsq(scale, R, k, range(k), labels)[0])
+    return np.column_stack(columns)
 
 
 def fit_standard(d: MultiDataset) -> FitResult:
@@ -138,8 +228,7 @@ def fit_standard(d: MultiDataset) -> FitResult:
     X = np.column_stack([np.ones(n), d.explanatory])
     if n < X.shape[1]:
         raise Underdetermined(f"{n} observations for {X.shape[1]} columns")
-    spec = ColumnSpec(names=d.column_names, intercept=True)
-    return _finish(spec, X, d.response)
+    return _fit(ModelSpec(LhsKind.RESPONSE, d.column_names, intercept=True), X, d.response)
 
 
 def slr_closed(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

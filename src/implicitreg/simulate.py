@@ -10,7 +10,7 @@ only relies on distribution-level tolerances, not bit equality).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Union
 
 import numpy as np
@@ -70,9 +70,11 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSpec("n must be >= 1")
+        k = self.kind
+        if not all(math.isfinite(v) for v in (self.noise_sigma, *astuple(k))):
+            raise InvalidSpec("generator parameters must be finite")
         if self.noise_sigma < 0:
             raise InvalidSpec("noise_sigma must be >= 0")
-        k = self.kind
         if isinstance(k, Circle) and k.r <= 0:
             raise InvalidSpec("radius must be positive")
         if isinstance(k, Ellipse) and (k.ax <= 0 or k.ay <= 0):

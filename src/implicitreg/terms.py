@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -148,11 +148,13 @@ class LhsKind(Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which column sits on the left, which terms (plus optional intercept)
-    sit on the right."""
+    """Which column sits on the left, which columns (plus optional intercept)
+    sit on the right.  The right-hand columns are terms, except in the
+    response kind, where they are the explanatory column names of a
+    MultiDataset."""
 
     lhs: LhsKind
-    rhs_terms: tuple[Term, ...]
+    rhs_terms: tuple[Union[Term, str], ...]
     intercept: bool = False
     lhs_term: Optional[Term] = None
 
@@ -187,28 +189,9 @@ class ModelSpec:
         rhs = terms[:pivot] + terms[pivot + 1:]
         return cls(LhsKind.TERM, rhs, intercept=True, lhs_term=terms[pivot])
 
-    @classmethod
-    def response(cls, terms: Sequence[Term], intercept: bool = True) -> "ModelSpec":
-        return cls(LhsKind.RESPONSE, tuple(terms), intercept=intercept)
-
     def column_labels(self) -> list[str]:
         labels = ["const"] if self.intercept else []
-        labels.extend(t.label() for t in self.rhs_terms)
-        return labels
-
-
-@dataclass(frozen=True)
-class ColumnSpec:
-    """Model over named explanatory columns (the linear-in-columns path);
-    no term algebra attached."""
-
-    names: tuple[str, ...]
-    intercept: bool = True
-    lhs: LhsKind = LhsKind.RESPONSE
-
-    def column_labels(self) -> list[str]:
-        labels = ["const"] if self.intercept else []
-        labels.extend(self.names)
+        labels.extend(str(t) for t in self.rhs_terms)
         return labels
 
 
@@ -278,11 +261,11 @@ def _parse_cell(value: str, row: int, column: str) -> float:
 
 
 def load_csv(path, x_col: str = "x", y_col: str = "y") -> Dataset:
-    """Read a two-column dataset from a UTF-8 CSV with one header row.
+    """Read a two-column dataset from a UTF-8 CSV (BOM optional) with one header row.
 
     Data rows are numbered from 1 in error reports.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in (x_col, y_col):
@@ -299,7 +282,7 @@ def load_csv(path, x_col: str = "x", y_col: str = "y") -> Dataset:
 
 def load_multi_csv(path, response_col: str) -> MultiDataset:
     """Read a response column plus every remaining column as explanatory."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = list(reader.fieldnames or [])
         if response_col not in header:
@@ -327,11 +310,11 @@ def save_csv(path, d: Dataset, x_col: str = "x", y_col: str = "y") -> None:
 # --- design matrix --------------------------------------------------------
 
 def design_matrix(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the model columns and the target over a dataset.
+    """Evaluate the model columns and the target of a term model.
 
     Column k of W is the k-th rhs term evaluated row-wise, with a leading
     column of ones when the spec carries an intercept.  The target is the
-    unity vector, the pivot term, or (for the response kind) d.y.
+    unity vector or the pivot term.
     """
     cols = []
     if spec.intercept:
@@ -341,10 +324,8 @@ def design_matrix(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     W = np.column_stack(cols)
     if spec.lhs is LhsKind.UNITY:
         t_vec = np.ones(d.n)
-    elif spec.lhs is LhsKind.TERM:
-        t_vec = spec.lhs_term.evaluate(d.x, d.y)
     else:
-        t_vec = d.y.copy()
+        t_vec = spec.lhs_term.evaluate(d.x, d.y)
     if d.n < W.shape[1]:
         raise Underdetermined(f"{d.n} observations for {W.shape[1]} columns")
     return W, t_vec

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from implicitreg.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
+from implicitreg import cli, terms
+from implicitreg.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 
 
 def circle_csv(tmp_path, name="circle.csv"):
@@ -79,6 +80,51 @@ class TestFit:
                      "--model", "rotation:x2", "--terms", "x,y"]) == EXIT_INPUT
 
 
+    def test_offset_exact_circle_conic(self, tmp_path, capsys):
+        p = tmp_path / "c.csv"
+        assert main(["simulate", "--kind", "circle", "--params", "300,300,1", "--n", "40",
+                     "--seed", "5", "--out-file", str(p)]) == EXIT_OK
+        code, rep = run_json(capsys, [
+            "fit", "--input", str(p), "--model", "nonresponse", "--terms", "x,y,xy,x2,y2"])
+        assert code == EXIT_OK
+        np.testing.assert_allclose(rep["conic"]["center"], [300, 300], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(rep["conic"]["semi_axes"], [1, 1], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("model", ["nonresponse", "standard"])
+    def test_utf8_bom_header(self, tmp_path, capsys, model):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfx,y\n1,0\n0,1\n0.5,0.5\n")
+        code, rep = run_json(capsys, ["fit", "--input", str(p), "--model", model])
+        assert code == EXIT_OK
+        expect = [1, 1] if model == "nonresponse" else [1, -1]
+        np.testing.assert_allclose([c["value"] for c in rep["coefficients"]], expect,
+                                   atol=1e-12)
+
+
+class TestFailures:
+    @pytest.mark.parametrize("argv", [
+        ["convert", "--direction", "beta-from-alpha", "--values", "1,abc"],
+        ["simulate", "--kind", "circle", "--params", "0,0,x", "--n", "5"],
+        ["fit", "--input", "{tmp}", "--model", "nonresponse"],
+        ["simulate", "--kind", "circle", "--params", "0,0,1", "--n", "5", "--noise", "nan"],
+    ], ids=["convert-non-numeric", "simulate-non-numeric", "input-is-directory",
+            "simulate-nan-noise"])
+    def test_input_failure_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_unexpected_exception_exits_5(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_convert", broken)
+        code = main(["convert", "--direction", "beta-from-alpha", "--values", "1,2"])
+        assert code == EXIT_INTERNAL
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
 class TestRotateAll:
     def test_five_reports(self, tmp_path, capsys):
         rng = np.random.default_rng(83)
@@ -141,6 +187,18 @@ class TestDiagnose:
         assert sep["theta_t"] is not None and sep["ratio"] is not None
         # points jittered outside the fitted circle have no real root in y
         assert 0 <= sep["unreconstructed"] < 100
+
+    def test_loads_and_fits_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for module, name in ((terms, "load_csv"), (cli.fitters, "fit_nonresponse")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        code, rep = run_json(capsys, [
+            "diagnose", "--input", str(circle_csv(tmp_path)),
+            "--model", "nonresponse", "--terms", "x,y,xy,x2,y2"])
+        assert code == EXIT_OK
+        assert calls == ["load_csv", "fit_nonresponse"]
 
     def test_pinwheel_for_two_term_linear(self, tmp_path, capsys):
         code, rep = run_json(capsys, [

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,17 +8,22 @@ import oracles
 from conftest import random_dataset
 from implicitreg import (
     CONIC_TERMS,
+    Circle,
+    ConicCoeffs,
     Dataset,
+    GeneratorSpec,
     MultiDataset,
     Term,
     alias_matrix,
     alpha_from_beta,
     beta_from_alpha,
+    conic_geometry,
     fit_all_rotations,
     fit_implicit,
     fit_nonresponse,
     fit_rotation,
     fit_standard,
+    generate,
     nra2_closed,
     parse_terms,
     slr_closed,
@@ -30,6 +36,7 @@ from implicitreg.errors import (
     Underdetermined,
     ZeroVariance,
 )
+from implicitreg import fitters
 from implicitreg.terms import LhsKind, ModelSpec, design_matrix
 
 
@@ -132,6 +139,77 @@ class TestFitAllRotations:
         results = fit_all_rotations(d, parse_terms("x,y"))
         assert isinstance(results[0], SingularSystem)
         assert isinstance(results[1], ZeroVariance)
+
+
+class TestSolver:
+    """The scaled, row-blocked QR factor behind every fit."""
+
+    def test_hand_solved_system(self, tri_dataset):
+        f = fit_implicit(tri_dataset, ModelSpec.nonresponse(parse_terms("x,y")))
+        W, _ = design_matrix(tri_dataset, f.spec)
+        np.testing.assert_allclose(f.coeffs, [1, 1], atol=1e-14)
+        np.testing.assert_allclose(f.gram_inverse @ (W.T @ W), np.eye(2), atol=1e-8)
+
+    def test_identity_system(self):
+        np.testing.assert_allclose(alias_matrix(np.eye(2), [3.0, -7.0])[:, 0], [3, -7],
+                                   atol=1e-14)
+
+    def test_equal_columns_singular(self):
+        W = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        with pytest.raises(SingularSystem, match=r"'X1\[:, 1\]'"):
+            alias_matrix(W, np.ones(3))
+        d = Dataset([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(SingularSystem, match="'y' is collinear"):
+            fit_implicit(d, ModelSpec.nonresponse(parse_terms("x,y")))
+
+    def test_residual_bound_on_random_systems(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = int(rng.integers(4, 30))
+            m = int(rng.integers(1, min(n - 1, 6) + 1))
+            W = rng.normal(size=(n, m))
+            t = rng.normal(size=n)
+            a = alias_matrix(W, t)[:, 0]
+            gap = np.max(np.abs(W.T @ (t - W @ a)))
+            assert gap <= 1e-8 * max(1.0, np.max(np.abs(W.T @ t)))
+            f = fit_standard(MultiDataset(t, W, tuple(f"x{k}" for k in range(m))))
+            X = np.column_stack([np.ones(n), W])
+            assert np.max(np.abs(f.gram_inverse @ (X.T @ X) - np.eye(m + 1))) <= 1e-8
+
+    def test_offset_exact_circle(self):
+        # Normal equations square the condition number and call this design
+        # singular; the scaled factor recovers the circle.
+        d = generate(GeneratorSpec(Circle(300.0, 300.0, 1.0), n=40, seed=5))
+        f = fit_nonresponse(d, list(CONIC_TERMS))
+        g = conic_geometry(ConicCoeffs(*f.coeffs))
+        np.testing.assert_allclose(g.center, (300.0, 300.0), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(g.semi_axes, (1.0, 1.0), rtol=0, atol=1e-9)
+
+    def test_row_blocks_merge_to_the_same_fit(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        d = random_dataset(rng, n=50)
+        whole = fit_all_rotations(d, list(CONIC_TERMS))
+        monkeypatch.setattr(fitters, "ROW_BLOCK", 7)
+        blocked = fit_all_rotations(d, list(CONIC_TERMS))
+        for a, b in zip(whole, blocked):
+            np.testing.assert_allclose(b.coeffs, a.coeffs, rtol=1e-10)
+            np.testing.assert_allclose(b.cov, a.cov, rtol=1e-8)
+
+    def test_all_rotations_evaluate_and_factor_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(Term, "evaluate", counting("evaluate", Term.evaluate))
+        monkeypatch.setattr(fitters, "_factor", counting("factor", fitters._factor))
+        rng = np.random.default_rng(67)
+        results = fit_all_rotations(random_dataset(rng), list(CONIC_TERMS))
+        assert len(results) == 5 and all(hasattr(r, "coeffs") for r in results)
+        assert calls == {"evaluate": 5, "factor": 1}
 
 
 class TestAliasMatrix:

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from implicitreg import (
+    CONIC_TERMS,
     Dataset,
     Term,
     alpha_from_beta,
@@ -60,6 +61,21 @@ def test_observation_order_is_irrelevant(d, rnd):
     except SingularSystem:
         assume(False)
     np.testing.assert_allclose(shuffled.coeffs, base.coeffs, rtol=1e-8, atol=1e-10)
+
+
+@given(paired_data(min_size=8), st.floats(0.1, 10))
+@settings(max_examples=60, deadline=None)
+def test_scaling_x_scales_coefficients(d, c):
+    # Scaling x by c scales the column of x^a*y^b by c^a, so its
+    # coefficient by c^-a.  Rounding is amplified by up to cond^2, so the
+    # property is checked on designs with a unit-column condition below 1e4.
+    terms = list(CONIC_TERMS)
+    Z = np.column_stack([t.evaluate(d.x, d.y) for t in terms] + [np.ones(d.n)])
+    assume(np.linalg.cond(Z / np.linalg.norm(Z, axis=0)) < 1e4)
+    base = fit_nonresponse(d, terms)
+    scaled = fit_nonresponse(Dataset(c * d.x, d.y), terms)
+    back = scaled.coeffs * np.array([c ** t.x_exp for t in terms])
+    assert np.linalg.norm(back - base.coeffs) <= 1e-8 * np.linalg.norm(base.coeffs)
 
 
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=8).filter(lambda v: abs(v[0]) > 1e-6))
