@@ -105,14 +105,7 @@ class Report:
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return "-"
-    try:
-        if v != v:   # NaN
-            return "-"
-    except TypeError:
-        pass
-    return f"{v:.6g}"
+    return "-" if v is None or v != v else f"{v:.6g}"
 
 
 def _coeff_rows(fit: fitters.FitResult) -> list[dict]:
@@ -124,6 +117,17 @@ def _coeff_rows(fit: fitters.FitResult) -> list[dict]:
         rows.append({"term": label, "value": float(fit.coeffs[i]),
                      "stderr": stderr, "t_stat": t})
     return rows
+
+
+def _fit_fields(fit: fitters.FitResult) -> dict:
+    """Report fields of a least-squares fit."""
+    return {"coefficients": _coeff_rows(fit), "r_squared": fit.r_squared,
+            "r2_formula": fit.r2_formula, "sigma2_hat": fit.sigma2_hat, "f_stat": fit.f_stat}
+
+
+def _rotation_model(pivot: terms.Term, term_list) -> dict:
+    return {"kind": "rotation", "lhs": pivot.label(),
+            "terms": [t.label() for t in term_list], "intercept": True}
 
 
 def _separation_dict(d: diagnostics.SeparationDiagnostics) -> dict:
@@ -178,7 +182,6 @@ def _fit_report(args) -> tuple[Report, Any, Any, list]:
     """The fit report, with the data, the fit and the term list behind it
     (the data is the MultiDataset for the standard model)."""
     kind, pivot_txt = _parse_model(args.model)
-    warnings: list[str] = []
 
     if kind == "standard":
         md = terms.load_multi_csv(args.input, args.response_col)
@@ -186,9 +189,7 @@ def _fit_report(args) -> tuple[Report, Any, Any, list]:
         return Report(
             model={"kind": "standard", "lhs": args.response_col,
                    "terms": list(md.column_names), "intercept": True},
-            coefficients=_coeff_rows(fit), r_squared=fit.r_squared,
-            r2_formula=fit.r2_formula, sigma2_hat=fit.sigma2_hat,
-            f_stat=fit.f_stat, warnings=warnings), md, fit, []
+            **_fit_fields(fit)), md, fit, []
 
     if kind == "univariate":
         d = terms.load_csv(args.input, args.x_col, args.y_col)
@@ -199,8 +200,7 @@ def _fit_report(args) -> tuple[Report, Any, Any, list]:
             coefficients=[{"term": args.y_col, "value": res.alpha,
                            "stderr": None, "t_stat": None}],
             r_squared=res.r2, r2_formula=fitters.R2_UNIVARIATE,
-            univariate={"alpha": res.alpha, "mu_hat": res.mu_hat, "r2": res.r2},
-            warnings=warnings), d, res, []
+            univariate={"alpha": res.alpha, "mu_hat": res.mu_hat, "r2": res.r2}), d, res, []
 
     d = terms.load_csv(args.input, args.x_col, args.y_col)
     term_list = terms.parse_terms(args.terms)
@@ -210,12 +210,10 @@ def _fit_report(args) -> tuple[Report, Any, Any, list]:
         report = Report(
             model={"kind": "nonresponse", "lhs": "unity",
                    "terms": [t.label() for t in term_list], "intercept": False},
-            coefficients=_coeff_rows(fit), r_squared=fit.r_squared,
-            r2_formula=fit.r2_formula, sigma2_hat=fit.sigma2_hat,
-            warnings=warnings)
+            **_fit_fields(fit))
         c = _conic_coeffs_from_fit(term_list, fit.coeffs)
         if c is not None:
-            report.conic = _conic_dict(c, warnings)
+            report.conic = _conic_dict(c, report.warnings)
         return report, d, fit, term_list
 
     # rotation
@@ -224,12 +222,7 @@ def _fit_report(args) -> tuple[Report, Any, Any, list]:
         raise InvalidSpec(f"rotation pivot {pivot_txt!r} not in term list")
     pivot = term_list.index(pivot_term)
     fit = fitters.fit_rotation(d, term_list, pivot)
-    return Report(
-        model={"kind": "rotation", "lhs": pivot_term.label(),
-               "terms": [t.label() for t in term_list], "intercept": True},
-        coefficients=_coeff_rows(fit), r_squared=fit.r_squared,
-        r2_formula=fit.r2_formula, sigma2_hat=fit.sigma2_hat,
-        f_stat=fit.f_stat, warnings=warnings), d, fit, term_list
+    return Report(_rotation_model(pivot_term, term_list), **_fit_fields(fit)), d, fit, term_list
 
 
 def cmd_fit(args) -> int:
@@ -241,18 +234,11 @@ def cmd_rotate_all(args) -> int:
     term_list = terms.parse_terms(args.terms)
     reports = []
     for term, result in zip(term_list, fitters.fit_all_rotations(d, term_list)):
+        model = _rotation_model(term, term_list)
         if isinstance(result, DegenerateError):
-            reports.append(Report(
-                model={"kind": "rotation", "lhs": term.label(),
-                       "terms": [t.label() for t in term_list], "intercept": True},
-                coefficients=[], warnings=[f"{type(result).__name__}: {result}"]))
+            reports.append(Report(model, [], warnings=[f"{type(result).__name__}: {result}"]))
         else:
-            reports.append(Report(
-                model={"kind": "rotation", "lhs": term.label(),
-                       "terms": [t.label() for t in term_list], "intercept": True},
-                coefficients=_coeff_rows(result), r_squared=result.r_squared,
-                r2_formula=result.r2_formula, sigma2_hat=result.sigma2_hat,
-                f_stat=result.f_stat))
+            reports.append(Report(model, **_fit_fields(result)))
     if args.output == "json":
         text = json.dumps([r.to_dict() for r in reports], indent=2)
     else:

@@ -55,41 +55,44 @@ class ConicClass(Enum):
     DEGENERATE_OR_LINE = "DegenerateOrLine"
 
 
-def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
-    """Ascending real roots of a*t^2 + b*t + c = 0 with a != 0.
+def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real roots y of the relation at each x: (lower, upper, free).
 
-    A discriminant within TOL_DISC below zero (after scaling by the
-    coefficient magnitudes) snaps to a double root.
+    lower == upper for a double root or when a5 = 0; both are NaN where no
+    real y exists, and free marks a5 = 0 with |a2 + a3*x| < TOL_DENOM (no y
+    is determined).  A discriminant within TOL_DISC below zero (scaled by the
+    coefficient magnitudes) snaps to a double root; distinct roots take the
+    cancellation-free Citardauq pair (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 1.8).
     """
-    disc = b * b - 4 * a * c
-    scale = max(b * b, abs(4 * a * c), 1.0)
-    if disc < -TOL_DISC * scale:
-        return []
-    if disc < 0:
-        disc = 0.0
-    r = math.sqrt(disc)
-    # Citardauq form on one branch avoids cancellation.
-    if b >= 0:
-        t1 = (-b - r) / (2 * a)
-        t2 = (2 * c) / (-b - r) if (b + r) != 0 else -b / (2 * a)
-    else:
-        t2 = (-b + r) / (2 * a)
-        t1 = (2 * c) / (-b + r) if (r - b) != 0 else -b / (2 * a)
-    if disc == 0.0:
-        return [-b / (2 * a)]
-    return sorted([t1, t2])
+    x = np.asarray(x, dtype=float)
+    a = c.a5
+    b = c.a2 + c.a3 * x
+    k = c.a1 * x + c.a4 * x * x - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if a == 0.0:
+            free = np.abs(b) < TOL_DENOM
+            root = np.where(free, np.nan, -k / b)
+            return root, root, free
+        disc = b * b - 4 * a * k
+        scale = np.maximum(np.maximum(b * b, np.abs(4 * a * k)), 1.0)
+        none = disc < -TOL_DISC * scale
+        disc = np.maximum(disc, 0.0)
+        r = np.sqrt(disc)
+        q = np.where(b >= 0, -b - r, -b + r)
+        t1, t2 = q / (2 * a), 2 * k / q
+        double = np.where(none, np.nan, -b / (2 * a))
+        lower = np.where(disc == 0.0, double, np.minimum(t1, t2))
+        upper = np.where(disc == 0.0, double, np.maximum(t1, t2))
+    return lower, upper, np.zeros(x.shape, dtype=bool)
 
 
 def solve_for_y(c: ConicCoeffs, x: float) -> list[float]:
     """Real y with (x, y) on the fitted curve, ascending; 0, 1, or 2 roots."""
-    qa = c.a5
-    qb = c.a2 + c.a3 * x
-    qc = c.a1 * x + c.a4 * x * x - 1.0
-    if qa == 0.0:
-        if abs(qb) < TOL_DENOM:
-            raise NoSolutionAtPoint(f"no y solves the relation at x = {x}")
-        return [-qc / qb]
-    return _quadratic_roots(qa, qb, qc)
+    (lower,), (upper,), (free,) = y_roots(c, [x])
+    if free:
+        raise NoSolutionAtPoint(f"no y solves the relation at x = {x}")
+    return [] if math.isnan(lower) else sorted({float(lower), float(upper)})
 
 
 def solve_for_x(c: ConicCoeffs, y: float) -> list[float]:

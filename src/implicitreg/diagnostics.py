@@ -15,14 +15,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conics import ConicCoeffs, solve_for_x, solve_for_y
+from .conics import ConicCoeffs, y_roots
 from .errors import (
     InterceptRequired,
-    NoSolutionAtPoint,
     TriangleViolation,
     ZeroVariance,
 )
-from .fitters import FitResult, nra2_closed, slr_closed
+from .fitters import ROW_BLOCK, FitResult, nra2_closed, slr_closed
 from .terms import Dataset
 
 CLAMP_TOL = 1e-9
@@ -109,28 +108,27 @@ def separation_bivariate(x, x_hat, y, y_hat) -> SeparationDiagnostics:
     return _from_sums(sst, ssm, sse, n, unreconstructed=unreconstructed)
 
 
+def _nearest(roots, observed: np.ndarray) -> np.ndarray:
+    """The root closest to each observation; ties take the smaller root."""
+    lower, upper, _ = roots
+    return np.where(np.abs(upper - observed) < np.abs(lower - observed), upper, lower)
+
+
 def reconstruct_from_conic(c: ConicCoeffs, d: Dataset) -> tuple[np.ndarray, np.ndarray, int]:
     """Nearest-root estimates (x_hat, y_hat) from the fitted relation.
 
     Per observation each coordinate picks the root closest to the observed
     value (ties take the smaller root); an empty root set leaves NaN and
-    counts toward the returned tally.
+    counts toward the returned tally.  Rows go ROW_BLOCK at a time so the
+    temporaries stay small.
     """
-    x_hat = np.full(d.n, np.nan)
-    y_hat = np.full(d.n, np.nan)
-    for i in range(d.n):
-        try:
-            roots = solve_for_y(c, float(d.x[i]))
-        except NoSolutionAtPoint:
-            roots = []
-        if roots:
-            y_hat[i] = min(roots, key=lambda r: (abs(r - d.y[i]), r))
-        try:
-            roots = solve_for_x(c, float(d.y[i]))
-        except NoSolutionAtPoint:
-            roots = []
-        if roots:
-            x_hat[i] = min(roots, key=lambda r: (abs(r - d.x[i]), r))
+    x_hat = np.empty(d.n)
+    y_hat = np.empty(d.n)
+    swapped = c.swapped()
+    for a in range(0, d.n, ROW_BLOCK):
+        rows = slice(a, a + ROW_BLOCK)
+        y_hat[rows] = _nearest(y_roots(c, d.x[rows]), d.y[rows])
+        x_hat[rows] = _nearest(y_roots(swapped, d.y[rows]), d.x[rows])
     bad = int(np.sum(~(np.isfinite(x_hat) & np.isfinite(y_hat))))
     return x_hat, y_hat, bad
 

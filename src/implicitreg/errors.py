@@ -58,11 +58,7 @@ class DegenerateError(ImplicitRegError):
 
 
 class SingularSystem(DegenerateError):
-    def __init__(self, pivot_index=None, message="singular system"):
-        self.pivot_index = pivot_index
-        if pivot_index is not None:
-            message = f"{message} (pivot {pivot_index})"
-        super().__init__(message)
+    pass
 
 
 class Underdetermined(DegenerateError):

@@ -99,8 +99,8 @@ def _lstsq(scale: np.ndarray, R: np.ndarray, j: int, S: Sequence[int],
     diag = np.abs(np.diag(r))
     k = next((i for i, v in enumerate(diag) if v < RANK_TOL), len(diag))
     if k < len(S):
-        raise SingularSystem(message=f"singular system: {labels[k]!r} is collinear "
-                                     "with the columns before it")
+        raise SingularSystem(f"singular system: {labels[k]!r} is collinear "
+                             "with the columns before it")
     sol = np.linalg.solve(r, np.column_stack([q.T @ R[:, j], np.eye(len(S))]))
     s = scale[S]
     return sol[:, 0] * scale[j] / s, (sol[:, 1:] @ sol[:, 1:].T) / np.outer(s, s)
@@ -120,11 +120,13 @@ def _finish(spec: ModelSpec, W: np.ndarray, t: np.ndarray, scale: np.ndarray,
         tag = R2_NONRESPONSE
         f_stat = None
     else:
+        # Centered vectors: t't - n*tbar^2 cancels on offset data.  TERM and
+        # RESPONSE specs carry an intercept, so ssr_c is the model sum of squares.
         tbar = float(np.mean(t))
-        sst_c = float(t @ t) - n * tbar * tbar
+        sst_c = float(np.sum((t - tbar) ** 2))
         if sst_c <= singular_tolerance(np.atleast_2d(t @ t)):
             raise ZeroVariance("target has zero centered variation")
-        ssr_c = float(coeffs @ (W.T @ t)) - n * tbar * tbar
+        ssr_c = float(np.sum((fitted - tbar) ** 2))
         r2 = ssr_c / sst_c
         tag = R2_CENTERED
         if spec.intercept and m > 1 and n > m and sse > 0:
@@ -240,7 +242,7 @@ def slr_closed(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     sxx, sxy = float(x @ x), float(x @ y)
     delta = n * sxx - sx * sx
     if abs(delta) < singular_tolerance(np.array([[n, sx], [sx, sxx]])):
-        raise SingularSystem(message="constant x: zero SLR determinant")
+        raise SingularSystem("constant x: zero SLR determinant")
     b1 = (n * sxy - sx * sy) / delta
     b0 = sy / n - b1 * sx / n
     return b0, b1
@@ -254,7 +256,7 @@ def nra2_closed(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     sxx, syy, sxy = float(x @ x), float(y @ y), float(x @ y)
     delta = sxx * syy - sxy * sxy
     if abs(delta) < singular_tolerance(np.array([[sxx, sxy], [sxy, syy]])):
-        raise SingularSystem(message="x and y proportional: zero determinant")
+        raise SingularSystem("x and y proportional: zero determinant")
     a1 = (syy * sx - sxy * sy) / delta
     a2 = (sxx * sy - sxy * sx) / delta
     return a1, a2

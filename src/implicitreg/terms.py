@@ -260,6 +260,15 @@ def _parse_cell(value: str, row: int, column: str) -> float:
     return v
 
 
+def _header(reader: csv.DictReader) -> list[str]:
+    """Header names; a repeated one would let DictReader drop a column's data."""
+    header = list(reader.fieldnames or [])
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise InvalidSpec(f"duplicate column {name!r} in header")
+    return header
+
+
 def load_csv(path, x_col: str = "x", y_col: str = "y") -> Dataset:
     """Read a two-column dataset from a UTF-8 CSV (BOM optional) with one header row.
 
@@ -267,7 +276,7 @@ def load_csv(path, x_col: str = "x", y_col: str = "y") -> Dataset:
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        header = _header(reader)
         for col in (x_col, y_col):
             if col not in header:
                 raise NamedColumnMissing(col)
@@ -284,7 +293,7 @@ def load_multi_csv(path, response_col: str) -> MultiDataset:
     """Read a response column plus every remaining column as explanatory."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        header = list(reader.fieldnames or [])
+        header = _header(reader)
         if response_col not in header:
             raise NamedColumnMissing(response_col)
         expl_cols = [c for c in header if c != response_col]

@@ -1,7 +1,7 @@
 """Independent oracles for the fit engines.
 
 Everything here is deliberately coded against raw power sums and solved by
-routines that share nothing with implicitreg.linsolve: determinants by
+routines that share nothing with the package's solvers: determinants by
 Laplace expansion with Cramer ratios for small systems, and a plain
 Gauss-Jordan sweep (no partial pivoting) for the rest.
 """

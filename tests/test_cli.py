@@ -107,9 +107,14 @@ class TestFailures:
         ["simulate", "--kind", "circle", "--params", "0,0,x", "--n", "5"],
         ["fit", "--input", "{tmp}", "--model", "nonresponse"],
         ["simulate", "--kind", "circle", "--params", "0,0,1", "--n", "5", "--noise", "nan"],
+        ["fit", "--input", "{tmp}/xyx.csv", "--model", "nonresponse"],
+        ["fit", "--input", "{tmp}/yxx.csv", "--model", "standard"],
     ], ids=["convert-non-numeric", "simulate-non-numeric", "input-is-directory",
-            "simulate-nan-noise"])
+            "simulate-nan-noise", "duplicate-header-nonresponse", "duplicate-header-standard"])
     def test_input_failure_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        for header in ("x,y,x", "y,x,x"):
+            rows = "1,2,3\n2,3,5\n3,5,4\n4,1,2\n"
+            (tmp_path / f"{header.replace(',', '')}.csv").write_text(header + "\n" + rows)
         code = main([a.format(tmp=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert code == EXIT_INPUT

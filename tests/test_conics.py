@@ -33,6 +33,17 @@ class TestSolveForY:
     def test_outside_circle(self):
         assert solve_for_y(UNIT_CIRCLE, 2.0) == []
 
+    def test_rounded_tangent_snaps_to_double_root(self):
+        # the discriminant at x = 1 + 4e-16 is about -9e-16, within TOL_DISC
+        assert solve_for_y(UNIT_CIRCLE, 1.0 + 4e-16) == [0.0]
+
+    @pytest.mark.parametrize("b", [1e8, -1e8])
+    def test_small_root_without_cancellation(self, b):
+        # y^2 + b*y - 1 = 0: the small root is 1/b to first order
+        roots = solve_for_y(ConicCoeffs(0, b, 0, 0, 1), 0.0)
+        small = min(roots, key=abs)
+        assert small == pytest.approx(1 / b, rel=1e-12)
+
     def test_linear_degrade(self):
         line = ConicCoeffs(1, 1, 0, 0, 0)   # 1 = x + y
         assert solve_for_y(line, 0.25) == [0.75]

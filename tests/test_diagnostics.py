@@ -15,8 +15,16 @@ from implicitreg import (
     reconstruct_from_conic,
     separation_bivariate,
     separation_univariate,
+    solve_for_x,
+    solve_for_y,
 )
-from implicitreg.errors import InterceptRequired, TriangleViolation, ZeroVariance
+from implicitreg.errors import (
+    InterceptRequired,
+    NoSolutionAtPoint,
+    TriangleViolation,
+    ZeroVariance,
+)
+from implicitreg.fitters import ROW_BLOCK
 
 SLR_Y = np.array([0.0, 1.0, 1.0])
 SLR_YHAT = np.array([1 / 6, 2 / 3, 7 / 6])
@@ -106,6 +114,77 @@ class TestSeparationBivariate:
         assert bad == 1
         sep = separation_bivariate(d.x, x_hat, d.y, y_hat)
         assert sep.unreconstructed == 1
+
+
+def nearest_per_row(c, d):
+    """Reference reconstruction: a nearest pick per row over the scalar solvers
+    (memoised per distinct value, so large n stays cheap)."""
+    memo = {}
+
+    def pick(solve, at, observed):
+        if (solve, at) not in memo:
+            try:
+                memo[solve, at] = solve(c, at)
+            except NoSolutionAtPoint:
+                memo[solve, at] = []
+        roots = memo[solve, at]
+        return min(roots, key=lambda r: (abs(r - observed), r)) if roots else np.nan
+
+    x_hat = np.array([pick(solve_for_x, yi, xi) for xi, yi in zip(d.x, d.y)])
+    y_hat = np.array([pick(solve_for_y, xi, yi) for xi, yi in zip(d.x, d.y)])
+    return x_hat, y_hat, int(np.sum(~(np.isfinite(x_hat) & np.isfinite(y_hat))))
+
+
+class TestReconstruction:
+    def test_tie_takes_smaller_root(self):
+        x_hat, y_hat, bad = reconstruct_from_conic(ConicCoeffs(0, 0, 0, 1, 1),
+                                                   Dataset([0.0], [0.0]))
+        assert (x_hat[0], y_hat[0], bad) == (-1.0, -1.0, 0)
+
+    def test_linear_relation(self):
+        # x + y = 1 (a5 = 0): one root per coordinate
+        x_hat, y_hat, bad = reconstruct_from_conic(ConicCoeffs(1, 1),
+                                                   Dataset([0.25, 2.0], [0.5, -3.0]))
+        np.testing.assert_array_equal(x_hat, [0.5, 4.0])
+        np.testing.assert_array_equal(y_hat, [0.75, -1.0])
+        assert bad == 0
+
+    def test_free_row_is_unreconstructed(self):
+        # 1 = x - y + xy, i.e. (x - 1)(y + 1) = 0: at x = 1 every y solves it
+        c = ConicCoeffs(1, -1, 1)
+        x_hat, y_hat, bad = reconstruct_from_conic(c, Dataset([1.0, 3.0], [2.0, 0.5]))
+        assert np.isnan(y_hat[0]) and x_hat[0] == 1.0
+        assert y_hat[1] == -1.0 and x_hat[1] == 1.0
+        assert bad == 1
+
+    def test_matches_per_row_scalar_solves(self):
+        # Quarter-grid data on quarter-grid conics past one block boundary
+        # (exact ties and double roots), then continuous data; plus rows on
+        # the tangents, where the discriminant snaps, and free rows.
+        rng = np.random.default_rng(97)
+        for case in range(8):
+            a = rng.normal(size=5)
+            a[3] = abs(a[3])
+            a[4] = 0.0 if case % 2 else abs(a[4])
+            n, grid = (ROW_BLOCK + 3, 4) if case < 4 else (300, None)
+            if grid:
+                a = np.round(a * grid) / grid
+            x, y = rng.normal(scale=3, size=(2, n))
+            if grid:
+                x, y = np.round(x * grid) / grid, np.round(y * grid) / grid
+            disc_in_x = [a[2] ** 2 - 4 * a[4] * a[3], 2 * a[1] * a[2] - 4 * a[4] * a[0],
+                         a[1] ** 2 + 4 * a[4]]
+            tangents = [r.real for r in np.roots(disc_in_x) if r.imag == 0]
+            x[:len(tangents)] = tangents
+            if a[4] == 0.0 and a[2] != 0.0:
+                x[-2:] = -a[1] / a[2]      # free rows
+            c = ConicCoeffs(*a)
+            d = Dataset(x, y)
+            x_hat, y_hat, bad = reconstruct_from_conic(c, d)
+            ref_x, ref_y, ref_bad = nearest_per_row(c, d)
+            assert np.array_equal(x_hat, ref_x, equal_nan=True)
+            assert np.array_equal(y_hat, ref_y, equal_nan=True)
+            assert bad == ref_bad
 
 
 class TestOrthogonality:

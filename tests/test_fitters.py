@@ -185,6 +185,17 @@ class TestSolver:
         np.testing.assert_allclose(g.center, (300.0, 300.0), rtol=0, atol=1e-9)
         np.testing.assert_allclose(g.semi_axes, (1.0, 1.0), rtol=0, atol=1e-9)
 
+    def test_offset_line_r_squared(self):
+        # t't - n*tbar^2 cancels at offset 1e5; sums of centered vectors do not.
+        rng = np.random.default_rng(89)
+        x = 1e5 + rng.uniform(0, 2, size=100)
+        y = x + rng.normal(scale=0.02, size=100)
+        rotation = fit_rotation(Dataset(x, y), parse_terms("x,y"), 1)
+        standard = fit_standard(MultiDataset(y, x[:, None], ("x",)))
+        for f in (rotation, standard):
+            expected = 1.0 - f.sse / float(np.sum((y - y.mean()) ** 2))
+            assert f.r_squared == pytest.approx(expected, rel=1e-8)
+
     def test_row_blocks_merge_to_the_same_fit(self, monkeypatch):
         rng = np.random.default_rng(61)
         d = random_dataset(rng, n=50)
