@@ -8,11 +8,12 @@ unity vector, one pivot term, or an external response column.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import (
     DomainError,
     DuplicateTerm,
     EmptyDataset,
+    InputError,
     InvalidSpec,
     NamedColumnMissing,
     ParseError,
@@ -260,52 +262,83 @@ def _parse_cell(value: str, row: int, column: str) -> float:
     return v
 
 
-def _header(reader: csv.DictReader) -> list[str]:
-    """Header names; a repeated one would let DictReader drop a column's data."""
-    header = list(reader.fieldnames or [])
+def _header(header: list[str], names: Sequence[str]) -> None:
+    """Reject a header that lacks a column to be read or repeats one.
+
+    DictReader maps a repeated name to its last column, so reading that name
+    would silently take another column's data; repeats among the columns not
+    read (say, empty names from trailing commas) are harmless.
+    """
     for i, name in enumerate(header):
-        if name in header[:i]:
+        if name in names and name in header[:i]:
             raise InvalidSpec(f"duplicate column {name!r} in header")
-    return header
+    for name in names:
+        if name not in header:
+            raise NamedColumnMissing(name)
+
+
+def _read_columns(path, select: Callable[[list[str]], Sequence[str]]
+                  ) -> tuple[list[str], np.ndarray]:
+    """Parse named columns of a UTF-8 CSV (BOM optional) with one header row.
+
+    select(header) gives the names to read; returns them and an (n, k) float
+    array, one column per name.  np.loadtxt parses the body and its result
+    stands when every value is finite.  Otherwise the csv row loop decides:
+    it raises ParseError at the first bad cell (data rows numbered from 1,
+    blank lines skipped and not counted), or returns what float() reads where
+    loadtxt does not, such as Unicode digits and "1_0".
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), [])
+            names = list(select(header))
+            _header(header, names)
+            # loadtxt warns on a body with no rows, so skip to the first one.
+            first = next((line for line in fh if line.strip("\r\n")), None)
+            if first is not None:
+                try:
+                    values = np.loadtxt(itertools.chain((first,), fh), delimiter=",",
+                                        comments=None, quotechar='"', ndmin=2,
+                                        usecols=[header.index(c) for c in names])
+                except UnicodeDecodeError:
+                    raise
+                except ValueError:
+                    pass
+                else:
+                    if np.isfinite(values).all():
+                        return names, values
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [[_parse_cell(record[c], i, c) for c in names]
+                    for i, record in enumerate(csv.DictReader(fh), start=1)]
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not rows:
+        raise EmptyDataset(f"{path}: no data rows")
+    return names, np.array(rows)
 
 
 def load_csv(path, x_col: str = "x", y_col: str = "y") -> Dataset:
     """Read a two-column dataset from a UTF-8 CSV (BOM optional) with one header row.
 
-    Data rows are numbered from 1 in error reports.
+    Columns are found by name; data rows are numbered from 1 in error reports.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        header = _header(reader)
-        for col in (x_col, y_col):
-            if col not in header:
-                raise NamedColumnMissing(col)
-        xs, ys = [], []
-        for i, record in enumerate(reader, start=1):
-            xs.append(_parse_cell(record[x_col], i, x_col))
-            ys.append(_parse_cell(record[y_col], i, y_col))
-    if not xs:
-        raise EmptyDataset(f"{path}: no data rows")
-    return Dataset(np.array(xs), np.array(ys))
+    _, values = _read_columns(path, lambda header: (x_col, y_col))
+    # Contiguous columns, as the row loop gave: a strided vector can take
+    # another summation order in BLAS, and the reports must not move.
+    return Dataset(values[:, 0].copy(), values[:, 1].copy())
 
 
 def load_multi_csv(path, response_col: str) -> MultiDataset:
     """Read a response column plus every remaining column as explanatory."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        header = _header(reader)
-        if response_col not in header:
-            raise NamedColumnMissing(response_col)
+    def columns(header: list[str]) -> list[str]:
         expl_cols = [c for c in header if c != response_col]
-        if not expl_cols:
+        if response_col in header and not expl_cols:
             raise NamedColumnMissing("<explanatory>")
-        resp, rows = [], []
-        for i, record in enumerate(reader, start=1):
-            resp.append(_parse_cell(record[response_col], i, response_col))
-            rows.append([_parse_cell(record[c], i, c) for c in expl_cols])
-    if not resp:
-        raise EmptyDataset(f"{path}: no data rows")
-    return MultiDataset(np.array(resp), np.array(rows), tuple(expl_cols))
+        return [response_col, *expl_cols]
+
+    names, values = _read_columns(path, columns)
+    return MultiDataset(values[:, 0].copy(), np.ascontiguousarray(values[:, 1:]),
+                        tuple(names[1:]))
 
 
 def save_csv(path, d: Dataset, x_col: str = "x", y_col: str = "y") -> None:

@@ -120,6 +120,15 @@ class TestFailures:
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("model", ["nonresponse", "standard"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, model):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"x,y\n1,2\n5,\xe96\n")
+        code = main(["fit", "--input", str(p), "--model", model])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and "not UTF-8" in err and len(err.splitlines()) == 1
+
     def test_unexpected_exception_exits_5(self, monkeypatch, capsys):
         def broken(args):
             raise RuntimeError("boom")

@@ -1,11 +1,27 @@
+import csv
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from implicitreg import Dataset, LhsKind, ModelSpec, Term, design_matrix, load_csv, parse_terms
+from implicitreg import (
+    Dataset,
+    LhsKind,
+    ModelSpec,
+    Term,
+    design_matrix,
+    load_csv,
+    load_multi_csv,
+    parse_terms,
+)
 from implicitreg.errors import (
     DomainError,
     DuplicateTerm,
     EmptyDataset,
+    InputError,
     InvalidSpec,
     NamedColumnMissing,
     ParseError,
@@ -48,6 +64,130 @@ class TestLoadCsv:
     def test_named_columns(self, tmp_path):
         d = load_csv(write(tmp_path, "t,u,v\n9,1,2\n"), x_col="u", y_col="v")
         assert d.x[0] == 1 and d.y[0] == 2
+
+
+    def test_bad_cell_past_first_loadtxt_chunk(self, tmp_path):
+        rows = "x,y\n" + "1,2\n" * 70000 + "3,oops\n" + "4,5\n" * 10
+        with pytest.raises(ParseError) as exc:
+            load_csv(write(tmp_path, rows))
+        assert (exc.value.row, exc.value.column) == (70001, "y")
+
+    def test_header_only_warns_nothing(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyDataset):
+                load_csv(write(tmp_path, "x,y\n\n\r\n"))
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"x,y\n1,2\n5,\xe96\n")
+        for load in (load_csv, lambda path: load_multi_csv(path, "y")):
+            with pytest.raises(InputError, match="not UTF-8"):
+                load(p)
+
+    def test_repeats_among_unread_columns(self, tmp_path):
+        p = write(tmp_path, "x,y,,\n1,2,,\n3,4\n")
+        np.testing.assert_array_equal(load_csv(p).y, [2, 4])
+        with pytest.raises(InvalidSpec, match="duplicate column ''"):
+            load_multi_csv(p, "y")
+
+
+def reference_columns(path, names):
+    """The row loop the vectorised reader must agree with: DictReader plus
+    float() on every named cell, data rows numbered from 1."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = []
+        for i, record in enumerate(csv.DictReader(fh), start=1):
+            row = []
+            for c in names:
+                try:
+                    v = float(record[c])
+                except (TypeError, ValueError):
+                    raise ParseError(i, record[c], c) from None
+                if not math.isfinite(v):
+                    raise ParseError(i, record[c], c)
+                row.append(v)
+            rows.append(row)
+    if not rows:
+        raise EmptyDataset(f"{path}: no data rows")
+    return np.array(rows)
+
+
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10**25, 10**25).map(str),
+                    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.25e}"))
+ODD = st.sampled_from([
+    "nan", "inf", "-Infinity", "1e999", "1e-400", "4.9e-324", "1_0", "#1", "# 2",
+    "\u0661\u0662", "\u0663.\u0665", " 1.5 ", "\t2", "3\xa0", "", " ", "abc", "+.5",
+    "5.", "-0", "0x10", "1e", '"7"', '" 8 "', '"1,5"', '"9\n"', '""', ' "1"', '"1"2'])
+CELLS = st.one_of(NUMBERS, NUMBERS, ODD)
+
+
+@st.composite
+def csv_bodies(draw, header):
+    """Header plus rows: padded, quoted, short and long rows, blank lines,
+    CRLF or CR line ends and an optional BOM."""
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        width = draw(st.one_of(st.just(len(header)), st.integers(0, len(header) + 2)))
+        cells = draw(st.lists(CELLS, min_size=width, max_size=width))
+        lines.append(",".join(cells))
+        lines.extend([""] * draw(st.integers(0, 1)))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def same_outcome(load, reference):
+    """Both sides give bitwise-equal arrays, or the same error and message."""
+    try:
+        want = reference()
+    except (ParseError, EmptyDataset) as exc:
+        with pytest.raises(type(exc)) as got:
+            load()
+        assert str(got.value) == str(exc)
+        return
+    got = load()
+    assert len(got) == want.shape[1]
+    for g, w in zip(got, want.T):
+        assert g.dtype == np.float64 and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+CSV_HEADERS = st.lists(st.sampled_from(["z", ""]), max_size=3).flatmap(
+    lambda extra: st.permutations(["x", "y", *extra]))
+MULTI_HEADERS = st.lists(st.sampled_from(["x", "z", "w"]), min_size=1, max_size=3,
+                         unique=True).flatmap(lambda extra: st.permutations(["y", *extra]))
+
+
+@given(CSV_HEADERS, st.data())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_csv_matches_row_loop(tmp_path, header, data):
+    p = tmp_path / "d.csv"
+    p.write_bytes(data.draw(csv_bodies(header)).encode("utf-8"))
+
+    def load():
+        d = load_csv(p)
+        assert d.x.flags.c_contiguous and d.y.flags.c_contiguous
+        return d.x, d.y
+    same_outcome(load, lambda: reference_columns(p, ["x", "y"]))
+
+
+@given(MULTI_HEADERS, st.data())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_multi_csv_matches_row_loop(tmp_path, header, data):
+    p = tmp_path / "d.csv"
+    p.write_bytes(data.draw(csv_bodies(header)).encode("utf-8"))
+    names = ["y", *(c for c in header if c != "y")]
+
+    def load():
+        md = load_multi_csv(p, "y")
+        assert md.column_names == tuple(names[1:])
+        assert md.explanatory.flags.c_contiguous
+        return (md.response, *md.explanatory.T)
+    same_outcome(load, lambda: reference_columns(p, names))
 
 
 class TestParseTerms:
