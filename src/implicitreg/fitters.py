@@ -8,12 +8,15 @@ the conversion between unit-constant and response-form coefficients.
 Every least-squares fit regresses one column of a design Z on some of its
 other columns: the unit column of Z = [T_1..T_m, 1] in the non-response
 fit, a term (on the unit column and the other terms) in a rotation, y in
-Z = [1, X, y] for standard OLS.  Z is scaled to unit-norm columns and
-reduced once to its small triangular factor R, merging row blocks as
+Z = [1, X, y] for standard OLS.  The regressor columns are held
+term-major, one contiguous row each (design_matrix returns W as the
+transpose of that block).  Z is scaled to unit-norm columns and reduced
+once to its small triangular factor R, merging row blocks as
 R <- qr([R; next block]) so memory stays flat in n.  Each fit is then the
 small problem R[:, S] b ~ R[:, j], whose own QR gives the coefficients,
 the Gram inverse and the rank (Golub & Van Loan, Matrix Computations,
-section 5.3).  The Gram matrix W'W is never formed.
+section 5.3).  The Gram matrix W'W is never formed.  The fitted rows of
+every rotation come from one product with the term rows.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ R2_NONRESPONSE = "Eq12-nonresponse"
 R2_CENTERED = "Eq8-centered"
 R2_UNIVARIATE = "Eq14-univariate"
 
-ROW_BLOCK = 16384           # rows of Z per QR merge step
+ROW_BLOCK = 8192            # rows of Z per QR merge step
 RANK_TOL = math.sqrt(np.finfo(float).eps)   # on the diagonal of a unit-column factor
 TOL_SINGULAR_FACTOR = 1e-12
 
@@ -74,15 +77,26 @@ class FitResult:
 def _factor(W: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column norms of Z = [W, t] and the R factor of Z scaled to unit columns.
 
-    Z is never materialised: each ROW_BLOCK rows are scaled and merged into
-    R by one small QR.  A zero column keeps scale 1 and stays zero.
+    W is read through its transpose, whose rows are the columns of Z and are
+    contiguous for every caller.  Z is never materialised: each ROW_BLOCK
+    rows are scaled into one reused term-major buffer after R', and R is
+    replaced by the R factor of [R; block], whose Fortran-order storage is
+    that buffer's transpose.  A zero column keeps scale 1 and stays zero.
     """
-    norms = np.sqrt(np.append(np.einsum("ij,ij->j", W, W), t @ t))
+    Wt = W.T
+    n = len(t)
+    norms = np.sqrt(np.append(np.einsum("ij,ij->i", Wt, Wt), t @ t))
     scale = np.where(norms > 0, norms, 1.0)
-    R = np.empty((0, len(scale)))
-    for a in range(0, len(t), ROW_BLOCK):
-        block = np.column_stack([W[a:a + ROW_BLOCK], t[a:a + ROW_BLOCK]]) / scale
-        R = np.linalg.qr(np.vstack([R, block]), mode="r")
+    k = len(scale)
+    buf = np.empty((k, k + min(ROW_BLOCK, n)))
+    r = 0
+    for a in range(0, n, ROW_BLOCK):
+        b = min(a + ROW_BLOCK, n)
+        np.divide(Wt[:, a:b], scale[:-1, None], out=buf[:-1, r:r + b - a])
+        np.divide(t[a:b], scale[-1], out=buf[-1, r:r + b - a])
+        R = np.linalg.qr(buf[:, :r + b - a].T, mode="r")
+        r = len(R)
+        buf[:, :r] = R.T
     return scale, R
 
 
@@ -106,27 +120,26 @@ def _lstsq(scale: np.ndarray, R: np.ndarray, j: int, S: Sequence[int],
     return sol[:, 0] * scale[j] / s, (sol[:, 1:] @ sol[:, 1:].T) / np.outer(s, s)
 
 
-def _finish(spec: ModelSpec, W: np.ndarray, t: np.ndarray, scale: np.ndarray,
-            R: np.ndarray, j: int, S: Sequence[int]) -> FitResult:
-    n, m = W.shape
-    labels = spec.column_labels()
-    coeffs, gram_inverse = _lstsq(scale, R, j, S, labels)
-    fitted = W @ coeffs
-    residuals = t - fitted
+def _result(spec: ModelSpec, labels: list[str], coeffs: np.ndarray, gram_inverse: np.ndarray,
+            target: np.ndarray, fitted: np.ndarray, residuals: np.ndarray) -> FitResult:
+    """The fit statistics of one solved fit."""
+    n, m = len(target), len(coeffs)
     sse = float(residuals @ residuals)
 
     if spec.lhs is LhsKind.UNITY:
-        r2 = float(coeffs @ (W.T @ t)) / n
+        r2 = float(fitted @ target) / n     # a'W'1 / n, summed as (W a)'1
         tag = R2_NONRESPONSE
         f_stat = None
     else:
         # Centered vectors: t't - n*tbar^2 cancels on offset data.  TERM and
         # RESPONSE specs carry an intercept, so ssr_c is the model sum of squares.
-        tbar = float(np.mean(t))
-        sst_c = float(np.sum((t - tbar) ** 2))
-        if sst_c <= singular_tolerance(np.atleast_2d(t @ t)):
+        tbar = float(np.mean(target))
+        centered = target - tbar
+        sst_c = float(centered @ centered)
+        if sst_c <= singular_tolerance(np.atleast_2d(target @ target)):
             raise ZeroVariance("target has zero centered variation")
-        ssr_c = float(np.sum((fitted - tbar) ** 2))
+        np.subtract(fitted, tbar, out=centered)
+        ssr_c = float(centered @ centered)
         r2 = ssr_c / sst_c
         tag = R2_CENTERED
         if spec.intercept and m > 1 and n > m and sse > 0:
@@ -140,7 +153,7 @@ def _finish(spec: ModelSpec, W: np.ndarray, t: np.ndarray, scale: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(diag > 0, coeffs / np.sqrt(np.where(diag > 0, diag, 1.0)), np.nan)
     return FitResult(
-        spec=spec, coeffs=coeffs, residuals=residuals, fitted=fitted, target=t,
+        spec=spec, coeffs=coeffs, residuals=residuals, fitted=fitted, target=target,
         r_squared=r2, r2_formula=tag, sigma2_hat=sigma2, cov=cov,
         t_stats=t_stats, f_stat=f_stat, gram_inverse=gram_inverse, n=n,
         column_labels=labels,
@@ -150,7 +163,10 @@ def _finish(spec: ModelSpec, W: np.ndarray, t: np.ndarray, scale: np.ndarray,
 def _fit(spec: ModelSpec, W: np.ndarray, t: np.ndarray) -> FitResult:
     """Regress t on every column of W."""
     m = W.shape[1]
-    return _finish(spec, W, t, *_factor(W, t), m, range(m))
+    labels = spec.column_labels()
+    coeffs, gram_inverse = _lstsq(*_factor(W, t), m, range(m), labels)
+    fitted = W @ coeffs
+    return _result(spec, labels, coeffs, gram_inverse, t, fitted, t - fitted)
 
 
 def fit_implicit(d: Dataset, spec: ModelSpec) -> FitResult:
@@ -163,31 +179,65 @@ def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:
     return fit_implicit(d, ModelSpec.nonresponse(terms))
 
 
-def _rotation(terms: Sequence[Term], W: np.ndarray, ones: np.ndarray, scale: np.ndarray,
-              R: np.ndarray, pivot: int) -> FitResult:
-    """Rotation on one pivot, read off the factor of Z = [T_1..T_m, 1]."""
-    spec = ModelSpec.rotation(terms, pivot)
-    m = W.shape[1]
-    others = [k for k in range(m) if k != pivot]
-    return _finish(spec, np.column_stack([ones, W[:, others]]), W[:, pivot].copy(),
-                   scale, R, pivot, [m] + others)
-
-
 def _term_factor(d: Dataset, terms: Sequence[Term]):
-    """Terms evaluated once, the unit column, and the factor of both."""
+    """Terms evaluated once and the factor of Z = [T_1..T_m, 1]."""
     W, ones = design_matrix(d, ModelSpec.nonresponse(terms))
-    return (W, ones) + _factor(W, ones)
+    return (W,) + _factor(W, ones)
+
+
+def _rotations(terms: Sequence[Term], W: np.ndarray, scale: np.ndarray, R: np.ndarray,
+               pivots: Sequence[int]) -> list[Union[FitResult, DegenerateError]]:
+    """Rotation fits on the given pivots, read off the factor of Z = [T_1..T_m, 1].
+
+    Each pivot takes one small solve; a singular one keeps its exception
+    and a zero coefficient row.  One product of the coefficient rows with
+    the term rows gives every fitted row, and the residuals and sums are
+    row-wise passes.  Each result holds row views of the fitted and
+    residual blocks and of the term rows.
+    """
+    m = len(terms)
+    Wt = W.T
+    C = np.zeros((len(pivots), m + 1))      # one row per pivot over the columns of Z
+    solved: list = []
+    for row, pivot in zip(C, pivots):
+        spec = ModelSpec.rotation(terms, pivot)
+        labels = spec.column_labels()
+        S = [m] + [k for k in range(m) if k != pivot]
+        try:
+            coeffs, gram_inverse = _lstsq(scale, R, pivot, S, labels)
+        except SingularSystem as exc:
+            solved.append(exc)
+            continue
+        row[S] = coeffs
+        solved.append((spec, labels, coeffs, gram_inverse))
+    fitted = C[:, :m] @ Wt
+    fitted += C[:, m:]
+    residuals = np.empty_like(fitted)
+    out: list[Union[FitResult, DegenerateError]] = []
+    for i, (pivot, fit) in enumerate(zip(pivots, solved)):
+        if isinstance(fit, DegenerateError):
+            out.append(fit)
+            continue
+        np.subtract(Wt[pivot], fitted[i], out=residuals[i])
+        try:
+            out.append(_result(*fit, Wt[pivot], fitted[i], residuals[i]))
+        except ZeroVariance as exc:
+            out.append(exc)
+    return out
 
 
 def fit_rotation(d: Dataset, terms: Sequence[Term], pivot: int) -> FitResult:
     """OLS of the pivot term on an intercept plus every remaining term."""
     ModelSpec.rotation(terms, pivot)   # validate before any evaluation
-    return _rotation(terms, *_term_factor(d, terms), pivot)
+    (fit,) = _rotations(terms, *_term_factor(d, terms), [pivot])
+    if isinstance(fit, DegenerateError):
+        raise fit
+    return fit
 
 
 def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult, DegenerateError]]:
-    """One rotation fit per pivot, in term order, from one term evaluation
-    and one factorization.
+    """One rotation fit per pivot, in term order, from one term evaluation,
+    one factorization and one batched read-off.
 
     A degenerate pivot (singular design, constant target) is recorded in
     its slot as the exception instance rather than aborting the remaining
@@ -198,39 +248,35 @@ def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult
         factored = _term_factor(d, terms)
     except Underdetermined as exc:
         return [exc] * len(terms)
-    out: list[Union[FitResult, DegenerateError]] = []
-    for pivot in range(len(terms)):
-        try:
-            out.append(_rotation(terms, *factored, pivot))
-        except DegenerateError as exc:
-            out.append(exc)
-    return out
+    return _rotations(terms, *factored, range(len(terms)))
 
 
 def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     """A = (X1'X1)^{-1} X1'X2, the projection of excluded columns onto
     included ones.  Column j of A is the rotation-fit coefficient vector
     for the j-th excluded column."""
-    X1 = np.asarray(X1, dtype=float)
+    X1t = np.ascontiguousarray(np.asarray(X1, dtype=float).T)    # term-major
     X2 = np.asarray(X2, dtype=float)
     if X2.ndim == 1:
         X2 = X2[:, None]
-    k = X1.shape[1]
+    k = len(X1t)
     labels = [f"X1[:, {i}]" for i in range(k)]
     columns = []
-    for i in range(X2.shape[1]):
-        scale, R = _factor(X1, X2[:, i])
+    for column in X2.T:
+        scale, R = _factor(X1t.T, column)
         columns.append(_lstsq(scale, R, k, range(k), labels)[0])
     return np.column_stack(columns)
 
 
 def fit_standard(d: MultiDataset) -> FitResult:
     """Intercept OLS of the response on the explanatory columns."""
-    n = d.n
-    X = np.column_stack([np.ones(n), d.explanatory])
-    if n < X.shape[1]:
-        raise Underdetermined(f"{n} observations for {X.shape[1]} columns")
-    return _fit(ModelSpec(LhsKind.RESPONSE, d.column_names, intercept=True), X, d.response)
+    k = d.p + 1
+    if d.n < k:
+        raise Underdetermined(f"{d.n} observations for {k} columns")
+    Xt = np.empty((k, d.n))             # term-major [1, X]
+    Xt[0] = 1.0
+    Xt[1:] = d.explanatory.T
+    return _fit(ModelSpec(LhsKind.RESPONSE, d.column_names, intercept=True), Xt.T, d.response)
 
 
 def slr_closed(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

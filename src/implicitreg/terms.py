@@ -38,7 +38,19 @@ class Term:
     y_exp: float
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _pow(x, self.x_exp, self) * _pow(y, self.y_exp, self)
+        """x^x_exp * y^y_exp row-wise.  A zero exponent contributes 1, also
+        at 0 (the intercept convention).  DomainError names the first row
+        where a power is undefined or the product is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = [_pow(base, exp, self)
+                      for base, exp in ((x, self.x_exp), (y, self.y_exp)) if exp != 0]
+            out = powers[0] if powers else np.ones_like(x, dtype=float)
+            if len(powers) == 2:
+                out *= powers[1]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise DomainError(int(np.argmax(bad)) + 1, self)
+        return out
 
     def label(self) -> str:
         if self.x_exp == 0 and self.y_exp == 0:
@@ -64,14 +76,14 @@ def _fmt_exp(e: float) -> str:
 
 
 def _pow(base: np.ndarray, exp: float, term: Term) -> np.ndarray:
-    """x^exp with explicit domain checking instead of silent NaN.
+    """base^exp for exp != 0, with explicit domain checking instead of
+    silent NaN: a fractional exponent of a negative base and a negative
+    exponent at zero raise DomainError with the offending row.
 
-    exp = 0 always yields 1 (including at 0, by the intercept convention);
-    a fractional exponent of a negative base and a negative exponent at
-    zero are undefined and raise DomainError with the offending row.
+    An integral power is taken of |base| and the sign restored for odd
+    exponents, since numpy's vector pow takes a slow element-by-element
+    path on negative bases.
     """
-    if exp == 0:
-        return np.ones_like(base, dtype=float)
     integral = float(exp).is_integer()
     if not integral:
         bad = base < 0
@@ -81,9 +93,11 @@ def _pow(base: np.ndarray, exp: float, term: Term) -> np.ndarray:
         bad = base == 0
         if bad.any():
             raise DomainError(int(np.argmax(bad)) + 1, term)
-    out = np.power(base.astype(float), exp)
-    if not np.all(np.isfinite(out)):
-        raise DomainError(int(np.argmax(~np.isfinite(out))) + 1, term)
+    if not integral:
+        return np.power(base, exp)
+    out = np.power(np.abs(base), exp)
+    if exp % 2:
+        np.copysign(out, base, out=out)
     return out
 
 
@@ -288,9 +302,11 @@ def _read_columns(path, select: Callable[[list[str]], Sequence[str]]
     blank lines skipped and not counted), or returns what float() reads where
     loadtxt does not, such as Unicode digits and "1_0".
     """
+    row = None      # data rows read so far, to place a csv.Error; None in the header
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), [])
+            row = 0
             names = list(select(header))
             _header(header, names)
             # loadtxt warns on a body with no rows, so skip to the first one.
@@ -307,11 +323,15 @@ def _read_columns(path, select: Callable[[list[str]], Sequence[str]]
                 else:
                     if np.isfinite(values).all():
                         return names, values
+        rows = []
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [[_parse_cell(record[c], i, c) for c in names]
-                    for i, record in enumerate(csv.DictReader(fh), start=1)]
+            for row, record in enumerate(csv.DictReader(fh), start=1):
+                rows.append([_parse_cell(record[c], row, c) for c in names])
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:    # say, a cell over csv's field size limit
+        where = "header" if row is None else f"data row {row + 1}"
+        raise InputError(f"{path}: {where}: {exc}") from None
     if not rows:
         raise EmptyDataset(f"{path}: no data rows")
     return names, np.array(rows)
@@ -342,11 +362,12 @@ def load_multi_csv(path, response_col: str) -> MultiDataset:
 
 
 def save_csv(path, d: Dataset, x_col: str = "x", y_col: str = "y") -> None:
+    """Write the dataset as csv.writer would, one joined string for the body:
+    repr of each value cannot need quoting, so only the header goes through
+    the writer."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([x_col, y_col])
-        for xi, yi in zip(d.x, d.y):
-            writer.writerow([repr(float(xi)), repr(float(yi))])
+        csv.writer(fh).writerow([x_col, y_col])
+        fh.write("".join(f"{xi!r},{yi!r}\r\n" for xi, yi in zip(d.x.tolist(), d.y.tolist())))
 
 
 # --- design matrix --------------------------------------------------------
@@ -356,18 +377,18 @@ def design_matrix(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Column k of W is the k-th rhs term evaluated row-wise, with a leading
     column of ones when the spec carries an intercept.  The target is the
-    unity vector or the pivot term.
+    unity vector or the pivot term.  W is the transpose of a term-major
+    block, one contiguous row per column, which the fitters read row by
+    row.  The target is a vector of its own, so that a fit's result, which
+    keeps its target, does not keep the whole design alive.
     """
-    cols = []
+    k = len(spec.rhs_terms) + spec.intercept
+    Wt = np.empty((k, d.n))
     if spec.intercept:
-        cols.append(np.ones(d.n))
-    for t in spec.rhs_terms:
-        cols.append(t.evaluate(d.x, d.y))
-    W = np.column_stack(cols)
-    if spec.lhs is LhsKind.UNITY:
-        t_vec = np.ones(d.n)
-    else:
-        t_vec = spec.lhs_term.evaluate(d.x, d.y)
-    if d.n < W.shape[1]:
-        raise Underdetermined(f"{d.n} observations for {W.shape[1]} columns")
-    return W, t_vec
+        Wt[0] = 1.0
+    for row, t in zip(Wt[spec.intercept:], spec.rhs_terms):
+        row[:] = t.evaluate(d.x, d.y)
+    target = np.ones(d.n) if spec.lhs is LhsKind.UNITY else spec.lhs_term.evaluate(d.x, d.y)
+    if d.n < k:
+        raise Underdetermined(f"{d.n} observations for {k} columns")
+    return Wt.T, target

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from implicitreg import cli, terms
-from implicitreg.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
+from implicitreg.cli import (EXIT_DEGENERATE, EXIT_DOMAIN, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK,
+                            main)
 
 
 def circle_csv(tmp_path, name="circle.csv"):
@@ -128,6 +129,21 @@ class TestFailures:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and "not UTF-8" in err and len(err.splitlines()) == 1
+
+    def test_cell_over_csv_field_limit_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "long.csv"
+        p.write_text("x,y\n1,2\n3,4\n" + "a" * 200000 + ",5\n")
+        code = main(["fit", "--input", str(p), "--model", "nonresponse", "--terms", "x,y"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err == f"error: {p}: data row 3: field larger than field limit (131072)\n"
+
+    def test_overflowing_mixed_term_exits_4(self, tmp_path, capsys):
+        p = tmp_path / "big.csv"
+        p.write_text("x,y\n1e200,1e200\n2e200,1e200\n3e200,2e200\n1e200,5e200\n")
+        code = main(["fit", "--input", str(p), "--model", "nonresponse", "--terms", "x,y,xy"])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: term xy undefined at data row 1\n"
 
     def test_unexpected_exception_exits_5(self, monkeypatch, capsys):
         def broken(args):

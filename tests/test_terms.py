@@ -1,6 +1,7 @@
 import csv
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from implicitreg import (
     load_multi_csv,
     parse_terms,
 )
+from implicitreg.terms import save_csv
 from implicitreg.errors import (
     DomainError,
     DuplicateTerm,
@@ -90,6 +92,18 @@ class TestLoadCsv:
         np.testing.assert_array_equal(load_csv(p).y, [2, 4])
         with pytest.raises(InvalidSpec, match="duplicate column ''"):
             load_multi_csv(p, "y")
+
+    def test_cell_over_csv_field_limit(self, tmp_path):
+        # A non-numeric cell longer than csv's field size limit: the row loop
+        # stops with csv.Error, reported as an input error naming the row.
+        long_cell = "a" * (csv.field_size_limit() + 1)
+        p = write(tmp_path, f"x,y\n1,2\n\n3,4\n{long_cell},5\n")
+        for load in (load_csv, lambda path: load_multi_csv(path, "y")):
+            with pytest.raises(InputError, match=r"data row 3: field larger than field limit"):
+                load(p)
+        p = write(tmp_path, f"x,y,{long_cell}\n1,2,3\n", name="header.csv")
+        with pytest.raises(InputError, match=r"header: field larger than field limit"):
+            load_csv(p)
 
 
 def reference_columns(path, names):
@@ -234,6 +248,39 @@ class TestTermEvaluate:
         with pytest.raises(DomainError):
             Term(0, -1).evaluate(np.array([1.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("exp", [-3, -2, -1, 1, 2, 3, 4, 5])
+    def test_integral_power_within_one_ulp_of_exact(self, exp):
+        # Integral powers are taken of |base| with the sign put back for odd
+        # exponents; the result must stay within 1 ulp of the exact power.
+        rng = np.random.default_rng(97)
+        v = rng.uniform(1e-3, 1e3, size=300) * np.repeat([-1.0, 1.0], 150)
+        for term, got in ((Term(exp, 0), Term(exp, 0).evaluate(v, np.ones_like(v))),
+                          (Term(0, exp), Term(0, exp).evaluate(np.ones_like(v), v))):
+            for base, value in zip(v.tolist(), got.tolist()):
+                exact = Fraction(base) ** exp
+                assert abs(Fraction(value) - exact) <= Fraction(math.ulp(float(exact))), term
+                assert (value < 0) == (base < 0 and exp % 2 == 1), term
+
+    def test_integral_power_of_signed_zero(self):
+        z = np.array([-0.0, 0.0])
+        for exp in (1, 2, 3, 4):
+            got = Term(exp, 0).evaluate(z, np.ones(2))
+            want = [(-0.0) ** exp, 0.0 ** exp]
+            assert [math.copysign(1.0, g) for g in got] == [math.copysign(1.0, w) for w in want]
+            np.testing.assert_array_equal(got, want)
+
+    def test_mixed_term_sign(self):
+        x = np.array([-2.0, -2.0, 2.0])
+        y = np.array([-3.0, 3.0, -3.0])
+        np.testing.assert_array_equal(Term(1, 2).evaluate(x, y), [-18, -18, 18])
+        np.testing.assert_array_equal(Term(3, 3).evaluate(x, y), [216, -216, -216])
+
+    def test_overflowing_product_is_a_domain_error(self):
+        # Each power is finite; only the product overflows.
+        x = np.array([1.0, 1e200, 1e200])
+        with pytest.raises(DomainError, match="term xy undefined at data row 2"):
+            Term(1, 1).evaluate(x, x)
+
 
 class TestModelSpec:
     def test_unity_rejects_intercept(self):
@@ -289,3 +336,27 @@ class TestDesignMatrix:
         ])
         np.testing.assert_allclose(G, expect_G, rtol=0, atol=0)
         np.testing.assert_allclose(rhs, [np.sum(x), np.sum(y), np.sum(x*y)], atol=0)
+
+
+class TestSaveCsv:
+    @pytest.mark.parametrize("columns", [("x", "y"), ("a,b", 'say "y"')])
+    def test_bytes_match_csv_writer(self, tmp_path, columns):
+        x = np.array([-0.0, 5e-324, 1e300, -2.5e-310, 0.1, -1e-300, 123456789.0])
+        y = np.array([1e300, -0.0, 5e-324, 3.0, -7.25, 2.2250738585072014e-308, -1e300])
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(list(columns))
+            for xi, yi in zip(x, y):
+                writer.writerow([repr(float(xi)), repr(float(yi))])
+        out = tmp_path / "out.csv"
+        save_csv(out, Dataset(x, y), *columns)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_round_trip_is_bitwise(self, tmp_path):
+        x = np.array([-0.0, 5e-324, 1e300, 0.1])
+        y = np.array([1e-300, -0.0, -5e-324, -1e300])
+        out = tmp_path / "out.csv"
+        save_csv(out, Dataset(x, y))
+        back = load_csv(out)
+        assert back.x.tobytes() == x.tobytes() and back.y.tobytes() == y.tobytes()
