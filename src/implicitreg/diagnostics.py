@@ -21,7 +21,7 @@ from .errors import (
     TriangleViolation,
     ZeroVariance,
 )
-from .fitters import ROW_BLOCK, FitResult, nra2_closed, slr_closed
+from .fitters import ROW_BLOCK, FitResult, _factor, _lstsq
 from .terms import Dataset
 
 CLAMP_TOL = 1e-9
@@ -162,19 +162,24 @@ class PinwheelLine:
 def pinwheel_data(d: Dataset) -> list[PinwheelLine]:
     """The two rotation lines and the unit-constant line for {x, y} data.
 
-    Plotting the three records side by side reproduces the pin-wheel
-    comparison: near-collinear for clean linear data, widely separated
-    when the underlying relation is nonlinear.
+    All three are read off one factor of [x, y, 1], so offset data fit as
+    well as the mathematics allows.  Plotting the three records side by
+    side reproduces the pin-wheel comparison: near-collinear for clean
+    linear data, widely separated when the underlying relation is
+    nonlinear.
     """
+    W = np.vstack([d.x, d.y])           # term-major [x, y]
+    scale, R = _factor(W.T, np.ones(d.n))
+    X, Y, ONE = 0, 1, 2
     out = []
-    b0, b1 = slr_closed(d.x, d.y)
+    b0, b1 = _lstsq(scale, R, Y, [ONE, X], ["1", "x"])[0]
     out.append(PinwheelLine("rotation y-on-x", b1, b0, False, None, (b0, b1)))
-    c0, c1 = slr_closed(d.y, d.x)   # x = c0 + c1*y
+    c0, c1 = _lstsq(scale, R, X, [ONE, Y], ["1", "y"])[0]    # x = c0 + c1*y
     if c1 == 0.0:
         out.append(PinwheelLine("rotation x-on-y", None, None, True, c0, (c0, c1)))
     else:
         out.append(PinwheelLine("rotation x-on-y", 1.0 / c1, -c0 / c1, False, None, (c0, c1)))
-    a1, a2 = nra2_closed(d.x, d.y)
+    a1, a2 = _lstsq(scale, R, ONE, [X, Y], ["x", "y"])[0]
     if a2 == 0.0:
         out.append(PinwheelLine("nonresponse line", None, None, True, 1.0 / a1, (a1, a2)))
     else:

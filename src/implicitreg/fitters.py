@@ -42,7 +42,9 @@ R2_CENTERED = "Eq8-centered"
 R2_UNIVARIATE = "Eq14-univariate"
 
 ROW_BLOCK = 8192            # rows of Z per QR merge step
-RANK_TOL = math.sqrt(np.finfo(float).eps)   # on the diagonal of a unit-column factor
+EPS = float(np.finfo(float).eps)
+RANK_TOL = math.sqrt(EPS)   # on the diagonal of a unit-column factor
+MEAN_ROUNDING = 4           # times log2(n + 1) * eps * |mean|: bound on a pairwise mean's error
 TOL_SINGULAR_FACTOR = 1e-12
 
 
@@ -133,10 +135,12 @@ def _result(spec: ModelSpec, labels: list[str], coeffs: np.ndarray, gram_inverse
     else:
         # Centered vectors: t't - n*tbar^2 cancels on offset data.  TERM and
         # RESPONSE specs carry an intercept, so ssr_c is the model sum of squares.
+        # A constant target still leaves the rounding error of its mean; the
+        # target is constant when its RMS deviation is within that error.
         tbar = float(np.mean(target))
         centered = target - tbar
         sst_c = float(centered @ centered)
-        if sst_c <= singular_tolerance(np.atleast_2d(target @ target)):
+        if math.sqrt(sst_c / n) <= MEAN_ROUNDING * math.log2(n + 1) * EPS * abs(tbar):
             raise ZeroVariance("target has zero centered variation")
         np.subtract(fitted, tbar, out=centered)
         ssr_c = float(centered @ centered)
@@ -280,7 +284,10 @@ def fit_standard(d: MultiDataset) -> FitResult:
 
 
 def slr_closed(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Simple-linear-regression slope and intercept by the raw-sum ratios."""
+    """Simple-linear-regression slope and intercept by the raw-sum ratios.
+
+    The paper's printed formula; raw sums lose digits on offset data, so
+    pinwheel_data reads its lines off a factor instead."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
@@ -295,7 +302,10 @@ def slr_closed(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def nra2_closed(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Two-term unit-constant line 1 = a1*x + a2*y by the raw-sum ratios."""
+    """Two-term unit-constant line 1 = a1*x + a2*y by the raw-sum ratios.
+
+    The paper's printed formula, kept beside the factored fit as
+    slr_closed is."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     sx, sy = float(np.sum(x)), float(np.sum(y))

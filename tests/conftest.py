@@ -30,3 +30,20 @@ def random_dataset(rng, n=None):
     x = rng.uniform(0.5, 3.0, size=n)
     y = rng.uniform(0.5, 3.0, size=n)
     return Dataset(x, y)
+
+
+def offset_line(offset, n=200, seed=3):
+    """x in [0, 10] and y = 1 + 2x + N(0, 0.05^2), both shifted by offset.
+
+    Values sit on a 2^-20 grid, so shifts up to 1e8 are exact and every
+    offset holds the same line."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.uniform(0, 10, n) * 2**20) / 2**20
+    y = np.round((1 + 2 * x + rng.normal(0, 0.05, n)) * 2**20) / 2**20
+    return x + offset, y + offset
+
+
+def unit_condition(*columns):
+    """2-norm condition number of the columns scaled to unit length."""
+    Z = np.column_stack(columns)
+    return float(np.linalg.cond(Z / np.linalg.norm(Z, axis=0)))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import offset_line, unit_condition
 from implicitreg import cli, terms
 from implicitreg.cli import (EXIT_DEGENERATE, EXIT_DOMAIN, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK,
                             main)
@@ -90,6 +91,20 @@ class TestFit:
         assert code == EXIT_OK
         np.testing.assert_allclose(rep["conic"]["center"], [300, 300], rtol=0, atol=1e-9)
         np.testing.assert_allclose(rep["conic"]["semi_axes"], [1, 1], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("model", ["standard", "rotation:y"])
+    def test_offset_line_slope(self, tmp_path, capsys, model):
+        slopes = []
+        for offset in (0.0, 1e7):
+            x, y = offset_line(offset)
+            p = tmp_path / f"line_{offset:g}.csv"
+            p.write_text("x,y\n" + "\n".join(f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist())))
+            code, rep = run_json(capsys, ["fit", "--input", str(p), "--model", model,
+                                          "--terms", "x,y"])
+            assert code == EXIT_OK
+            slopes.append(rep["coefficients"][1]["value"])
+        tol = 10 * unit_condition(np.ones_like(x), x) * np.finfo(float).eps
+        assert slopes[1] == pytest.approx(slopes[0], rel=tol)
 
     @pytest.mark.parametrize("model", ["nonresponse", "standard"])
     def test_utf8_bom_header(self, tmp_path, capsys, model):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import offset_line, unit_condition
 from implicitreg import (
     ConicCoeffs,
     Dataset,
@@ -232,6 +233,20 @@ class TestPinwheel:
         angles = [math.atan(rec.slope) for rec in lines if not rec.vertical]
         spread = max(angles) - min(angles)
         assert spread > 0.5       # wide angular separation on nonlinear data
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e7])
+    def test_offset_line(self, offset):
+        eps = np.finfo(float).eps
+        x0, y0 = offset_line(0.0)
+        base = pinwheel_data(Dataset(x0, y0))
+        x, y = offset_line(offset)
+        lines = pinwheel_data(Dataset(x, y))
+        tol = 10 * unit_condition(np.ones_like(x), x, y) * eps
+        for line, ref in zip(lines[:2], base[:2]):
+            assert line.slope == pytest.approx(ref.slope, rel=tol)
+        ref = np.linalg.lstsq(np.column_stack([x, y]), np.ones_like(x), rcond=None)[0]
+        tol = 10 * unit_condition(x, y) * eps
+        np.testing.assert_allclose(lines[2].raw_coeffs, ref, rtol=tol)
 
     def test_vertical_rotation_flagged(self):
         # y carries no information about x: x-on-y slope is exactly zero

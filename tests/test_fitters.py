@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_dataset
+from conftest import offset_line, random_dataset, unit_condition
 from implicitreg import (
     CONIC_TERMS,
     Circle,
@@ -196,6 +196,18 @@ class TestSolver:
             expected = 1.0 - f.sse / float(np.sum((y - y.mean()) ** 2))
             assert f.r_squared == pytest.approx(expected, rel=1e-8)
 
+    @pytest.mark.parametrize("offset", [1e6, 1e7, 1e8])
+    def test_offset_line_slope(self, offset):
+        # A spread 1e-8 of the offset is still a spread, not a constant target.
+        x0, y0 = offset_line(0.0)
+        x, y = offset_line(offset)
+        tol = 10 * unit_condition(np.ones_like(x), x) * np.finfo(float).eps
+        base = fit_standard(MultiDataset(y0, x0[:, None], ("x",))).coeffs[1]
+        rotation = fit_rotation(Dataset(x, y), parse_terms("x,y"), 1)
+        standard = fit_standard(MultiDataset(y, x[:, None], ("x",)))
+        assert rotation.coeffs[1] == pytest.approx(base, rel=tol)
+        assert standard.coeffs[1] == pytest.approx(base, rel=tol)
+
     def test_row_blocks_merge_to_the_same_fit(self, monkeypatch):
         rng = np.random.default_rng(61)
         d = random_dataset(rng, n=50)
@@ -263,6 +275,16 @@ class TestFitStandard:
     def test_constant_response(self):
         with pytest.raises(ZeroVariance):
             fit_standard(MultiDataset([3.0, 3.0, 3.0], [[1.0], [2.0], [3.0]], ("x",)))
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 3.3, 0.1, 1e7, 1e8, -2.5e15, 1e-300])
+    @pytest.mark.parametrize("n", [3, 200, 10001])
+    def test_constant_target_raises_at_any_offset(self, value, n):
+        x = np.random.default_rng(n).uniform(0, 10, n)
+        t = np.full(n, value)
+        with pytest.raises(ZeroVariance):
+            fit_standard(MultiDataset(t, x[:, None], ("x",)))
+        with pytest.raises(ZeroVariance):
+            fit_rotation(Dataset(x, t), parse_terms("x,y"), 1)
 
 
 class TestClosedForms:
