@@ -115,6 +115,8 @@ class Report:
             for rec in self.pinwheel:
                 if rec["vertical"]:
                     lines.append(f"  {rec['label']}: x = {rec['x_value']:.8g} (vertical)")
+                elif rec["slope"] is None:
+                    lines.append(f"  {rec['label']}: none")
                 else:
                     lines.append(f"  {rec['label']}: y = {rec['slope']:.8g}*x + {rec['intercept']:.8g}")
         for w in self.warnings:
@@ -282,7 +284,11 @@ def cmd_diagnose(args) -> int:
     if sep.perfect_fit:
         report.warnings.append("PerfectFit")
     if kind == "nonresponse" and set(term_list) == {terms.Term(1, 0), terms.Term(0, 1)}:
-        report.pinwheel = [dataclasses.asdict(p) for p in diagnostics.pinwheel_data(d)]
+        lines = diagnostics.pinwheel_data(d)
+        report.pinwheel = [dataclasses.asdict(p) for p in lines]
+        if any(p.missing for p in lines):
+            report.warnings.append("no unit-constant line: 1 = a1*x + a2*y cannot represent "
+                                   "data centred on the origin")
     return _emit(args, report)
 
 

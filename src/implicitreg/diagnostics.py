@@ -21,7 +21,7 @@ from .errors import (
     TriangleViolation,
     ZeroVariance,
 )
-from .fitters import ROW_BLOCK, FitResult, _factor, _lstsq
+from .fitters import RANK_TOL, ROW_BLOCK, FitResult, _factor, _lstsq
 from .terms import Dataset
 
 CLAMP_TOL = 1e-9
@@ -152,11 +152,16 @@ def ols_orthogonality_check(fit: FitResult) -> OrthogonalityCheck:
 @dataclass(frozen=True)
 class PinwheelLine:
     label: str
-    slope: Optional[float]      # None for a vertical line
-    intercept: Optional[float]  # y-intercept, None for a vertical line
+    slope: Optional[float]      # None for a vertical or a missing line
+    intercept: Optional[float]  # y-intercept, None for a vertical or a missing line
     vertical: bool
     x_value: Optional[float]    # x = const when vertical
     raw_coeffs: tuple[float, ...]
+
+    @property
+    def missing(self) -> bool:
+        """No line: both unit-constant coefficients are zero."""
+        return self.slope is None and not self.vertical
 
 
 def pinwheel_data(d: Dataset) -> list[PinwheelLine]:
@@ -167,21 +172,33 @@ def pinwheel_data(d: Dataset) -> list[PinwheelLine]:
     side reproduces the pin-wheel comparison: near-collinear for clean
     linear data, widely separated when the underlying relation is
     nonlinear.
+
+    A coefficient counts as zero when its value on the factor's unit
+    columns is below RANK_TOL, so rounding noise never becomes a slope.
+    The x-on-y line is then vertical, and so is the unit-constant line when
+    its y coefficient vanishes; when both of its coefficients vanish (data
+    centred on the origin) it does not exist and its record is `missing`.
     """
     W = np.vstack([d.x, d.y])           # term-major [x, y]
     scale, R = _factor(W.T, np.ones(d.n))
     X, Y, ONE = 0, 1, 2
+
+    def zero(coeff: float, column: int, target: int) -> bool:
+        return abs(coeff) * scale[column] / scale[target] < RANK_TOL
+
     out = []
     b0, b1 = _lstsq(scale, R, Y, [ONE, X], ["1", "x"])[0]
     out.append(PinwheelLine("rotation y-on-x", b1, b0, False, None, (b0, b1)))
     c0, c1 = _lstsq(scale, R, X, [ONE, Y], ["1", "y"])[0]    # x = c0 + c1*y
-    if c1 == 0.0:
+    if zero(c1, Y, X):
         out.append(PinwheelLine("rotation x-on-y", None, None, True, c0, (c0, c1)))
     else:
         out.append(PinwheelLine("rotation x-on-y", 1.0 / c1, -c0 / c1, False, None, (c0, c1)))
     a1, a2 = _lstsq(scale, R, ONE, [X, Y], ["x", "y"])[0]
-    if a2 == 0.0:
-        out.append(PinwheelLine("nonresponse line", None, None, True, 1.0 / a1, (a1, a2)))
-    else:
+    if not zero(a2, Y, ONE):
         out.append(PinwheelLine("nonresponse line", -a1 / a2, 1.0 / a2, False, None, (a1, a2)))
+    elif zero(a1, X, ONE):
+        out.append(PinwheelLine("nonresponse line", None, None, False, None, (a1, a2)))
+    else:
+        out.append(PinwheelLine("nonresponse line", None, None, True, 1.0 / a1, (a1, a2)))
     return out

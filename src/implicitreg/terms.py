@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -291,6 +292,10 @@ def _header(header: list[str], names: Sequence[str]) -> None:
             raise NamedColumnMissing(name)
 
 
+# numpy's path reader decompresses files named with these suffixes.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def _read_columns(path, select: Callable[[list[str]], Sequence[str]]
                   ) -> tuple[list[str], np.ndarray]:
     """Parse named columns of a UTF-8 CSV (BOM optional) with one header row.
@@ -301,20 +306,32 @@ def _read_columns(path, select: Callable[[list[str]], Sequence[str]]
     it raises ParseError at the first bad cell (data rows numbered from 1,
     blank lines skipped and not counted), or returns what float() reads where
     loadtxt does not, such as Unicode digits and "1_0".
+
+    A regular file goes to loadtxt by its absolute path, so numpy's C reader
+    takes it in chunks rather than one Python line at a time; the absolute
+    form keeps a relative name such as "http://h/x.csv" from reading as a
+    URL.  A name with a compression suffix, which numpy would decompress,
+    and a pipe, which can be read only once, are fed on from the open file.
     """
     row = None      # data rows read so far, to place a csv.Error; None in the header
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = next(csv.reader(fh), [])
+            reader = csv.reader(fh)
+            header = next(reader, [])
             row = 0
             names = list(select(header))
             _header(header, names)
             # loadtxt warns on a body with no rows, so skip to the first one.
             first = next((line for line in fh if line.strip("\r\n")), None)
             if first is not None:
+                name = os.path.abspath(os.fsdecode(path))
+                if os.path.isfile(name) and not name.lower().endswith(_COMPRESSED_SUFFIXES):
+                    body, skip = name, reader.line_num     # physical lines, as loadtxt counts
+                else:
+                    body, skip = itertools.chain((first,), fh), 0
                 try:
-                    values = np.loadtxt(itertools.chain((first,), fh), delimiter=",",
-                                        comments=None, quotechar='"', ndmin=2,
+                    values = np.loadtxt(body, delimiter=",", comments=None, quotechar='"',
+                                        ndmin=2, skiprows=skip, encoding="utf-8-sig",
                                         usecols=[header.index(c) for c in names])
                 except UnicodeDecodeError:
                     raise

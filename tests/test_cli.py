@@ -253,6 +253,22 @@ class TestDiagnose:
         assert len(rep["pinwheel"]) == 3
 
 
+    def test_pinwheel_without_unit_constant_line(self, tmp_path, capsys):
+        theta = np.arange(6) * math.pi / 3
+        p = tmp_path / "centred.csv"
+        p.write_text("x,y\n" + "".join(f"{2 * math.cos(t)!r},{2 * math.sin(t)!r}\n"
+                                          for t in theta))
+        argv = ["diagnose", "--input", str(p), "--model", "nonresponse", "--terms", "x,y"]
+        code, rep = run_json(capsys, argv)
+        assert code == EXIT_OK
+        unit = rep["pinwheel"][2]
+        assert set(unit) == {"label", "slope", "intercept", "vertical", "x_value", "raw_coeffs"}
+        assert (unit["slope"], unit["intercept"], unit["vertical"]) == (None, None, False)
+        assert rep["pinwheel"][1]["vertical"]
+        assert any("centred on the origin" in w for w in rep["warnings"])
+        assert main(argv) == EXIT_OK
+        assert "  nonresponse line: none\n" in capsys.readouterr().out
+
 class TestSimulate:
     def test_emits_loadable_csv(self, tmp_path):
         out = tmp_path / "sim.csv"

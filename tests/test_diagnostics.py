@@ -248,6 +248,24 @@ class TestPinwheel:
         tol = 10 * unit_condition(x, y) * eps
         np.testing.assert_allclose(lines[2].raw_coeffs, ref, rtol=tol)
 
+    def test_origin_centred_circle(self):
+        # x and y are uncorrelated and both centred: the x-on-y slope is zero
+        # (a vertical line) and the unit-constant line does not exist.  The
+        # fitted coefficients are rounding noise, which must not become slopes.
+        theta = np.arange(6) * math.pi / 3
+        y_on_x, x_on_y, unit = pinwheel_data(Dataset(2 * np.cos(theta), 2 * np.sin(theta)))
+        assert abs(y_on_x.slope) < 1e-12
+        assert x_on_y.vertical and abs(x_on_y.x_value) < 1e-12
+        assert unit.missing and not unit.vertical
+        assert (unit.slope, unit.intercept, unit.x_value) == (None, None, None)
+        assert max(abs(a) for a in unit.raw_coeffs) < 1e-12
+
+    def test_unit_constant_line_vertical_when_y_centred(self):
+        theta = np.arange(6) * math.pi / 3
+        unit = pinwheel_data(Dataset(3 + 2 * np.cos(theta), 2 * np.sin(theta)))[2]
+        assert unit.vertical and not unit.missing
+        assert unit.x_value == pytest.approx(11 / 3, rel=1e-12)    # sum x^2 / sum x
+
     def test_vertical_rotation_flagged(self):
         # y carries no information about x: x-on-y slope is exactly zero
         d = Dataset([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 1.0, 2.0])

@@ -1,5 +1,7 @@
 import csv
 import math
+import os
+import urllib.request
 import warnings
 from fractions import Fraction
 
@@ -104,6 +106,92 @@ class TestLoadCsv:
         p = write(tmp_path, f"x,y,{long_cell}\n1,2,3\n", name="header.csv")
         with pytest.raises(InputError, match=r"header: field larger than field limit"):
             load_csv(p)
+
+
+class TestLoadCsvByPath:
+    """np.loadtxt reads a regular file's body by path.  Names numpy's path
+    reader would take for a compressed file or a URL, and pipes, still read
+    as plain text."""
+
+    BODY = "x,z,y\n" + "".join(f"{i * 0.37!r},{-i!r},{i * i * 1e-3!r}\n" for i in range(50))
+
+    @staticmethod
+    def loads(p):
+        d = load_csv(p)
+        md = load_multi_csv(p, "y")
+        return [d.x, d.y, md.response, md.explanatory]
+
+    @staticmethod
+    def no_row_loop(*args, **kwargs):
+        raise AssertionError("row loop entered")
+
+    @pytest.mark.parametrize("name", ["d.csv.gz", "d.csv.bz2", "d.csv.xz", "d.CSV.GZ",
+                                      "d.csv.lzma"])
+    def test_compression_suffix_reads_as_text(self, tmp_path, name):
+        want = self.loads(write(tmp_path, self.BODY))
+        got = self.loads(write(tmp_path, self.BODY, name=name))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_relative_url_like_name_is_a_local_file(self, tmp_path, monkeypatch):
+        def no_network(*args, **kwargs):
+            raise AssertionError("network access")
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        (tmp_path / "http:" / "h").mkdir(parents=True)
+        write(tmp_path / "http:" / "h", self.BODY, name="x.csv")
+        monkeypatch.chdir(tmp_path)
+        want = self.loads(tmp_path / "http:" / "h" / "x.csv")
+        for g, w in zip(self.loads("http://h/x.csv"), want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_header_with_quoted_newline(self, tmp_path, monkeypatch, eol):
+        # The header spans four physical lines; loadtxt must skip all of them
+        # and no more, without help from the row loop.
+        p = tmp_path / "d.csv"
+        p.write_bytes(f'x,"note{eol}{eol}more{eol}",y{eol}1,2,3{eol}{eol}4,5,6{eol}'.encode())
+        want = reference_columns(p, ["x", "y"])
+        monkeypatch.setattr(csv, "DictReader", self.no_row_loop)
+        d = load_csv(p)
+        assert d.x.tobytes() == want[:, 0].copy().tobytes()
+        assert d.y.tobytes() == want[:, 1].copy().tobytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_once(self, tmp_path):
+        # A pipe's body cannot be read again by path: it is fed on from the
+        # handle that read the header.  The body is longer than one read
+        # buffer and fits in the pipe's.
+        text = "x,y\n" + "".join(f"{i * 0.37!r},{i * i * 1e-3!r}\n" for i in range(500))
+        r, w = os.pipe()
+        try:
+            os.write(w, text.encode())
+            os.close(w)
+            d = load_csv(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        want = load_csv(write(tmp_path, text))
+        assert d.x.tobytes() == want.x.tobytes() and d.y.tobytes() == want.y.tobytes()
+
+    def test_clean_file_skips_row_loop(self, tmp_path, monkeypatch):
+        n = 200_000
+        rng = np.random.default_rng(5)
+        d = Dataset(rng.normal(size=n), rng.normal(size=n))
+        p = tmp_path / "big.csv"
+        save_csv(p, d)
+        paths = []
+        loadtxt = np.loadtxt
+
+        def spy(fname, *args, **kwargs):
+            paths.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr(csv, "DictReader", self.no_row_loop)
+        got = load_csv(p)
+        md = load_multi_csv(p, "y")
+        assert got.x.tobytes() == d.x.tobytes() and got.y.tobytes() == d.y.tobytes()
+        assert md.response.tobytes() == d.y.tobytes()
+        assert len(paths) == 2 and all(type(f) is str for f in paths)
 
 
 def reference_columns(path, names):
