@@ -150,13 +150,10 @@ def _rotation_model(pivot: terms.Term, term_list) -> dict:
             "terms": [t.label() for t in term_list], "intercept": True}
 
 
-def _separation_dict(d: diagnostics.SeparationDiagnostics) -> dict:
-    return {
-        "sst": d.sst, "ssm": d.ssm, "sse": d.sse,
-        "theta_t": d.theta_t, "theta_m": d.theta_m, "theta_e": d.theta_e,
-        "e_hat": d.e_hat, "height": d.height, "ratio": d.ratio,
-        "perfect_fit": d.perfect_fit, "unreconstructed": d.unreconstructed,
-    }
+def _add_separation(report: Report, sep: diagnostics.SeparationDiagnostics) -> None:
+    report.separation = dataclasses.asdict(sep)
+    if sep.perfect_fit:
+        report.warnings.append("PerfectFit")
 
 
 def _conic_coeffs_from_fit(term_list, coeffs) -> Optional[conics.ConicCoeffs]:
@@ -198,55 +195,73 @@ def _parse_model(model: str) -> tuple[str, Optional[str]]:
     raise InvalidSpec(f"unknown model {model!r}")
 
 
-def _fit_report(args) -> tuple[Report, Any, Any, list]:
-    """The fit report, with the data, the fit and the term list behind it
-    (the data is the MultiDataset for the standard model)."""
+def _report(args, diagnose: bool = False) -> Report:
+    """The fit report of args.model; with diagnose, also its separation
+    diagnostics."""
     kind, pivot_txt = _parse_model(args.model)
 
     if kind == "standard":
         md = terms.load_multi_csv(args.input, args.response_col)
         fit = fitters.fit_standard(md)
-        return Report(
-            model={"kind": "standard", "lhs": args.response_col,
-                   "terms": list(md.column_names), "intercept": True},
-            **_fit_fields(fit)), md, fit, []
-
-    if kind == "univariate":
+        model = {"kind": "standard", "lhs": args.response_col,
+                 "terms": list(md.column_names), "intercept": True}
+    elif kind == "univariate":
         d = terms.load_csv(args.input, args.x_col, args.y_col)
         res = fitters.univariate_nra(d.y)
+        if diagnose:
+            raise InvalidSpec("diagnose supports nonresponse, rotation, and standard models")
         return Report(
             model={"kind": "univariate", "lhs": "unity", "terms": [args.y_col],
                    "intercept": False},
             coefficients=[{"term": args.y_col, "value": res.alpha,
                            "stderr": None, "t_stat": None}],
             r_squared=res.r2, r2_formula=fitters.R2_UNIVARIATE,
-            univariate={"alpha": res.alpha, "mu_hat": res.mu_hat, "r2": res.r2}), d, res, []
+            univariate={"alpha": res.alpha, "mu_hat": res.mu_hat, "r2": res.r2})
+    else:
+        d = terms.load_csv(args.input, args.x_col, args.y_col)
+        term_list = terms.parse_terms(args.terms)
+        if kind == "nonresponse":
+            return _nonresponse_report(d, term_list, diagnose)
+        pivot_term = terms.parse_terms(pivot_txt)[0]
+        if pivot_term not in term_list:
+            raise InvalidSpec(f"rotation pivot {pivot_txt!r} not in term list")
+        fit = fitters.fit_rotation(d, term_list, term_list.index(pivot_term))
+        model = _rotation_model(pivot_term, term_list)
 
-    d = terms.load_csv(args.input, args.x_col, args.y_col)
-    term_list = terms.parse_terms(args.terms)
+    report = Report(model, **_fit_fields(fit))
+    if diagnose:
+        _add_separation(report, diagnostics.separation_univariate(fit.target, fit.fitted))
+    return report
 
-    if kind == "nonresponse":
-        fit = fitters.fit_nonresponse(d, term_list)
-        report = Report(
-            model={"kind": "nonresponse", "lhs": "unity",
-                   "terms": [t.label() for t in term_list], "intercept": False},
-            **_fit_fields(fit))
-        c = _conic_coeffs_from_fit(term_list, fit.coeffs)
-        if c is not None:
-            report.conic = _conic_dict(c, report.warnings)
-        return report, d, fit, term_list
 
-    # rotation
-    pivot_term = terms.parse_terms(pivot_txt)[0]
-    if pivot_term not in term_list:
-        raise InvalidSpec(f"rotation pivot {pivot_txt!r} not in term list")
-    pivot = term_list.index(pivot_term)
-    fit = fitters.fit_rotation(d, term_list, pivot)
-    return Report(_rotation_model(pivot_term, term_list), **_fit_fields(fit)), d, fit, term_list
+def _nonresponse_report(d: terms.Dataset, term_list, diagnose: bool) -> Report:
+    """The unit-constant fit, its conic, and with diagnose its separation
+    (and the pinwheel lines of the two-term linear fit)."""
+    fit = fitters.fit_nonresponse(d, term_list)
+    report = Report(
+        model={"kind": "nonresponse", "lhs": "unity",
+               "terms": [t.label() for t in term_list], "intercept": False},
+        **_fit_fields(fit))
+    c = _conic_coeffs_from_fit(term_list, fit.coeffs)
+    if c is not None:
+        report.conic = _conic_dict(c, report.warnings)
+    if not diagnose:
+        return report
+    if c is None:
+        raise InvalidSpec("diagnosis needs terms drawn from {x, y, xy, x2, y2}")
+    x_hat, y_hat, _bad = diagnostics.reconstruct_from_conic(c, d)
+    _add_separation(report, diagnostics.separation_bivariate(d.x, x_hat, d.y, y_hat))
+    if set(term_list) == {terms.Term(1, 0), terms.Term(0, 1)}:
+        lines = diagnostics.pinwheel_data(d)
+        report.pinwheel = [dataclasses.asdict(p) for p in lines]
+        if any(p.missing for p in lines):
+            report.warnings.append("no unit-constant line: 1 = a1*x + a2*y cannot represent "
+                                   "data centred on the origin")
+    return report
 
 
 def cmd_fit(args) -> int:
-    return _emit(args, _fit_report(args)[0])
+    return _emit(args, _report(args))
 
 
 def cmd_rotate_all(args) -> int:
@@ -268,28 +283,7 @@ def cmd_rotate_all(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    report, d, fit, term_list = _fit_report(args)
-    kind = report.model["kind"]
-    if kind == "nonresponse":
-        c = _conic_coeffs_from_fit(term_list, fit.coeffs)
-        if c is None:
-            raise InvalidSpec("diagnosis needs terms drawn from {x, y, xy, x2, y2}")
-        x_hat, y_hat, _bad = diagnostics.reconstruct_from_conic(c, d)
-        sep = diagnostics.separation_bivariate(d.x, x_hat, d.y, y_hat)
-    elif kind in ("rotation", "standard"):
-        sep = diagnostics.separation_univariate(fit.target, fit.fitted)
-    else:
-        raise InvalidSpec("diagnose supports nonresponse, rotation, and standard models")
-    report.separation = _separation_dict(sep)
-    if sep.perfect_fit:
-        report.warnings.append("PerfectFit")
-    if kind == "nonresponse" and set(term_list) == {terms.Term(1, 0), terms.Term(0, 1)}:
-        lines = diagnostics.pinwheel_data(d)
-        report.pinwheel = [dataclasses.asdict(p) for p in lines]
-        if any(p.missing for p in lines):
-            report.warnings.append("no unit-constant line: 1 = a1*x + a2*y cannot represent "
-                                   "data centred on the origin")
-    return _emit(args, report)
+    return _emit(args, _report(args, diagnose=True))
 
 
 _SIM_PARAMS = {

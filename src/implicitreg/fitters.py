@@ -16,7 +16,7 @@ R <- qr([R; next block]) so memory stays flat in n.  Each fit is then the
 small problem R[:, S] b ~ R[:, j], whose own QR gives the coefficients,
 the Gram inverse and the rank (Golub & Van Loan, Matrix Computations,
 section 5.3).  The Gram matrix W'W is never formed.  The fitted rows of
-every rotation come from one product with the term rows.
+every fit come from one product with the columns of Z.
 """
 
 from __future__ import annotations
@@ -164,18 +164,62 @@ def _result(spec: ModelSpec, labels: list[str], coeffs: np.ndarray, gram_inverse
     )
 
 
-def _fit(spec: ModelSpec, W: np.ndarray, t: np.ndarray) -> FitResult:
-    """Regress t on every column of W."""
+def _regress(W: np.ndarray, t: np.ndarray, fits: Sequence[tuple[ModelSpec, int, Sequence[int]]]
+             ) -> list[Union[FitResult, DegenerateError]]:
+    """Fits (spec, j, S) of column j of Z = [W, t] on columns S, read off one
+    factor of Z.
+
+    Each fit takes one small solve; a singular one keeps its exception and
+    a zero coefficient row.  One product of the coefficient rows with the
+    columns of Z gives every fitted row, and the residuals and sums are
+    row-wise passes.  Each result holds row views of the fitted and
+    residual blocks and of its target column.
+    """
+    Wt = W.T
+    m = len(Wt)
+    scale, R = _factor(W, t)
+    C = np.zeros((len(fits), m + 1))        # one row per fit over the columns of Z
+    solved: list = []
+    for row, (spec, j, S) in zip(C, fits):
+        labels = spec.column_labels()
+        try:
+            coeffs, gram_inverse = _lstsq(scale, R, j, S, labels)
+        except SingularSystem as exc:
+            solved.append(exc)
+            continue
+        row[S] = coeffs
+        solved.append((spec, labels, coeffs, gram_inverse))
+    fitted = C[:, :m] @ Wt
+    residuals = np.multiply(C[:, m:], t)    # t's share (a rotation's unit column) for now
+    fitted += residuals
+    out: list[Union[FitResult, DegenerateError]] = []
+    for (_, j, _), fit, f, r in zip(fits, solved, fitted, residuals):
+        if isinstance(fit, DegenerateError):
+            out.append(fit)
+            continue
+        target = Wt[j] if j < m else t
+        np.subtract(target, f, out=r)
+        try:
+            out.append(_result(*fit, target, f, r))
+        except ZeroVariance as exc:
+            out.append(exc)
+    return out
+
+
+def _fit(W: np.ndarray, t: np.ndarray, spec: ModelSpec, j: Optional[int] = None,
+         S: Sequence[int] = ()) -> FitResult:
+    """The one fit (spec, j, S) of Z = [W, t], by default t on every column
+    of W; a degenerate fit raises."""
     m = W.shape[1]
-    labels = spec.column_labels()
-    coeffs, gram_inverse = _lstsq(*_factor(W, t), m, range(m), labels)
-    fitted = W @ coeffs
-    return _result(spec, labels, coeffs, gram_inverse, t, fitted, t - fitted)
+    (fit,) = _regress(W, t, [(spec, m, range(m)) if j is None else (spec, j, S)])
+    if isinstance(fit, DegenerateError):
+        raise fit
+    return fit
 
 
 def fit_implicit(d: Dataset, spec: ModelSpec) -> FitResult:
     """Least-squares fit of the implicit model given by spec."""
-    return _fit(spec, *design_matrix(d, spec))
+    return _fit(*design_matrix(d, spec), spec)
 
 
 def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:
@@ -183,60 +227,17 @@ def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:
     return fit_implicit(d, ModelSpec.nonresponse(terms))
 
 
-def _term_factor(d: Dataset, terms: Sequence[Term]):
-    """Terms evaluated once and the factor of Z = [T_1..T_m, 1]."""
-    W, ones = design_matrix(d, ModelSpec.nonresponse(terms))
-    return (W,) + _factor(W, ones)
-
-
-def _rotations(terms: Sequence[Term], W: np.ndarray, scale: np.ndarray, R: np.ndarray,
-               pivots: Sequence[int]) -> list[Union[FitResult, DegenerateError]]:
-    """Rotation fits on the given pivots, read off the factor of Z = [T_1..T_m, 1].
-
-    Each pivot takes one small solve; a singular one keeps its exception
-    and a zero coefficient row.  One product of the coefficient rows with
-    the term rows gives every fitted row, and the residuals and sums are
-    row-wise passes.  Each result holds row views of the fitted and
-    residual blocks and of the term rows.
-    """
+def _rotation(terms: Sequence[Term], pivot: int) -> tuple[ModelSpec, int, list[int]]:
+    """The rotation on pivot as a fit of Z = [T_1..T_m, 1]: the pivot term
+    on the unit column and the other terms."""
     m = len(terms)
-    Wt = W.T
-    C = np.zeros((len(pivots), m + 1))      # one row per pivot over the columns of Z
-    solved: list = []
-    for row, pivot in zip(C, pivots):
-        spec = ModelSpec.rotation(terms, pivot)
-        labels = spec.column_labels()
-        S = [m] + [k for k in range(m) if k != pivot]
-        try:
-            coeffs, gram_inverse = _lstsq(scale, R, pivot, S, labels)
-        except SingularSystem as exc:
-            solved.append(exc)
-            continue
-        row[S] = coeffs
-        solved.append((spec, labels, coeffs, gram_inverse))
-    fitted = C[:, :m] @ Wt
-    fitted += C[:, m:]
-    residuals = np.empty_like(fitted)
-    out: list[Union[FitResult, DegenerateError]] = []
-    for i, (pivot, fit) in enumerate(zip(pivots, solved)):
-        if isinstance(fit, DegenerateError):
-            out.append(fit)
-            continue
-        np.subtract(Wt[pivot], fitted[i], out=residuals[i])
-        try:
-            out.append(_result(*fit, Wt[pivot], fitted[i], residuals[i]))
-        except ZeroVariance as exc:
-            out.append(exc)
-    return out
+    return ModelSpec.rotation(terms, pivot), pivot, [m] + [k for k in range(m) if k != pivot]
 
 
 def fit_rotation(d: Dataset, terms: Sequence[Term], pivot: int) -> FitResult:
     """OLS of the pivot term on an intercept plus every remaining term."""
-    ModelSpec.rotation(terms, pivot)   # validate before any evaluation
-    (fit,) = _rotations(terms, *_term_factor(d, terms), [pivot])
-    if isinstance(fit, DegenerateError):
-        raise fit
-    return fit
+    fit = _rotation(terms, pivot)   # validate before any evaluation
+    return _fit(*design_matrix(d, ModelSpec.nonresponse(terms)), *fit)
 
 
 def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult, DegenerateError]]:
@@ -249,27 +250,24 @@ def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult
     observations fill every slot.
     """
     try:
-        factored = _term_factor(d, terms)
+        W, ones = design_matrix(d, ModelSpec.nonresponse(terms))
     except Underdetermined as exc:
         return [exc] * len(terms)
-    return _rotations(terms, *factored, range(len(terms)))
+    return _regress(W, ones, [_rotation(terms, pivot) for pivot in range(len(terms))])
 
 
 def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     """A = (X1'X1)^{-1} X1'X2, the projection of excluded columns onto
     included ones.  Column j of A is the rotation-fit coefficient vector
-    for the j-th excluded column."""
-    X1t = np.ascontiguousarray(np.asarray(X1, dtype=float).T)    # term-major
-    X2 = np.asarray(X2, dtype=float)
-    if X2.ndim == 1:
-        X2 = X2[:, None]
+    for the j-th excluded column, read off one factor of [X1, X2]."""
+    X1t = np.asarray(X1, dtype=float).T
+    X2t = np.atleast_2d(np.asarray(X2, dtype=float).T)     # a vector is one column
+    Zt = np.concatenate([X1t, X2t])                         # term-major [X1, X2]
+    scale, R = _factor(Zt[:-1].T, Zt[-1])
     k = len(X1t)
     labels = [f"X1[:, {i}]" for i in range(k)]
-    columns = []
-    for column in X2.T:
-        scale, R = _factor(X1t.T, column)
-        columns.append(_lstsq(scale, R, k, range(k), labels)[0])
-    return np.column_stack(columns)
+    return np.column_stack([_lstsq(scale, R, j, range(k), labels)[0]
+                            for j in range(k, len(Zt))])
 
 
 def fit_standard(d: MultiDataset) -> FitResult:
@@ -280,7 +278,7 @@ def fit_standard(d: MultiDataset) -> FitResult:
     Xt = np.empty((k, d.n))             # term-major [1, X]
     Xt[0] = 1.0
     Xt[1:] = d.explanatory.T
-    return _fit(ModelSpec(LhsKind.RESPONSE, d.column_names, intercept=True), Xt.T, d.response)
+    return _fit(Xt.T, d.response, ModelSpec(LhsKind.RESPONSE, d.column_names, intercept=True))
 
 
 def slr_closed(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

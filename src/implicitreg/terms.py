@@ -302,16 +302,18 @@ def _read_columns(path, select: Callable[[list[str]], Sequence[str]]
 
     select(header) gives the names to read; returns them and an (n, k) float
     array, one column per name.  np.loadtxt parses the body and its result
-    stands when every value is finite.  Otherwise the csv row loop decides:
-    it raises ParseError at the first bad cell (data rows numbered from 1,
-    blank lines skipped and not counted), or returns what float() reads where
-    loadtxt does not, such as Unicode digits and "1_0".
+    stands when every value is finite.  Otherwise a csv row loop reads on
+    from the handle that read the header and decides: it raises ParseError
+    at the first bad cell (data rows numbered from 1, blank lines skipped
+    and not counted), or returns what float() reads where loadtxt does not,
+    such as Unicode digits and "1_0".
 
     A regular file goes to loadtxt by its absolute path, so numpy's C reader
     takes it in chunks rather than one Python line at a time; the absolute
     form keeps a relative name such as "http://h/x.csv" from reading as a
-    URL.  A name with a compression suffix, which numpy would decompress,
-    and a pipe, which can be read only once, are fed on from the open file.
+    URL.  Any other body, such as a pipe, which can be read only once, or a
+    name with a compression suffix, which numpy would decompress, is read
+    into memory once as lines that loadtxt and the row loop share.
     """
     row = None      # data rows read so far, to place a csv.Error; None in the header
     try:
@@ -321,36 +323,39 @@ def _read_columns(path, select: Callable[[list[str]], Sequence[str]]
             row = 0
             names = list(select(header))
             _header(header, names)
-            # loadtxt warns on a body with no rows, so skip to the first one.
-            first = next((line for line in fh if line.strip("\r\n")), None)
-            if first is not None:
-                name = os.path.abspath(os.fsdecode(path))
-                if os.path.isfile(name) and not name.lower().endswith(_COMPRESSED_SUFFIXES):
-                    body, skip = name, reader.line_num     # physical lines, as loadtxt counts
-                else:
-                    body, skip = itertools.chain((first,), fh), 0
-                try:
-                    values = np.loadtxt(body, delimiter=",", comments=None, quotechar='"',
-                                        ndmin=2, skiprows=skip, encoding="utf-8-sig",
-                                        usecols=[header.index(c) for c in names])
-                except UnicodeDecodeError:
-                    raise
-                except ValueError:
-                    pass
-                else:
-                    if np.isfinite(values).all():
-                        return names, values
-        rows = []
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            for row, record in enumerate(csv.DictReader(fh), start=1):
-                rows.append([_parse_cell(record[c], row, c) for c in names])
+            usecols = [header.index(c) for c in names]
+            name = os.path.abspath(os.fsdecode(path))
+            if os.path.isfile(name) and not name.lower().endswith(_COMPRESSED_SUFFIXES):
+                body, skip, lines = name, reader.line_num, fh   # physical lines, as loadtxt counts
+            else:
+                body, skip = list(fh), 0
+                lines = iter(body)
+            # loadtxt warns on a body with no rows, so look for one first.
+            first = next((line for line in lines if line.strip("\r\n")), None)
+            if first is None:
+                raise EmptyDataset(f"{path}: no data rows")
+            try:
+                values = np.loadtxt(body, delimiter=",", comments=None, quotechar='"',
+                                    ndmin=2, skiprows=skip, encoding="utf-8-sig",
+                                    usecols=usecols)
+            except UnicodeDecodeError:
+                raise
+            except ValueError:
+                pass
+            else:
+                if np.isfinite(values).all():
+                    return names, values
+            rows = []
+            records = (r for r in csv.reader(itertools.chain((first,), lines)) if r)
+            for row, record in enumerate(records, start=1):
+                # A short row leaves its missing cells None, as csv.DictReader does.
+                rows.append([_parse_cell(record[i] if i < len(record) else None, row, c)
+                             for i, c in zip(usecols, names)])
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:    # say, a cell over csv's field size limit
         where = "header" if row is None else f"data row {row + 1}"
         raise InputError(f"{path}: {where}: {exc}") from None
-    if not rows:
-        raise EmptyDataset(f"{path}: no data rows")
     return names, np.array(rows)
 
 

@@ -234,6 +234,18 @@ class TestSolver:
         assert len(results) == 5 and all(hasattr(r, "coeffs") for r in results)
         assert calls == {"evaluate": 5, "factor": 1}
 
+    @pytest.mark.parametrize("fit", [
+        lambda d: fit_nonresponse(d, list(CONIC_TERMS)),
+        lambda d: fit_rotation(d, list(CONIC_TERMS), 2),
+        lambda d: fit_standard(MultiDataset(d.y, np.column_stack([d.x, d.x * d.y]), ("x", "xy"))),
+    ], ids=["nonresponse", "rotation", "standard"])
+    def test_single_fit_factors_once(self, monkeypatch, fit):
+        calls = []
+        factor = fitters._factor
+        monkeypatch.setattr(fitters, "_factor", lambda *a: calls.append(1) or factor(*a))
+        assert hasattr(fit(random_dataset(np.random.default_rng(71))), "coeffs")
+        assert len(calls) == 1
+
 
 class TestAliasMatrix:
     def test_projection_onto_constant(self):
@@ -254,6 +266,20 @@ class TestAliasMatrix:
         A = alias_matrix(X1, d.x)
         f = fit_rotation(d, list(CONIC_TERMS), pivot=0)
         np.testing.assert_allclose(A[:, 0], f.coeffs, atol=1e-10)
+
+    def test_many_columns_one_factor(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        X1 = np.column_stack([np.ones(40), rng.normal(size=(40, 3))])
+        X2 = rng.normal(size=(40, 3))
+        singles = np.column_stack([alias_matrix(X1, c) for c in X2.T])
+        lstsq = np.linalg.lstsq(X1, X2, rcond=None)[0]
+        calls = []
+        factor = fitters._factor
+        monkeypatch.setattr(fitters, "_factor", lambda *a: calls.append(1) or factor(*a))
+        A = alias_matrix(X1, X2)
+        assert A.shape == (4, 3) and len(calls) == 1
+        np.testing.assert_allclose(A, singles, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(A, lstsq, rtol=1e-10, atol=1e-10)
 
 
 class TestFitStandard:

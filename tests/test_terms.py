@@ -20,6 +20,7 @@ from implicitreg import (
     load_multi_csv,
     parse_terms,
 )
+from implicitreg import terms
 from implicitreg.terms import save_csv
 from implicitreg.errors import (
     DomainError,
@@ -171,6 +172,62 @@ class TestLoadCsvByPath:
             os.close(r)
         want = load_csv(write(tmp_path, text))
         assert d.x.tobytes() == want.x.tobytes() and d.y.tobytes() == want.y.tobytes()
+
+    @staticmethod
+    def piped(load, text):
+        r, w = os.pipe()
+        try:
+            os.write(w, text.encode())
+            os.close(w)
+            return load(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_through_row_loop(self, tmp_path):
+        # loadtxt cannot read the Arabic-Indic "12", so the row loop reads the
+        # piped body from the text loadtxt was given.
+        text = ("x,y\n" + "".join(f"{i * 0.37!r},{i * i * 1e-3!r}\n" for i in range(599))
+                + "١٢,2.5\n")
+        want = self.loads(write(tmp_path, text))
+        d = self.piped(load_csv, text)
+        md = self.piped(lambda p: load_multi_csv(p, "y"), text)
+        for g, w in zip([d.x, d.y, md.response, md.explanatory], want):
+            assert g.tobytes() == w.tobytes()
+        assert d.x[-1] == 12.0
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_piped_bad_cell_names_its_row(self):
+        text = "x,y\n1,2\n\n3,4\nabc,5\n"
+        for load in (load_csv, lambda p: load_multi_csv(p, "y")):
+            with pytest.raises(ParseError, match=r"'abc' at data row 3 in column 'x'"):
+                self.piped(load, text)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_clean_body_skips_row_loop(self, tmp_path, monkeypatch):
+        want = self.loads(write(tmp_path, self.BODY))
+        monkeypatch.setattr(terms, "_parse_cell", self.no_row_loop)
+        for got in (self.loads(write(tmp_path, self.BODY)),
+                    self.loads(write(tmp_path, self.BODY, name="d.csv.gz")),
+                    [self.piped(load_csv, self.BODY).x,
+                     self.piped(lambda p: load_multi_csv(p, "y"), self.BODY).explanatory]):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[-1].tobytes() == want[-1].tobytes()
+
+    def test_row_loop_reads_on_from_one_open(self, tmp_path, monkeypatch):
+        p = write(tmp_path, self.BODY + "\n١٢,0,1\n")
+        want = reference_columns(p, ["x", "y"])
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(terms, "open", counting_open, raising=False)
+        d = load_csv(p)
+        assert d.x.tobytes() == want[:, 0].copy().tobytes()
+        assert d.y.tobytes() == want[:, 1].copy().tobytes()
+        assert opened == [p]
 
     def test_clean_file_skips_row_loop(self, tmp_path, monkeypatch):
         n = 200_000
