@@ -37,7 +37,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from . import conics, diagnostics, fitters, simulate, terms
+from . import conics, diagnostics, fitters, terms
 from .errors import (
     DegenerateError,
     DomainViolation,
@@ -130,7 +130,7 @@ def _fmt(v) -> str:
 
 def _coeff_rows(fit: fitters.FitResult) -> list[dict]:
     rows = []
-    se = np.sqrt(np.abs(np.diag(fit.cov)))
+    se = fit.stderr
     for i, label in enumerate(fit.column_labels):
         stderr = float(se[i]) if np.isfinite(se[i]) else None
         t = float(fit.t_stats[i]) if np.isfinite(fit.t_stats[i]) else None
@@ -236,13 +236,17 @@ def _report(args, diagnose: bool = False) -> Report:
 
 def _nonresponse_report(d: terms.Dataset, term_list, diagnose: bool) -> Report:
     """The unit-constant fit, its conic, and with diagnose its separation
-    (and the pinwheel lines of the two-term linear fit)."""
+    (and the pinwheel lines of the two-term linear fit).
+
+    The fit's rows are let go once its report fields are read, so they are
+    not held through the reconstruction."""
     fit = fitters.fit_nonresponse(d, term_list)
     report = Report(
         model={"kind": "nonresponse", "lhs": "unity",
                "terms": [t.label() for t in term_list], "intercept": False},
         **_fit_fields(fit))
     c = _conic_coeffs_from_fit(term_list, fit.coeffs)
+    del fit
     if c is not None:
         report.conic = _conic_dict(c, report.warnings)
     if not diagnose:
@@ -286,12 +290,14 @@ def cmd_diagnose(args) -> int:
     return _emit(args, _report(args, diagnose=True))
 
 
+# Kind -> (class name in implicitreg.simulate, parameters).  The module is
+# imported by cmd_simulate alone, so fit and diagnose start without it.
 _SIM_PARAMS = {
-    "line": (simulate.Line, ("b0", "b1")),
-    "circle": (simulate.Circle, ("cx", "cy", "r")),
-    "ellipse": (simulate.Ellipse, ("cx", "cy", "ax", "ay", "rot")),
-    "normal": (simulate.ConstantNormal, ("mu", "sigma")),
-    "uniform": (simulate.Uniform, ("a", "b")),
+    "line": ("Line", ("b0", "b1")),
+    "circle": ("Circle", ("cx", "cy", "r")),
+    "ellipse": ("Ellipse", ("cx", "cy", "ax", "ay", "rot")),
+    "normal": ("ConstantNormal", ("mu", "sigma")),
+    "uniform": ("Uniform", ("a", "b")),
 }
 
 
@@ -303,11 +309,13 @@ def _floats(text: str, flag: str) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate
+
     cls, names = _SIM_PARAMS[args.kind]
     values = _floats(args.params, "--params")
     if len(values) != len(names):
         raise InvalidSpec(f"kind {args.kind} takes parameters {','.join(names)}")
-    spec = simulate.GeneratorSpec(kind=cls(*values), n=args.n,
+    spec = simulate.GeneratorSpec(kind=getattr(simulate, cls)(*values), n=args.n,
                                   noise_sigma=args.noise, seed=args.seed)
     out = simulate.generate(spec)
     if isinstance(out, terms.Dataset):

@@ -18,10 +18,11 @@ import numpy as np
 from .conics import ConicCoeffs, y_roots
 from .errors import (
     InterceptRequired,
+    SumOfSquaresOverflow,
     TriangleViolation,
     ZeroVariance,
 )
-from .fitters import RANK_TOL, ROW_BLOCK, FitResult, _factor, _lstsq
+from .fitters import RANK_TOL, ROW_BLOCK, FitResult, _factor, _lstsq, _source
 from .terms import Dataset
 
 CLAMP_TOL = 1e-9
@@ -71,17 +72,52 @@ def _from_sums(sst: float, ssm: float, sse: float, n: int,
     )
 
 
+def _separation(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> SeparationDiagnostics:
+    """SST/SSM/SSE pooled over (observed, estimated) coordinate pairs, each
+    around the mean of its observations, summed ROW_BLOCK rows at a time.
+
+    A row whose estimate is not finite in some coordinate was not
+    reconstructed: it adds its raw squared deviations from the means to
+    SSE, nothing to SSM, and is tallied.  A sum beyond the float range
+    raises SumOfSquaresOverflow.
+    """
+    n = len(pairs[0][0])
+    means = [float(np.mean(obs)) for obs, _ in pairs]
+    sst = ssm = sse = 0.0
+    unreconstructed = 0
+    with np.errstate(over="ignore"):
+        for a in range(0, n, ROW_BLOCK):
+            rows = slice(a, a + ROW_BLOCK)
+            ok = np.isfinite(pairs[0][1][rows])
+            for _, est in pairs[1:]:
+                ok &= np.isfinite(est[rows])
+            lost = ~ok
+            count = int(np.count_nonzero(lost))
+            unreconstructed += count
+            for (obs, est), mean in zip(pairs, means):
+                dev = obs[rows] - mean
+                model = est[rows] - mean
+                error = est[rows] - obs[rows]
+                if count:
+                    model[lost] = 0.0
+                    error[lost] = dev[lost]
+                sst += float(dev @ dev)
+                ssm += float(model @ model)
+                sse += float(error @ error)
+    if not all(map(math.isfinite, (sst, ssm, sse))):
+        raise SumOfSquaresOverflow()
+    return _from_sums(sst, ssm, sse, n, unreconstructed=unreconstructed)
+
+
 def separation_univariate(y: Sequence[float], y_hat: Sequence[float]) -> SeparationDiagnostics:
-    """SST/SSM/SSE around the mean of y, with law-of-cosines angles."""
+    """SST/SSM/SSE around the mean of y, with law-of-cosines angles.  A
+    non-finite entry of y_hat counts as unreconstructed, as in
+    separation_bivariate."""
     y = np.asarray(y, dtype=float)
     y_hat = np.asarray(y_hat, dtype=float)
     if y.shape != y_hat.shape or y.ndim != 1 or len(y) < 2:
         raise ZeroVariance("need at least two paired observations")
-    ybar = float(np.mean(y))
-    sst = float(np.sum((y - ybar) ** 2))
-    ssm = float(np.sum((y_hat - ybar) ** 2))
-    sse = float(np.sum((y_hat - y) ** 2))
-    return _from_sums(sst, ssm, sse, len(y))
+    return _separation([(y, y_hat)])
 
 
 def separation_bivariate(x, x_hat, y, y_hat) -> SeparationDiagnostics:
@@ -89,7 +125,8 @@ def separation_bivariate(x, x_hat, y, y_hat) -> SeparationDiagnostics:
 
     NaN entries in x_hat/y_hat mark observations the model could not
     reconstruct; they contribute their raw squared deviation from the mean
-    to SSE, nothing to SSM, and are tallied.
+    to SSE, nothing to SSM, and are tallied.  The sums go ROW_BLOCK rows at
+    a time, so no temporary is as long as the data.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -98,14 +135,7 @@ def separation_bivariate(x, x_hat, y, y_hat) -> SeparationDiagnostics:
     n = len(x)
     if not (len(y) == len(x_hat) == len(y_hat) == n) or n < 2:
         raise ZeroVariance("need at least two paired observations")
-    xbar, ybar = float(np.mean(x)), float(np.mean(y))
-    sst = float(np.sum((x - xbar) ** 2) + np.sum((y - ybar) ** 2))
-    ok = np.isfinite(x_hat) & np.isfinite(y_hat)
-    unreconstructed = int(np.sum(~ok))
-    ssm = float(np.sum((x_hat[ok] - xbar) ** 2) + np.sum((y_hat[ok] - ybar) ** 2))
-    sse = float(np.sum((x_hat[ok] - x[ok]) ** 2) + np.sum((y_hat[ok] - y[ok]) ** 2))
-    sse += float(np.sum((x[~ok] - xbar) ** 2) + np.sum((y[~ok] - ybar) ** 2))
-    return _from_sums(sst, ssm, sse, n, unreconstructed=unreconstructed)
+    return _separation([(x, x_hat), (y, y_hat)])
 
 
 def _nearest(roots, observed: np.ndarray) -> np.ndarray:
@@ -179,8 +209,7 @@ def pinwheel_data(d: Dataset) -> list[PinwheelLine]:
     its y coefficient vanishes; when both of its coefficients vanish (data
     centred on the origin) it does not exist and its record is `missing`.
     """
-    W = np.vstack([d.x, d.y])           # term-major [x, y]
-    scale, R = _factor(W.T, np.ones(d.n))
+    scale, R = _factor(_source([d.x, d.y, 1.0]), 3, d.n)
     X, Y, ONE = 0, 1, 2
 
     def zero(coeff: float, column: int, target: int) -> bool:

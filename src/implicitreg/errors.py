@@ -110,6 +110,15 @@ class DomainError(DomainViolation):
         super().__init__(f"term {term} undefined at data row {row}")
 
 
+class SumOfSquaresOverflow(DomainViolation):
+    """A sum of squares in the data's units overflows the float range (data
+    near 1e200 and above); the coefficients may exist, their fit statistics
+    do not."""
+
+    def __init__(self):
+        super().__init__("a sum of squares is beyond the float range; rescale the data")
+
+
 class NoSolutionAtPoint(DomainViolation):
     pass
 

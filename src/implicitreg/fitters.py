@@ -8,30 +8,35 @@ the conversion between unit-constant and response-form coefficients.
 Every least-squares fit regresses one column of a design Z on some of its
 other columns: the unit column of Z = [T_1..T_m, 1] in the non-response
 fit, a term (on the unit column and the other terms) in a rotation, y in
-Z = [1, X, y] for standard OLS.  The regressor columns are held
-term-major, one contiguous row each (design_matrix returns W as the
-transpose of that block).  Z is scaled to unit-norm columns and reduced
-once to its small triangular factor R, merging row blocks as
-R <- qr([R; next block]) so memory stays flat in n.  Each fit is then the
-small problem R[:, S] b ~ R[:, j], whose own QR gives the coefficients,
-the Gram inverse and the rank (Golub & Van Loan, Matrix Computations,
-section 5.3).  The Gram matrix W'W is never formed.  The fitted rows of
-every fit come from one product with the columns of Z.
+Z = [1, X, y] for standard OLS.  Z is never held whole: a block source
+writes ROW_BLOCK rows of it at a time, term-major, evaluating the terms of
+a fit from the data or slicing vectors already in hand, and the blocks are
+merged into the small triangular factor R as R <- qr([R; next block]), so
+memory stays flat in n (the TSQR reduction of Demmel, Grigori, Hoemmen &
+Langou, arXiv:0808.2664).  The column scales are read off R.  Each fit is
+then the small problem R[:, S] b ~ R[:, j], whose own QR gives the
+coefficients, the Gram inverse and the rank (Golub & Van Loan, Matrix
+Computations, section 5.3).  The Gram matrix W'W is never formed.  A
+second pass of the block source gives the fitted rows of every fit from
+one product per block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     ConversionUndefined,
     DegenerateError,
+    DomainError,
+    DomainViolation,
     MeanUndefined,
     SingularSystem,
+    SumOfSquaresOverflow,
     Underdetermined,
     ZeroVariance,
 )
@@ -46,6 +51,10 @@ EPS = float(np.finfo(float).eps)
 RANK_TOL = math.sqrt(EPS)   # on the diagonal of a unit-column factor
 MEAN_ROUNDING = 4           # times log2(n + 1) * eps * |mean|: bound on a pairwise mean's error
 TOL_SINGULAR_FACTOR = 1e-12
+
+Column = Union[np.ndarray, Term, float]        # a column of Z: a vector, a term or a constant
+Fill = Callable[[np.ndarray, int, int], None]   # fill(out, a, b): rows a..b of Z' into out
+Fits = Sequence[tuple[ModelSpec, int, Sequence[int]]]   # (spec, j, S): column j on columns S
 
 
 def singular_tolerance(A: np.ndarray) -> float:
@@ -65,6 +74,7 @@ class FitResult:
     r2_formula: str
     sigma2_hat: float
     cov: np.ndarray
+    stderr: np.ndarray          # sqrt of cov's diagonal, taken without squaring
     t_stats: np.ndarray
     f_stat: Optional[float]
     gram_inverse: np.ndarray
@@ -76,39 +86,63 @@ class FitResult:
         return float(self.residuals @ self.residuals)
 
 
-def _factor(W: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column norms of Z = [W, t] and the R factor of Z scaled to unit columns.
+def _source(columns: Sequence[Column], d: Optional[Dataset] = None) -> Fill:
+    """The block source of Z = [columns]: fill(out, a, b) writes rows a..b
+    of Z, transposed, into out.
 
-    W is read through its transpose, whose rows are the columns of Z and are
-    contiguous for every caller.  Z is never materialised: each ROW_BLOCK
-    rows are scaled into one reused term-major buffer after R', and R is
-    replaced by the R factor of [R; block], whose Fortran-order storage is
-    that buffer's transpose.  A zero column keeps scale 1 and stays zero.
+    A column is a vector, which is sliced; a Term, which is evaluated on
+    rows a..b of d, with a DomainError naming the data row; or a constant.
     """
-    Wt = W.T
-    n = len(t)
-    norms = np.sqrt(np.append(np.einsum("ij,ij->i", Wt, Wt), t @ t))
-    scale = np.where(norms > 0, norms, 1.0)
-    k = len(scale)
+    def fill(out: np.ndarray, a: int, b: int) -> None:
+        for row, col in zip(out, columns):
+            if isinstance(col, Term):
+                try:
+                    row[:] = col.evaluate(d.x[a:b], d.y[a:b])
+                except DomainError as exc:
+                    raise DomainError(exc.row + a, exc.term) from None
+            else:
+                row[:] = col[a:b] if isinstance(col, np.ndarray) else col
+    return fill
+
+
+def _factor(fill: Fill, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column norms of the n x k design Z and the R factor of Z scaled to
+    unit columns.
+
+    Z is never materialised: fill writes each ROW_BLOCK rows into one reused
+    term-major buffer after R', and R is replaced by the R factor of
+    [R; block], whose Fortran-order storage is that buffer's transpose.
+    Householder QR is column-scale invariant, so the columns go in unscaled
+    and their norms are read off the small R by np.hypot, which neither
+    overflows nor underflows; R divided by them is the unit-column factor.
+    A zero column keeps scale 1 and stays zero.
+    """
     buf = np.empty((k, k + min(ROW_BLOCK, n)))
     r = 0
     for a in range(0, n, ROW_BLOCK):
         b = min(a + ROW_BLOCK, n)
-        np.divide(Wt[:, a:b], scale[:-1, None], out=buf[:-1, r:r + b - a])
-        np.divide(t[a:b], scale[-1], out=buf[-1, r:r + b - a])
+        fill(buf[:, r:r + b - a], a, b)
         R = np.linalg.qr(buf[:, :r + b - a].T, mode="r")
         r = len(R)
         buf[:, :r] = R.T
-    return scale, R
+    if not np.isfinite(R).all():
+        raise DomainViolation("a column of the design has a norm beyond the float range; "
+                              "rescale the data")
+    norms = np.hypot.reduce(R, axis=0)
+    scale = np.where(norms > 0, norms, 1.0)
+    return scale, R / scale
 
 
 def _lstsq(scale: np.ndarray, R: np.ndarray, j: int, S: Sequence[int],
            labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of column j of the factored design on columns S, in
-    original units, and the Gram inverse of those columns.
+    original units, and a square root L of the Gram inverse of those
+    columns (the inverse is L L').
 
     Raises SingularSystem naming the first column of S whose unit-scale
     distance from the span of the columns before it falls below RANK_TOL.
+    L is r^-1 with each row divided by its column's scale, so it stays in
+    range for data whose squares would not.
     """
     S = list(S)
     q, r = np.linalg.qr(R[:, S])
@@ -119,14 +153,27 @@ def _lstsq(scale: np.ndarray, R: np.ndarray, j: int, S: Sequence[int],
                              "with the columns before it")
     sol = np.linalg.solve(r, np.column_stack([q.T @ R[:, j], np.eye(len(S))]))
     s = scale[S]
-    return sol[:, 0] * scale[j] / s, (sol[:, 1:] @ sol[:, 1:].T) / np.outer(s, s)
+    return sol[:, 0] * scale[j] / s, sol[:, 1:] / s[:, None]
 
 
-def _result(spec: ModelSpec, labels: list[str], coeffs: np.ndarray, gram_inverse: np.ndarray,
+def _sum_squares(v: np.ndarray) -> float:
+    """v'v, or SumOfSquaresOverflow when it is beyond the float range."""
+    with np.errstate(over="ignore"):
+        total = float(v @ v)
+    if not math.isfinite(total):
+        raise SumOfSquaresOverflow()
+    return total
+
+
+def _result(spec: ModelSpec, labels: list[str], coeffs: np.ndarray, root: np.ndarray,
             target: np.ndarray, fitted: np.ndarray, residuals: np.ndarray) -> FitResult:
-    """The fit statistics of one solved fit."""
+    """The fit statistics of one solved fit, whose Gram inverse is root root'.
+
+    The standard errors are sqrt(sigma2) times the row norms of root, so
+    they and the t statistics stay in range when the covariance does not
+    (data near 1e+-200, whose covariance under- or overflows)."""
     n, m = len(target), len(coeffs)
-    sse = float(residuals @ residuals)
+    sse = _sum_squares(residuals)
 
     if spec.lhs is LhsKind.UNITY:
         r2 = float(fitted @ target) / n     # a'W'1 / n, summed as (W a)'1
@@ -139,11 +186,11 @@ def _result(spec: ModelSpec, labels: list[str], coeffs: np.ndarray, gram_inverse
         # target is constant when its RMS deviation is within that error.
         tbar = float(np.mean(target))
         centered = target - tbar
-        sst_c = float(centered @ centered)
+        sst_c = _sum_squares(centered)
         if math.sqrt(sst_c / n) <= MEAN_ROUNDING * math.log2(n + 1) * EPS * abs(tbar):
             raise ZeroVariance("target has zero centered variation")
         np.subtract(fitted, tbar, out=centered)
-        ssr_c = float(centered @ centered)
+        ssr_c = _sum_squares(centered)
         r2 = ssr_c / sst_c
         tag = R2_CENTERED
         if spec.intercept and m > 1 and n > m and sse > 0:
@@ -152,53 +199,76 @@ def _result(spec: ModelSpec, labels: list[str], coeffs: np.ndarray, gram_inverse
             f_stat = None
 
     sigma2 = sse / (n - m) if n > m else float("nan")
-    cov = sigma2 * gram_inverse
-    diag = np.diag(cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram_inverse = root @ root.T
+        cov = sigma2 * gram_inverse
+    stderr = math.sqrt(sigma2) * np.hypot.reduce(root, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(diag > 0, coeffs / np.sqrt(np.where(diag > 0, diag, 1.0)), np.nan)
+        t_stats = np.where(stderr > 0, coeffs / stderr, np.nan)
     return FitResult(
         spec=spec, coeffs=coeffs, residuals=residuals, fitted=fitted, target=target,
         r_squared=r2, r2_formula=tag, sigma2_hat=sigma2, cov=cov,
-        t_stats=t_stats, f_stat=f_stat, gram_inverse=gram_inverse, n=n,
+        stderr=stderr, t_stats=t_stats, f_stat=f_stat, gram_inverse=gram_inverse, n=n,
         column_labels=labels,
     )
 
 
-def _regress(W: np.ndarray, t: np.ndarray, fits: Sequence[tuple[ModelSpec, int, Sequence[int]]]
+def _regress(columns: Sequence[Column], n: int, fits: Fits, d: Optional[Dataset] = None
              ) -> list[Union[FitResult, DegenerateError]]:
-    """Fits (spec, j, S) of column j of Z = [W, t] on columns S, read off one
-    factor of Z.
+    """Fits (spec, j, S) of column j of Z = [columns] on columns S, read off
+    one factor of Z.
 
-    Each fit takes one small solve; a singular one keeps its exception and
-    a zero coefficient row.  One product of the coefficient rows with the
-    columns of Z gives every fitted row, and the residuals and sums are
-    row-wise passes.  Each result holds row views of the fitted and
-    residual blocks and of its target column.
+    The block source of the columns feeds the factor and then, block by
+    block, the read-off, so a column given as a Term is evaluated twice and
+    never held at full length.  Each fit takes one small solve; a singular
+    one keeps its exception and a zero coefficient row.  One product of the
+    coefficient rows with each block of Z gives the fitted rows, and the
+    residuals are their difference from the target's block.  Each result
+    holds row views of the fitted and residual arrays, and its target: the
+    column itself when it is a vector, else a vector filled block by block.
     """
-    Wt = W.T
-    m = len(Wt)
-    scale, R = _factor(W, t)
-    C = np.zeros((len(fits), m + 1))        # one row per fit over the columns of Z
+    k = len(columns)
+    fill = _source(columns, d)
+    scale, R = _factor(fill, k, n)
+    width = max(len(S) for _, _, S in fits)
+    if n < width:
+        raise Underdetermined(f"{n} observations for {width} columns")
+    C = np.zeros((len(fits), k))        # one row per fit over the columns of Z
     solved: list = []
     for row, (spec, j, S) in zip(C, fits):
         labels = spec.column_labels()
         try:
-            coeffs, gram_inverse = _lstsq(scale, R, j, S, labels)
+            coeffs, root = _lstsq(scale, R, j, S, labels)
         except SingularSystem as exc:
             solved.append(exc)
             continue
         row[S] = coeffs
-        solved.append((spec, labels, coeffs, gram_inverse))
-    fitted = C[:, :m] @ Wt
-    residuals = np.multiply(C[:, m:], t)    # t's share (a rotation's unit column) for now
-    fitted += residuals
+        solved.append((spec, labels, coeffs, root))
+    J = [j for _, j, _ in fits]
+    targets = [columns[j] if isinstance(columns[j], np.ndarray) else np.empty(n) for j in J]
+    fitted = np.empty((len(fits), n))
+    residuals = np.empty((len(fits), n))
+    # Evaluating a term costs a fixed overhead per block, so a read-off that
+    # evaluates takes whole blocks.  One that only copies vectors takes a
+    # quarter block, so that its buffer adds little to the peak, which the
+    # design and the fitted and residual rows set.
+    step = ROW_BLOCK if any(isinstance(c, Term) for c in columns) else max(ROW_BLOCK // 4, 1)
+    buf = np.empty((k, min(step, n)))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        block = buf[:, :b - a]
+        fill(block, a, b)
+        np.matmul(C, block, out=fitted[:, a:b])
+        for j, target, f, r in zip(J, targets, fitted[:, a:b], residuals[:, a:b]):
+            if target is not columns[j]:
+                target[a:b] = block[j]
+            np.subtract(block[j], f, out=r)
+    del buf, block
     out: list[Union[FitResult, DegenerateError]] = []
-    for (_, j, _), fit, f, r in zip(fits, solved, fitted, residuals):
+    for fit, target, f, r in zip(solved, targets, fitted, residuals):
         if isinstance(fit, DegenerateError):
             out.append(fit)
             continue
-        target = Wt[j] if j < m else t
-        np.subtract(target, f, out=r)
         try:
             out.append(_result(*fit, target, f, r))
         except ZeroVariance as exc:
@@ -206,20 +276,25 @@ def _regress(W: np.ndarray, t: np.ndarray, fits: Sequence[tuple[ModelSpec, int, 
     return out
 
 
-def _fit(W: np.ndarray, t: np.ndarray, spec: ModelSpec, j: Optional[int] = None,
-         S: Sequence[int] = ()) -> FitResult:
-    """The one fit (spec, j, S) of Z = [W, t], by default t on every column
-    of W; a degenerate fit raises."""
-    m = W.shape[1]
-    (fit,) = _regress(W, t, [(spec, m, range(m)) if j is None else (spec, j, S)])
+def _fit(columns: Sequence[Column], n: int, spec: ModelSpec, j: int, S: Sequence[int],
+         d: Optional[Dataset] = None) -> FitResult:
+    """The one fit (spec, j, S) of Z = [columns]; a degenerate fit raises."""
+    (fit,) = _regress(columns, n, [(spec, j, S)], d)
     if isinstance(fit, DegenerateError):
         raise fit
     return fit
 
 
 def fit_implicit(d: Dataset, spec: ModelSpec) -> FitResult:
-    """Least-squares fit of the implicit model given by spec."""
-    return _fit(*design_matrix(d, spec), spec)
+    """Least-squares fit of the implicit model given by spec.
+
+    Z = [1 (with an intercept), the rhs terms, the target], evaluated block
+    by block from d: the design is never held whole.
+    """
+    target = 1.0 if spec.lhs is LhsKind.UNITY else spec.lhs_term
+    columns = [1.0] * spec.intercept + list(spec.rhs_terms) + [target]
+    m = len(columns) - 1
+    return _fit(columns, d.n, spec, m, range(m), d)
 
 
 def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:
@@ -236,24 +311,24 @@ def _rotation(terms: Sequence[Term], pivot: int) -> tuple[ModelSpec, int, list[i
 
 def fit_rotation(d: Dataset, terms: Sequence[Term], pivot: int) -> FitResult:
     """OLS of the pivot term on an intercept plus every remaining term."""
-    fit = _rotation(terms, pivot)   # validate before any evaluation
-    return _fit(*design_matrix(d, ModelSpec.nonresponse(terms)), *fit)
+    return _fit([*terms, 1.0], d.n, *_rotation(terms, pivot), d)
 
 
 def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult, DegenerateError]]:
     """One rotation fit per pivot, in term order, from one term evaluation,
     one factorization and one batched read-off.
 
-    A degenerate pivot (singular design, constant target) is recorded in
-    its slot as the exception instance rather than aborting the remaining
-    rotations; global errors (domain violations) still propagate.  Too few
-    observations fill every slot.
+    The terms are evaluated once into W, whose rows the results keep as
+    their targets.  A degenerate pivot (singular design, constant target)
+    is recorded in its slot as the exception instance rather than aborting
+    the remaining rotations; global errors (domain violations) still
+    propagate.  Too few observations fill every slot.
     """
     try:
-        W, ones = design_matrix(d, ModelSpec.nonresponse(terms))
+        W = design_matrix(d, ModelSpec.nonresponse(terms))[0]
     except Underdetermined as exc:
         return [exc] * len(terms)
-    return _regress(W, ones, [_rotation(terms, pivot) for pivot in range(len(terms))])
+    return _regress([*W.T, 1.0], d.n, [_rotation(terms, pivot) for pivot in range(len(terms))])
 
 
 def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
@@ -262,23 +337,19 @@ def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     for the j-th excluded column, read off one factor of [X1, X2]."""
     X1t = np.asarray(X1, dtype=float).T
     X2t = np.atleast_2d(np.asarray(X2, dtype=float).T)     # a vector is one column
-    Zt = np.concatenate([X1t, X2t])                         # term-major [X1, X2]
-    scale, R = _factor(Zt[:-1].T, Zt[-1])
+    columns = [*X1t, *X2t]
+    scale, R = _factor(_source(columns), len(columns), X1t.shape[1])
     k = len(X1t)
     labels = [f"X1[:, {i}]" for i in range(k)]
     return np.column_stack([_lstsq(scale, R, j, range(k), labels)[0]
-                            for j in range(k, len(Zt))])
+                            for j in range(k, len(columns))])
 
 
 def fit_standard(d: MultiDataset) -> FitResult:
     """Intercept OLS of the response on the explanatory columns."""
     k = d.p + 1
-    if d.n < k:
-        raise Underdetermined(f"{d.n} observations for {k} columns")
-    Xt = np.empty((k, d.n))             # term-major [1, X]
-    Xt[0] = 1.0
-    Xt[1:] = d.explanatory.T
-    return _fit(Xt.T, d.response, ModelSpec(LhsKind.RESPONSE, d.column_names, intercept=True))
+    spec = ModelSpec(LhsKind.RESPONSE, d.column_names, intercept=True)
+    return _fit([1.0, *d.explanatory.T, d.response], d.n, spec, k, range(k))
 
 
 def slr_closed(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -48,9 +48,9 @@ class Term:
             out = powers[0] if powers else np.ones_like(x, dtype=float)
             if len(powers) == 2:
                 out *= powers[1]
-        bad = ~np.isfinite(out)
-        if bad.any():
-            raise DomainError(int(np.argmax(bad)) + 1, self)
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise DomainError(int(np.argmin(finite)) + 1, self)
         return out
 
     def label(self) -> str:
@@ -83,7 +83,8 @@ def _pow(base: np.ndarray, exp: float, term: Term) -> np.ndarray:
 
     An integral power is taken of |base| and the sign restored for odd
     exponents, since numpy's vector pow takes a slow element-by-element
-    path on negative bases.
+    path on negative bases.  Powers 1 and 2 are a copy and a square, which
+    give the same values as pow at a fraction of its cost.
     """
     integral = float(exp).is_integer()
     if not integral:
@@ -96,6 +97,10 @@ def _pow(base: np.ndarray, exp: float, term: Term) -> np.ndarray:
             raise DomainError(int(np.argmax(bad)) + 1, term)
     if not integral:
         return np.power(base, exp)
+    if exp == 1:
+        return base.copy()
+    if exp == 2:
+        return np.square(base)
     out = np.power(np.abs(base), exp)
     if exp % 2:
         np.copysign(out, base, out=out)

@@ -1,11 +1,12 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import offset_line, unit_condition
-from implicitreg import cli, terms
+from implicitreg import cli, fitters, terms
 from implicitreg.cli import (EXIT_DEGENERATE, EXIT_DOMAIN, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK,
                             main)
 
@@ -160,6 +161,16 @@ class TestFailures:
         assert code == EXIT_DOMAIN
         assert capsys.readouterr().err == "error: term xy undefined at data row 1\n"
 
+    def test_domain_error_in_a_later_block_names_the_data_row(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr(fitters, "ROW_BLOCK", 7)
+        p = tmp_path / "d.csv"
+        xs = [-1.0 if row == 20 else 1.0 + row / 10 for row in range(1, 31)]
+        p.write_text("x,y\n" + "".join(f"{x!r},{1 + x * x!r}\n" for x in xs))
+        code = main(["fit", "--input", str(p), "--model", "nonresponse", "--terms", "y,x^0.5"])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: term x^0.5 undefined at data row 20\n"
+
     def test_unexpected_exception_exits_5(self, monkeypatch, capsys):
         def broken(args):
             raise RuntimeError("boom")
@@ -169,6 +180,55 @@ class TestFailures:
         assert code == EXIT_INTERNAL
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
+
+class TestExtremeScale:
+    ROWS = [(1.0, 2.0), (2.0, 1.5), (3.0, 0.5), (1.5, 3.0)]
+
+    def fit(self, tmp_path, capsys, scale):
+        p = tmp_path / f"scaled{scale!r}.csv"
+        p.write_text("x,y\n" + "".join(f"{x * scale!r},{y * scale!r}\n" for x, y in self.ROWS))
+        code = main(["fit", "--input", str(p), "--model", "nonresponse", "--terms", "x,y",
+                     "--output", "json"])
+        out, err = capsys.readouterr()
+        return code, json.loads(out) if out else None, err
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_nonresponse_line_scales(self, tmp_path, capsys, scale):
+        # Column norms near 1e+-200 square out of the float range; the fit
+        # is the unit-scale fit with its coefficients divided by the scale.
+        _, base, _ = self.fit(tmp_path, capsys, 1.0)
+        code, rep, err = self.fit(tmp_path, capsys, scale)
+        assert code == EXIT_OK and err == ""
+        for got, ref in zip(rep["coefficients"], base["coefficients"], strict=True):
+            assert got["value"] == pytest.approx(ref["value"] / scale, rel=1e-12)
+            assert got["stderr"] == pytest.approx(ref["stderr"] / scale, rel=1e-12)
+            assert got["t_stat"] == pytest.approx(ref["t_stat"], rel=1e-12)
+        assert rep["r_squared"] == pytest.approx(base["r_squared"], rel=1e-12)
+
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--model", "rotation:y", "--terms", "x,y"],
+        ["rotate-all", "--terms", "x,y"],
+        ["diagnose", "--model", "nonresponse", "--terms", "x,y"],
+    ], ids=["rotation", "rotate-all", "diagnose"])
+    def test_sums_in_data_units_overflow_exit_4(self, tmp_path, capsys, argv):
+        # A rotation's residuals and the separation sums are in the data's
+        # units; their squares at 1e200 leave the float range.
+        p = tmp_path / "big.csv"
+        p.write_text("x,y\n" + "".join(f"{x * 1e200!r},{y * 1e200!r}\n" for x, y in self.ROWS))
+        code = main(argv + ["--input", str(p)])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == ("error: a sum of squares is beyond the float range; "
+                                           "rescale the data\n")
+
+    def test_column_norm_beyond_float_range_exits_4(self, tmp_path, capsys):
+        # Every entry is finite, but the norm of the x column is about 2.8e308.
+        p = tmp_path / "huge.csv"
+        p.write_text("x,y\n1.5e308,1e300\n1.2e308,2e300\n1.7e308,3e300\n1.1e308,1e300\n")
+        code = main(["fit", "--input", str(p), "--model", "nonresponse", "--terms", "x,y"])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == ("error: a column of the design has a norm beyond the "
+                                           "float range; rescale the data\n")
 
 class TestRotateAll:
     def test_five_reports(self, tmp_path, capsys):
@@ -244,6 +304,29 @@ class TestDiagnose:
             "--model", "nonresponse", "--terms", "x,y,xy,x2,y2"])
         assert code == EXIT_OK
         assert calls == ["load_csv", "fit_nonresponse"]
+
+    def test_fit_released_before_reconstruction(self, tmp_path, capsys, monkeypatch):
+        # The fit's target, fitted and residual rows are as long as the data;
+        # they must not be held while the reconstruction allocates its own.
+        fits, alive = [], []
+        fit_nonresponse = cli.fitters.fit_nonresponse
+        reconstruct = cli.diagnostics.reconstruct_from_conic
+
+        def fit(*args):
+            result = fit_nonresponse(*args)
+            fits.append(weakref.ref(result))
+            return result
+
+        def reconstruct_checked(*args):
+            alive.append(fits[0]() is not None)
+            return reconstruct(*args)
+
+        monkeypatch.setattr(cli.fitters, "fit_nonresponse", fit)
+        monkeypatch.setattr(cli.diagnostics, "reconstruct_from_conic", reconstruct_checked)
+        code, _ = run_json(capsys, [
+            "diagnose", "--input", str(circle_csv(tmp_path)),
+            "--model", "nonresponse", "--terms", "x,y,xy,x2,y2"])
+        assert code == EXIT_OK and alive == [False]
 
     def test_pinwheel_for_two_term_linear(self, tmp_path, capsys):
         code, rep = run_json(capsys, [

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import offset_line, unit_condition
 from implicitreg import (
     ConicCoeffs,
     Dataset,
     MultiDataset,
+    diagnostics,
     fit_nonresponse,
     fit_standard,
     ols_orthogonality_check,
@@ -115,6 +119,60 @@ class TestSeparationBivariate:
         assert bad == 1
         sep = separation_bivariate(d.x, x_hat, d.y, y_hat)
         assert sep.unreconstructed == 1
+
+
+def whole_array_sums(pairs):
+    """SST, SSM, SSE and the unreconstructed count over whole arrays: the
+    formulas the block sums must reproduce."""
+    ok = np.all([np.isfinite(est) for _, est in pairs], axis=0)
+    sst = ssm = sse = 0.0
+    for obs, est in pairs:
+        mean = np.mean(obs)
+        sst += np.sum((obs - mean) ** 2)
+        ssm += np.sum((est[ok] - mean) ** 2)
+        sse += np.sum((est[ok] - obs[ok]) ** 2) + np.sum((obs[~ok] - mean) ** 2)
+    return sst, ssm, sse, int(np.sum(~ok))
+
+
+class TestBlockSums:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+           lost=st.sets(st.integers(0, 59), max_size=12))
+    def test_block_sums_match_whole_arrays(self, n, seed, lost):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(3.0, 2.0, n), rng.normal(-2.0, 1.0, n)
+        x_hat = x + rng.normal(0.0, 0.3, n)
+        y_hat = y + rng.normal(0.0, 0.3, n)
+        # NaN rows on both sides of the edges of blocks of 7, plus drawn ones
+        rows = [r for r in {*lost, 6, 7, 13, 14} if r < n - 1]
+        x_hat[rows[::2]] = np.nan
+        y_hat[rows[1::2]] = np.nan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagnostics, "ROW_BLOCK", 7)
+            cases = [(separation_bivariate(x, x_hat, y, y_hat), [(x, x_hat), (y, y_hat)]),
+                     (separation_univariate(y, y_hat), [(y, y_hat)])]
+        for got, pairs in cases:
+            sst, ssm, sse, unreconstructed = whole_array_sums(pairs)
+            assert got.sst == pytest.approx(sst, rel=1e-12)
+            assert got.ssm == pytest.approx(ssm, rel=1e-12, abs=1e-300)
+            assert got.sse == pytest.approx(sse, rel=1e-12)
+            assert got.unreconstructed == unreconstructed
+
+    def test_separation_holds_block_sized_temporaries(self):
+        rng = np.random.default_rng(7)
+        n = 3 * ROW_BLOCK + 5
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        x_hat, y_hat = x + 0.1, y - 0.1
+        x_hat[ROW_BLOCK - 1:ROW_BLOCK + 1] = np.nan
+        separation_bivariate(x, x_hat, y, y_hat)
+        tracemalloc.start()
+        try:
+            sep = separation_bivariate(x, x_hat, y, y_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sep.unreconstructed == 2
+        assert peak < 6 * ROW_BLOCK * 8
 
 
 def nearest_per_row(c, d):

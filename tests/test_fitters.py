@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -31,6 +32,7 @@ from implicitreg import (
 )
 from implicitreg.errors import (
     ConversionUndefined,
+    DomainError,
     MeanUndefined,
     SingularSystem,
     Underdetermined,
@@ -217,6 +219,45 @@ class TestSolver:
         for a, b in zip(whole, blocked):
             np.testing.assert_allclose(b.coeffs, a.coeffs, rtol=1e-10)
             np.testing.assert_allclose(b.cov, a.cov, rtol=1e-8)
+
+    def test_nonresponse_row_blocks_merge_to_the_same_fit(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        d = random_dataset(rng, n=50)
+        whole = fit_nonresponse(d, list(CONIC_TERMS))
+        monkeypatch.setattr(fitters, "ROW_BLOCK", 7)
+        blocked = fit_nonresponse(d, list(CONIC_TERMS))
+        np.testing.assert_allclose(blocked.coeffs, whole.coeffs, rtol=1e-10)
+        np.testing.assert_allclose(blocked.cov, whole.cov, rtol=1e-8)
+        np.testing.assert_allclose(blocked.fitted, whole.fitted, rtol=1e-12)
+        np.testing.assert_array_equal(blocked.target, np.ones(d.n))
+
+    def test_block_domain_error_names_the_data_row(self, monkeypatch):
+        # Row 20 falls in the third block of 7; a block-local number would be 6.
+        monkeypatch.setattr(fitters, "ROW_BLOCK", 7)
+        x = np.linspace(1.0, 3.0, 30)
+        x[19] = -1.0
+        d = Dataset(x, np.linspace(0.5, 2.0, 30))
+        with pytest.raises(DomainError) as exc:
+            fit_nonresponse(d, parse_terms("y,x^0.5"))
+        assert exc.value.row == 20 and exc.value.term == Term(0.5, 0)
+
+    def test_nonresponse_holds_no_design(self):
+        # Peak memory: the three output rows (target, fitted, residuals) and
+        # block-sized buffers.  A k x n design alone is 9 more rows here.
+        terms = parse_terms("x,y,xy,x2,y2,x^3,y^3,x^2*y,x*y^2")
+        rng = np.random.default_rng(5)
+        n = 3 * fitters.ROW_BLOCK + 5
+        d = Dataset(rng.uniform(0.5, 3.0, n), rng.uniform(0.5, 3.0, n))
+        fit_nonresponse(d, terms)           # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            f = fit_nonresponse(d, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.coeffs.shape == (9,)
+        k = len(terms) + 1
+        assert peak < 3 * n * 8 + 2 * fitters.ROW_BLOCK * k * 8
 
     def test_all_rotations_evaluate_and_factor_once(self, monkeypatch):
         calls = Counter()

@@ -141,3 +141,20 @@ def test_pinned_diagnose_matches_two_threads(tmp_path):
             assert a == pytest.approx(b, rel=1e-12, abs=0), path
         else:
             assert a == b, path
+
+
+def test_cli_import_leaves_simulate_unloaded(tmp_path):
+    csv = tmp_path / "circle.csv"
+    out = run(["-c", "import json, sys\n"
+                     "from implicitreg.cli import main\n"
+                     "loaded = 'implicitreg.simulate' in sys.modules\n"
+                     "code = main(['simulate', '--kind', 'circle', '--params', '1,-2,3',"
+                     " '--n', '40', '--noise', '0.01', '--seed', '5',"
+                     f" '--out-file', {str(csv)!r}])\n"
+                     "print(json.dumps([loaded, code]))"])
+    assert json.loads(out) == [False, EXIT_OK]
+    expected = implicitreg.generate(implicitreg.GeneratorSpec(
+        implicitreg.Circle(1.0, -2.0, 3.0), n=40, noise_sigma=0.01, seed=5))
+    d = implicitreg.load_csv(csv)
+    np.testing.assert_array_equal(d.x, expected.x)
+    np.testing.assert_array_equal(d.y, expected.y)

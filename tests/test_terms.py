@@ -406,6 +406,15 @@ class TestTermEvaluate:
                 assert abs(Fraction(value) - exact) <= Fraction(math.ulp(float(exact))), term
                 assert (value < 0) == (base < 0 and exp % 2 == 1), term
 
+    @pytest.mark.parametrize("exp", [1, 2])
+    def test_copy_and_square_equal_pow(self, exp):
+        # Powers 1 and 2 skip pow; the values must be the ones pow gives.
+        v = np.random.default_rng(101).normal(0.0, 1e3, size=1000)
+        pow_values = np.power(np.abs(v), float(exp))
+        if exp % 2:
+            np.copysign(pow_values, v, out=pow_values)
+        np.testing.assert_array_equal(Term(exp, 0).evaluate(v, np.ones_like(v)), pow_values)
+
     def test_integral_power_of_signed_zero(self):
         z = np.array([-0.0, 0.0])
         for exp in (1, 2, 3, 4):
