@@ -7,27 +7,18 @@ degenerate, 4 domain error, 5 internal.
 JSON field names are frozen in README.md (schema section); numbers are
 serialized at full precision and only the text renderer rounds.
 
-BLAS runs on one thread in a CLI process: its problems are tall and at
-most about ten columns wide, and OpenBLAS's extra threads only spin.
-OpenBLAS reads its thread count once, when numpy loads, so this module
-sets OPENBLAS_NUM_THREADS=1 around that first import and removes it
-again; child processes see the caller's environment.  A thread variable
-the user set wins, and a process that loaded numpy before this module
-keeps its threads.
+BLAS runs on one thread in a CLI process (see implicitreg._blas): numpy is
+loaded here with OPENBLAS_NUM_THREADS=1, unless the user set a thread
+variable or numpy was loaded before this module.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+from . import _blas
+
+_blas.pin_numpy_import()
 
 import argparse
 import dataclasses
@@ -152,8 +143,8 @@ def _rotation_model(pivot: terms.Term, term_list) -> dict:
 
 def _add_separation(report: Report, sep: diagnostics.SeparationDiagnostics) -> None:
     report.separation = dataclasses.asdict(sep)
-    if sep.perfect_fit:
-        report.warnings.append("PerfectFit")
+    if sep.warning:
+        report.warnings.append(sep.warning)
 
 
 def _conic_coeffs_from_fit(term_list, coeffs) -> Optional[conics.ConicCoeffs]:

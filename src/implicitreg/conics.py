@@ -60,22 +60,25 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     lower == upper for a double root or when a5 = 0; both are NaN where no
     real y exists, and free marks a5 = 0 with |a2 + a3*x| < TOL_DENOM (no y
-    is determined).  A discriminant within TOL_DISC below zero (scaled by the
-    coefficient magnitudes) snaps to a double root; distinct roots take the
+    is determined).  A discriminant within TOL_DISC below zero snaps to a
+    double root.  TOL_DISC is relative to the larger of b^2 and 4|a| times
+    the rounding scale of k, 1 + |a1*x| + |a4*x^2|, so the test is free of
+    the data's units and a rounded tangent snaps.  Distinct roots take the
     cancellation-free Citardauq pair (Higham, Accuracy and Stability of
     Numerical Algorithms, section 1.8).
     """
     x = np.asarray(x, dtype=float)
     a = c.a5
     b = c.a2 + c.a3 * x
-    k = c.a1 * x + c.a4 * x * x - 1.0
+    lin, quad = c.a1 * x, c.a4 * x * x
+    k = lin + quad - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         if a == 0.0:
             free = np.abs(b) < TOL_DENOM
             root = np.where(free, np.nan, -k / b)
             return root, root, free
         disc = b * b - 4 * a * k
-        scale = np.maximum(np.maximum(b * b, np.abs(4 * a * k)), 1.0)
+        scale = np.maximum(b * b, 4 * abs(a) * (1.0 + np.abs(lin) + np.abs(quad)))
         none = disc < -TOL_DISC * scale
         disc = np.maximum(disc, 0.0)
         r = np.sqrt(disc)
@@ -123,12 +126,16 @@ def invert_rotation_linear(fit: FitResult, at: float, which: str) -> float:
 
 
 def classify_conic(c: ConicCoeffs) -> ConicClass:
-    """Scale-invariant discriminant classification of the quadratic part."""
-    a = c.as_array()
-    scale = float(np.max(np.abs(a)))
-    a1, a2, a3, a4, a5 = a / scale
-    if max(abs(a3), abs(a4), abs(a5)) <= TOL_DISC:
+    """Discriminant classification of the quadratic part, free of the data's
+    units: scaling x and y by s scales the linear coefficients by 1/s and the
+    quadratic ones by 1/s^2.  So the quadratic part is absent when it is
+    within TOL_DISC of the squared linear part, and the discriminant is read
+    on the quadratic part divided by its largest coefficient."""
+    a1, a2, a3, a4, a5 = c.as_array()
+    quad = max(abs(a3), abs(a4), abs(a5))
+    if math.sqrt(quad) <= math.sqrt(TOL_DISC) * max(abs(a1), abs(a2)):     # no squares to overflow
         return ConicClass.DEGENERATE_OR_LINE
+    a3, a4, a5 = a3 / quad, a4 / quad, a5 / quad
     disc = a3 * a3 - 4 * a4 * a5
     if disc < -TOL_DISC:
         if abs(a3) <= TOL_DISC and abs(a4 - a5) <= TOL_DISC * max(abs(a4), abs(a5)):
@@ -158,10 +165,12 @@ def conic_geometry(c: ConicCoeffs) -> ConicGeometry:
     M = np.array([[c.a4, c.a3 / 2.0], [c.a3 / 2.0, c.a5]])
     center = np.linalg.solve(2.0 * M, np.array([-c.a1, -c.a2]))
     cx, cy = float(center[0]), float(center[1])
-    # Centered form: u' M u = k with k = 1 - evaluate(center).
+    # Centered form: u' M u = k with k = 1 - evaluate(center).  k is
+    # dimensionless; it vanishes when it is within TOL_DISC of the rounding
+    # scale of evaluate(center), 1 + sum |a_i T_i(center)|.
     k = 1.0 - float(c.evaluate(cx, cy))
-    scale = float(np.max(np.abs(c.as_array())))
-    if abs(k) <= TOL_DISC * scale:
+    rounding = 1.0 + float(np.abs(c.as_array() * [cx, cy, cx * cy, cx * cx, cy * cy]).sum())
+    if abs(k) <= TOL_DISC * rounding:
         raise NotRepresentable("centered constant vanishes; no unit-constant form")
     if k < 0:
         # normalize the sign so the centered form reads u'Mu = k with k > 0

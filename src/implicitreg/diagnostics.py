@@ -22,7 +22,7 @@ from .errors import (
     TriangleViolation,
     ZeroVariance,
 )
-from .fitters import RANK_TOL, ROW_BLOCK, FitResult, _factor, _lstsq, _source
+from .fitters import RANK_TOL, ROW_BLOCK, FitResult, _constant, _factor, _lstsq, _source
 from .terms import Dataset
 
 CLAMP_TOL = 1e-9
@@ -43,6 +43,22 @@ class SeparationDiagnostics:
     perfect_fit: bool = False
     unreconstructed: int = 0
 
+    @property
+    def warning(self) -> Optional[str]:
+        """Why the angles are null: "PerfectFit" when SSE vanishes, the cause
+        when SSM does; None when the angles exist."""
+        if self.theta_t is not None:
+            return None
+        if _negligible(self.sse, self.sst):
+            return "PerfectFit"
+        lost = self.unreconstructed
+        return ("the model explains no variation (SSM = 0), so the separation angles are "
+                "undefined" + (f"; {lost} observations were not reconstructed" if lost else ""))
+
+
+def _negligible(part: float, sst: float) -> bool:
+    return part <= PERFECT_TOL * sst
+
 
 def _arccos_deg(arg: float) -> float:
     if arg > 1.0 + CLAMP_TOL or arg < -1.0 - CLAMP_TOL:
@@ -52,12 +68,17 @@ def _arccos_deg(arg: float) -> float:
 
 def _from_sums(sst: float, ssm: float, sse: float, n: int,
                unreconstructed: int = 0) -> SeparationDiagnostics:
-    if sst <= PERFECT_TOL * max(1.0, ssm + sse):
+    """The triangle of the three sums, with thresholds relative to the sums
+    so that the data's units do not matter.  When SSE or SSM vanishes the
+    angles are null.  SSE = 0 is a perfect fit; so is SSM = 0 with every
+    row estimated at the means (the mean-only model), but not SSM = 0 from
+    rows that were not reconstructed.  `warning` names the case."""
+    if _negligible(sst, ssm + sse):
         raise ZeroVariance("no total variation")
     e_hat = math.sqrt(sse / n)
-    if sse <= PERFECT_TOL * max(1.0, sst) or ssm <= PERFECT_TOL * max(1.0, sst):
-        return SeparationDiagnostics(sst, ssm, sse, None, None, None, e_hat,
-                                     None, None, perfect_fit=True,
+    if _negligible(sse, sst) or _negligible(ssm, sst):
+        return SeparationDiagnostics(sst, ssm, sse, None, None, None, e_hat, None, None,
+                                     perfect_fit=_negligible(sse, sst) or not unreconstructed,
                                      unreconstructed=unreconstructed)
     theta_t = _arccos_deg((ssm + sse - sst) / (2.0 * math.sqrt(ssm * sse)))
     theta_m = _arccos_deg((sst + sse - ssm) / (2.0 * math.sqrt(sst * sse)))
@@ -78,11 +99,15 @@ def _separation(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> SeparationDia
 
     A row whose estimate is not finite in some coordinate was not
     reconstructed: it adds its raw squared deviations from the means to
-    SSE, nothing to SSM, and is tallied.  A sum beyond the float range
-    raises SumOfSquaresOverflow.
+    SSE, nothing to SSM, and is tallied.  A coordinate varies when its
+    deviations exceed the rounding error of its mean (fitters._constant).
+    A sum beyond the float range, or a varying coordinate's SST of 0 (its
+    squares underflow), raises SumOfSquaresOverflow; SSM and SSE are read
+    against SST, so a zero there is only negligible.
     """
     n = len(pairs[0][0])
     means = [float(np.mean(obs)) for obs, _ in pairs]
+    spread = [0.0] * len(pairs)     # each coordinate's part of SST
     sst = ssm = sse = 0.0
     unreconstructed = 0
     with np.errstate(over="ignore"):
@@ -94,18 +119,25 @@ def _separation(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> SeparationDia
             lost = ~ok
             count = int(np.count_nonzero(lost))
             unreconstructed += count
-            for (obs, est), mean in zip(pairs, means):
+            for i, ((obs, est), mean) in enumerate(zip(pairs, means)):
                 dev = obs[rows] - mean
                 model = est[rows] - mean
                 error = est[rows] - obs[rows]
                 if count:
                     model[lost] = 0.0
                     error[lost] = dev[lost]
-                sst += float(dev @ dev)
+                part = float(dev @ dev)
+                spread[i] += part
+                sst += part
                 ssm += float(model @ model)
                 sse += float(error @ error)
     if not all(map(math.isfinite, (sst, ssm, sse))):
         raise SumOfSquaresOverflow()
+    flat = [_constant(obs, mean, s) for (obs, _), mean, s in zip(pairs, means, spread)]
+    if all(flat):
+        raise ZeroVariance("no total variation")
+    if any(s == 0.0 and not c for s, c in zip(spread, flat)):
+        raise SumOfSquaresOverflow(underflow=True)
     return _from_sums(sst, ssm, sse, n, unreconstructed=unreconstructed)
 
 

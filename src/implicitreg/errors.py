@@ -111,12 +111,15 @@ class DomainError(DomainViolation):
 
 
 class SumOfSquaresOverflow(DomainViolation):
-    """A sum of squares in the data's units overflows the float range (data
-    near 1e200 and above); the coefficients may exist, their fit statistics
-    do not."""
+    """A sum of squares in the data's units leaves the float range: it
+    overflows (data near 1e200 and above), or it underflows to 0 from
+    deviations that are not 0 (data near 1e-200 and below).  The
+    coefficients may exist; their fit statistics do not."""
 
-    def __init__(self):
-        super().__init__("a sum of squares is beyond the float range; rescale the data")
+    def __init__(self, underflow: bool = False):
+        super().__init__("a sum of squares underflows to 0: it is outside the float range; "
+                         "rescale the data" if underflow else
+                         "a sum of squares is beyond the float range; rescale the data")
 
 
 class NoSolutionAtPoint(DomainViolation):

@@ -18,7 +18,7 @@ then the small problem R[:, S] b ~ R[:, j], whose own QR gives the
 coefficients, the Gram inverse and the rank (Golub & Van Loan, Matrix
 Computations, section 5.3).  The Gram matrix W'W is never formed.  A
 second pass of the block source gives the fitted rows of every fit from
-one product per block.
+one product per block.  Both passes run BLAS on one thread (_blas.one_thread).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from ._blas import one_thread
 from .errors import (
     ConversionUndefined,
     DegenerateError,
@@ -105,6 +106,7 @@ def _source(columns: Sequence[Column], d: Optional[Dataset] = None) -> Fill:
     return fill
 
 
+@one_thread
 def _factor(fill: Fill, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Column norms of the n x k design Z and the R factor of Z scaled to
     unit columns.
@@ -156,13 +158,28 @@ def _lstsq(scale: np.ndarray, R: np.ndarray, j: int, S: Sequence[int],
     return sol[:, 0] * scale[j] / s, sol[:, 1:] / s[:, None]
 
 
-def _sum_squares(v: np.ndarray) -> float:
-    """v'v, or SumOfSquaresOverflow when it is beyond the float range."""
-    with np.errstate(over="ignore"):
-        total = float(v @ v)
-    if not math.isfinite(total):
-        raise SumOfSquaresOverflow()
+def _in_range(total: float, v: np.ndarray) -> float:
+    """total = v'v, or SumOfSquaresOverflow when it left the float range:
+    beyond it, or 0 from entries that are not all 0 (their squares underflow)."""
+    if not math.isfinite(total) or (total == 0.0 and v.any()):
+        raise SumOfSquaresOverflow(underflow=total == 0.0)
     return total
+
+
+def _sum_squares(v: np.ndarray) -> float:
+    """v'v, or SumOfSquaresOverflow when it is outside the float range."""
+    with np.errstate(over="ignore"):
+        return _in_range(float(v @ v), v)
+
+
+def _constant(v: np.ndarray, mean: float, total: float) -> bool:
+    """Whether v - mean, whose sum of squares is total, is only the rounding
+    error of a pairwise mean: its RMS is within MEAN_ROUNDING * log2(n + 1) *
+    eps * |mean|.  When the squares underflow to 0, the largest |v - mean|
+    stands in for the RMS."""
+    n = len(v)
+    spread = math.sqrt(total / n) if total else float(np.max(np.abs(v - mean)))
+    return spread <= MEAN_ROUNDING * math.log2(n + 1) * EPS * abs(mean)
 
 
 def _result(spec: ModelSpec, labels: list[str], coeffs: np.ndarray, root: np.ndarray,
@@ -173,22 +190,26 @@ def _result(spec: ModelSpec, labels: list[str], coeffs: np.ndarray, root: np.nda
     they and the t statistics stay in range when the covariance does not
     (data near 1e+-200, whose covariance under- or overflows)."""
     n, m = len(target), len(coeffs)
-    sse = _sum_squares(residuals)
 
     if spec.lhs is LhsKind.UNITY:
+        sse = _sum_squares(residuals)
         r2 = float(fitted @ target) / n     # a'W'1 / n, summed as (W a)'1
         tag = R2_NONRESPONSE
         f_stat = None
     else:
         # Centered vectors: t't - n*tbar^2 cancels on offset data.  TERM and
         # RESPONSE specs carry an intercept, so ssr_c is the model sum of squares.
-        # A constant target still leaves the rounding error of its mean; the
-        # target is constant when its RMS deviation is within that error.
+        # A constant target still leaves the rounding error of its mean, which
+        # may underflow when squared; so it is ruled out before any sum is
+        # checked for underflow.
         tbar = float(np.mean(target))
         centered = target - tbar
-        sst_c = _sum_squares(centered)
-        if math.sqrt(sst_c / n) <= MEAN_ROUNDING * math.log2(n + 1) * EPS * abs(tbar):
+        with np.errstate(over="ignore"):
+            sst_c = float(centered @ centered)
+        if math.isfinite(sst_c) and _constant(target, tbar, sst_c):
             raise ZeroVariance("target has zero centered variation")
+        sst_c = _in_range(sst_c, centered)
+        sse = _sum_squares(residuals)
         np.subtract(fitted, tbar, out=centered)
         ssr_c = _sum_squares(centered)
         r2 = ssr_c / sst_c
@@ -213,6 +234,7 @@ def _result(spec: ModelSpec, labels: list[str], coeffs: np.ndarray, root: np.nda
     )
 
 
+@one_thread
 def _regress(columns: Sequence[Column], n: int, fits: Fits, d: Optional[Dataset] = None
              ) -> list[Union[FitResult, DegenerateError]]:
     """Fits (spec, j, S) of column j of Z = [columns] on columns S, read off
@@ -399,7 +421,7 @@ def univariate_nra(y: np.ndarray) -> UnivariateResult:
     y = np.asarray(y, dtype=float)
     n = len(y)
     sy = float(np.sum(y))
-    syy = float(y @ y)
+    syy = _sum_squares(y)
     if syy <= 0:
         raise ZeroVariance("all-zero variable")
     if sy == 0:
