@@ -23,10 +23,9 @@ _blas.pin_numpy_import()
 import argparse
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
-
-import numpy as np
 
 from . import conics, diagnostics, fitters, terms
 from .errors import (
@@ -64,7 +63,7 @@ class Report:
         return {k: v for k, v in out.items() if v is not None}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return _json(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
         lines = []
@@ -115,19 +114,25 @@ class Report:
         return "\n".join(lines)
 
 
+def _json(obj, **kwargs) -> str:
+    """obj as JSON that a strict parser reads: a number that is not finite
+    is written as null."""
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        return [finite(x) for x in v] if isinstance(v, (list, tuple)) else v
+    return json.dumps(finite(obj), allow_nan=False, **kwargs)
+
+
 def _fmt(v) -> str:
-    return "-" if v is None or v != v else f"{v:.6g}"
+    return "-" if v is None or not math.isfinite(v) else f"{v:.6g}"
 
 
 def _coeff_rows(fit: fitters.FitResult) -> list[dict]:
-    rows = []
-    se = fit.stderr
-    for i, label in enumerate(fit.column_labels):
-        stderr = float(se[i]) if np.isfinite(se[i]) else None
-        t = float(fit.t_stats[i]) if np.isfinite(fit.t_stats[i]) else None
-        rows.append({"term": label, "value": float(fit.coeffs[i]),
-                     "stderr": stderr, "t_stat": t})
-    return rows
+    return [{"term": label, "value": float(v), "stderr": float(se), "t_stat": float(t)}
+            for label, v, se, t in zip(fit.column_labels, fit.coeffs, fit.stderr, fit.t_stats)]
 
 
 def _fit_fields(fit: fitters.FitResult) -> dict:
@@ -227,17 +232,13 @@ def _report(args, diagnose: bool = False) -> Report:
 
 def _nonresponse_report(d: terms.Dataset, term_list, diagnose: bool) -> Report:
     """The unit-constant fit, its conic, and with diagnose its separation
-    (and the pinwheel lines of the two-term linear fit).
-
-    The fit's rows are let go once its report fields are read, so they are
-    not held through the reconstruction."""
+    (and the pinwheel lines of the two-term linear fit)."""
     fit = fitters.fit_nonresponse(d, term_list)
     report = Report(
         model={"kind": "nonresponse", "lhs": "unity",
                "terms": [t.label() for t in term_list], "intercept": False},
         **_fit_fields(fit))
     c = _conic_coeffs_from_fit(term_list, fit.coeffs)
-    del fit
     if c is not None:
         report.conic = _conic_dict(c, report.warnings)
     if not diagnose:
@@ -270,7 +271,7 @@ def cmd_rotate_all(args) -> int:
         else:
             reports.append(Report(model, **_fit_fields(result)))
     if args.output == "json":
-        text = json.dumps([r.to_dict() for r in reports], indent=2)
+        text = _json([r.to_dict() for r in reports], indent=2)
     else:
         text = "\n\n".join(r.to_text() for r in reports)
     _write_out(args, text)
@@ -294,9 +295,12 @@ _SIM_PARAMS = {
 
 def _floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",")] if text else []
+        values = [float(v) for v in text.split(",")] if text else []
     except ValueError:
         raise InvalidSpec(f"{flag} takes comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise InvalidSpec(f"{flag} takes finite numbers, got {text!r}")
+    return values
 
 
 def cmd_simulate(args) -> int:
@@ -326,7 +330,7 @@ def cmd_convert(args) -> int:
         out = fitters.alpha_from_beta(values)
         label = "alpha"
     if args.output == "json":
-        _write_out(args, json.dumps({label: [float(v) for v in out]}))
+        _write_out(args, _json({label: [float(v) for v in out]}))
     else:
         _write_out(args, f"{label} = " + ", ".join(f"{v:.12g}" for v in out))
     return EXIT_OK

@@ -13,18 +13,20 @@ writes ROW_BLOCK rows of it at a time, term-major, evaluating the terms of
 a fit from the data or slicing vectors already in hand, and the blocks are
 merged into the small triangular factor R as R <- qr([R; next block]), so
 memory stays flat in n (the TSQR reduction of Demmel, Grigori, Hoemmen &
-Langou, arXiv:0808.2664).  The column scales are read off R.  Each fit is
-then the small problem R[:, S] b ~ R[:, j], whose own QR gives the
-coefficients, the Gram inverse and the rank (Golub & Van Loan, Matrix
-Computations, section 5.3).  The Gram matrix W'W is never formed.  A
-second pass of the block source gives the fitted rows of every fit from
-one product per block.  Both passes run BLAS on one thread (_blas.one_thread).
+Langou, arXiv:0808.2664): the one pass over the data.  The column scales
+are read off R.  Each fit is then the small problem R[:, S] b ~ R[:, j],
+whose own QR gives the coefficients, the Gram inverse and the rank, and the
+QR of R[:, S + [j]] every sum of squares, as the residual norm is the tail
+of Q'b (Golub & Van Loan, Matrix Computations, 5.3; Goodnight 1979).  W'W
+is never formed, a fit's n-length rows are made only when read, and BLAS
+runs on one thread (_blas.one_thread).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -41,7 +43,7 @@ from .errors import (
     Underdetermined,
     ZeroVariance,
 )
-from .terms import Dataset, LhsKind, ModelSpec, MultiDataset, Term, design_matrix
+from .terms import Dataset, LhsKind, ModelSpec, MultiDataset, Term
 
 R2_NONRESPONSE = "Eq12-nonresponse"
 R2_CENTERED = "Eq8-centered"
@@ -51,6 +53,7 @@ ROW_BLOCK = 8192            # rows of Z per QR merge step
 EPS = float(np.finfo(float).eps)
 RANK_TOL = math.sqrt(EPS)   # on the diagonal of a unit-column factor
 MEAN_ROUNDING = 4           # times log2(n + 1) * eps * |mean|: bound on a pairwise mean's error
+FACTOR_ROUNDING = 4         # times sqrt(n) * eps * |mean|: a constant's spread off R (2.9 seen)
 TOL_SINGULAR_FACTOR = 1e-12
 
 Column = Union[np.ndarray, Term, float]        # a column of Z: a vector, a term or a constant
@@ -66,11 +69,11 @@ def singular_tolerance(A: np.ndarray) -> float:
 
 @dataclass
 class FitResult:
+    """One least-squares fit, its statistics read off the factor.  target,
+    fitted and residuals (target - W @ coeffs) are n-length rows that the
+    first read makes from the data, in one block pass, and keeps."""
     spec: ModelSpec
     coeffs: np.ndarray          # rhs order, intercept first when present
-    residuals: np.ndarray       # target - W @ coeffs
-    fitted: np.ndarray
-    target: np.ndarray
     r_squared: float
     r2_formula: str
     sigma2_hat: float
@@ -80,11 +83,16 @@ class FitResult:
     f_stat: Optional[float]
     gram_inverse: np.ndarray
     n: int
+    sse: float
     column_labels: list[str] = field(default_factory=list)
+    _rows: Optional[Callable] = field(default=None, repr=False, compare=False)  # cached pass
 
-    @property
-    def sse(self) -> float:
-        return float(self.residuals @ self.residuals)
+    target = property(lambda self: self._rows()[0])
+    fitted = property(lambda self: self._rows()[1])
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        return self.target - self.fitted
 
 
 def _source(columns: Sequence[Column], d: Optional[Dataset] = None) -> Fill:
@@ -166,10 +174,11 @@ def _in_range(total: float, v: np.ndarray) -> float:
     return total
 
 
-def _sum_squares(v: np.ndarray) -> float:
-    """v'v, or SumOfSquaresOverflow when it is outside the float range."""
-    with np.errstate(over="ignore"):
-        return _in_range(float(v @ v), v)
+def _squares(v: np.ndarray, scale: float) -> float:
+    """(scale |v|)^2 for entries v of a unit-column factor, or
+    SumOfSquaresOverflow when it is outside the float range."""
+    h = math.hypot(*v.tolist()) * float(scale)
+    return _in_range(h * h, v)
 
 
 def _constant(v: np.ndarray, mean: float, total: float) -> bool:
@@ -182,42 +191,68 @@ def _constant(v: np.ndarray, mean: float, total: float) -> bool:
     return spread <= MEAN_ROUNDING * math.log2(n + 1) * EPS * abs(mean)
 
 
-def _result(spec: ModelSpec, labels: list[str], coeffs: np.ndarray, root: np.ndarray,
-            target: np.ndarray, fitted: np.ndarray, residuals: np.ndarray) -> FitResult:
-    """The fit statistics of one solved fit, whose Gram inverse is root root'.
+@one_thread
+def _row_pass(fill: Fill, n: int, j: int, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column j of Z and Z row', for a 1 x k coefficient row over every
+    column of Z, from one ROW_BLOCK pass of Z's block source."""
+    target, fitted = np.empty(n), np.empty((1, n))
+    buf = np.empty((row.shape[1], min(ROW_BLOCK, n)))
+    for a in range(0, n, ROW_BLOCK):
+        b = min(a + ROW_BLOCK, n)
+        block = buf[:, :b - a]
+        fill(block, a, b)
+        np.matmul(row, block, out=fitted[:, a:b])
+        target[a:b] = block[j]
+    return target, fitted[0]
 
-    The standard errors are sqrt(sigma2) times the row norms of root, so
-    they and the t statistics stay in range when the covariance does not
-    (data near 1e+-200, whose covariance under- or overflows)."""
-    n, m = len(target), len(coeffs)
+
+def _result(spec: ModelSpec, scale: np.ndarray, R: np.ndarray, j: int, S: Sequence[int],
+            u: Optional[int], n: int, fill: Fill) -> FitResult:
+    """The fit (spec, j, S) of the factored design, whose unit column is u.
+
+    t = qr(R[:, S + [j]])[:, -1] is column j over scale[j] in the basis of
+    the fit's columns, its head the fit and its tail the residual: SSE is
+    (scale[j] |t[|S|:]|)^2 and the unit-constant R^2 = a'W'1/n is
+    |t[:|S|]|^2.  An intercept fit has u first in S, so SSR = |t[1:|S|]|^2
+    and SST = SSR + SSE, with no cancellation; without one, u goes first in
+    the QR and the fit is centred on the mean t[0].  A target that R reads
+    as constant within rounding has its row checked by _constant.  The
+    standard errors are sqrt(sigma2) times the row norms of the Gram
+    inverse's root, so they stay in range where the covariance does not."""
+    labels = spec.column_labels()
+    coeffs, root = _lstsq(scale, R, j, S, labels)
+    row = np.zeros((1, len(scale)))
+    row[0, S] = coeffs
+    rows = cache(partial(_row_pass, fill, n, j, row))
+    m, s = len(S), scale[j]
+    lead = [] if spec.intercept or u == j else [u]
+    r = np.linalg.qr(R[:, [*lead, *S, j]], mode="r")
+    t = r[:, -1]
 
     if spec.lhs is LhsKind.UNITY:
-        sse = _sum_squares(residuals)
-        r2 = float(fitted @ target) / n     # a'W'1 / n, summed as (W a)'1
-        tag = R2_NONRESPONSE
-        f_stat = None
+        sse = _squares(t[m:], s)
+        r2, tag, f_stat = float(t[:m] @ t[:m]), R2_NONRESPONSE, None
     else:
-        # Centered vectors: t't - n*tbar^2 cancels on offset data.  TERM and
-        # RESPONSE specs carry an intercept, so ssr_c is the model sum of squares.
-        # A constant target still leaves the rounding error of its mean, which
-        # may underflow when squared; so it is ruled out before any sum is
-        # checked for underflow.
-        tbar = float(np.mean(target))
-        centered = target - tbar
-        with np.errstate(over="ignore"):
-            sst_c = float(centered @ centered)
-        if math.isfinite(sst_c) and _constant(target, tbar, sst_c):
-            raise ZeroVariance("target has zero centered variation")
-        sst_c = _in_range(sst_c, centered)
-        sse = _sum_squares(residuals)
-        np.subtract(fitted, tbar, out=centered)
-        ssr_c = _sum_squares(centered)
-        r2 = ssr_c / sst_c
-        tag = R2_CENTERED
-        if spec.intercept and m > 1 and n > m and sse > 0:
-            f_stat = (ssr_c / (m - 1)) / (sse / (n - m))
+        bound = (MEAN_ROUNDING * math.log2(n + 1) + FACTOR_ROUNDING * math.sqrt(n)) * EPS
+        if math.hypot(*t[1:].tolist()) <= bound * abs(t[0]):
+            target = rows()[0]
+            tbar = float(np.mean(target))
+            with np.errstate(over="ignore"):
+                total = float((target - tbar) @ (target - tbar))
+            if _constant(target, tbar, total):
+                raise ZeroVariance("target has zero centered variation")
+        sst = _squares(t[1:], s)
+        if lead:
+            f = r[:, 1:-1] @ (coeffs * scale[S] / s)
+            sse = _squares(t - f, s)
+            f[0] -= t[0]
+            ssr = _squares(f, s)
         else:
-            f_stat = None
+            sse = _squares(t[m:], s)
+            ssr = _squares(t[1:m], s)
+        r2, tag = ssr / sst, R2_CENTERED
+        has_f = spec.intercept and m > 1 and n > m and sse > 0
+        f_stat = (ssr / (m - 1)) / (sse / (n - m)) if has_f else None
 
     sigma2 = sse / (n - m) if n > m else float("nan")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -226,12 +261,9 @@ def _result(spec: ModelSpec, labels: list[str], coeffs: np.ndarray, root: np.nda
     stderr = math.sqrt(sigma2) * np.hypot.reduce(root, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(stderr > 0, coeffs / stderr, np.nan)
-    return FitResult(
-        spec=spec, coeffs=coeffs, residuals=residuals, fitted=fitted, target=target,
-        r_squared=r2, r2_formula=tag, sigma2_hat=sigma2, cov=cov,
-        stderr=stderr, t_stats=t_stats, f_stat=f_stat, gram_inverse=gram_inverse, n=n,
-        column_labels=labels,
-    )
+    return FitResult(spec=spec, coeffs=coeffs, r_squared=r2, r2_formula=tag, sigma2_hat=sigma2,
+                     cov=cov, stderr=stderr, t_stats=t_stats, f_stat=f_stat, n=n, sse=sse,
+                     gram_inverse=gram_inverse, column_labels=labels, _rows=rows)
 
 
 @one_thread
@@ -240,60 +272,23 @@ def _regress(columns: Sequence[Column], n: int, fits: Fits, d: Optional[Dataset]
     """Fits (spec, j, S) of column j of Z = [columns] on columns S, read off
     one factor of Z.
 
-    The block source of the columns feeds the factor and then, block by
-    block, the read-off, so a column given as a Term is evaluated twice and
-    never held at full length.  Each fit takes one small solve; a singular
-    one keeps its exception and a zero coefficient row.  One product of the
-    coefficient rows with each block of Z gives the fitted rows, and the
-    residuals are their difference from the target's block.  Each result
-    holds row views of the fitted and residual arrays, and its target: the
-    column itself when it is a vector, else a vector filled block by block.
+    The factor is the one pass over the data, evaluating a Term column block
+    by block.  Each fit then takes small solves on R alone (_result); a
+    singular fit or a constant target keeps its exception in its slot.  The
+    constant column of Z is its unit column.  A result makes its n-length
+    rows from the same block source only when they are read.
     """
-    k = len(columns)
     fill = _source(columns, d)
-    scale, R = _factor(fill, k, n)
+    scale, R = _factor(fill, len(columns), n)
     width = max(len(S) for _, _, S in fits)
     if n < width:
         raise Underdetermined(f"{n} observations for {width} columns")
-    C = np.zeros((len(fits), k))        # one row per fit over the columns of Z
-    solved: list = []
-    for row, (spec, j, S) in zip(C, fits):
-        labels = spec.column_labels()
-        try:
-            coeffs, root = _lstsq(scale, R, j, S, labels)
-        except SingularSystem as exc:
-            solved.append(exc)
-            continue
-        row[S] = coeffs
-        solved.append((spec, labels, coeffs, root))
-    J = [j for _, j, _ in fits]
-    targets = [columns[j] if isinstance(columns[j], np.ndarray) else np.empty(n) for j in J]
-    fitted = np.empty((len(fits), n))
-    residuals = np.empty((len(fits), n))
-    # Evaluating a term costs a fixed overhead per block, so a read-off that
-    # evaluates takes whole blocks.  One that only copies vectors takes a
-    # quarter block, so that its buffer adds little to the peak, which the
-    # design and the fitted and residual rows set.
-    step = ROW_BLOCK if any(isinstance(c, Term) for c in columns) else max(ROW_BLOCK // 4, 1)
-    buf = np.empty((k, min(step, n)))
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        block = buf[:, :b - a]
-        fill(block, a, b)
-        np.matmul(C, block, out=fitted[:, a:b])
-        for j, target, f, r in zip(J, targets, fitted[:, a:b], residuals[:, a:b]):
-            if target is not columns[j]:
-                target[a:b] = block[j]
-            np.subtract(block[j], f, out=r)
-    del buf, block
+    u = next((i for i, c in enumerate(columns) if isinstance(c, float)), None)
     out: list[Union[FitResult, DegenerateError]] = []
-    for fit, target, f, r in zip(solved, targets, fitted, residuals):
-        if isinstance(fit, DegenerateError):
-            out.append(fit)
-            continue
+    for spec, j, S in fits:
         try:
-            out.append(_result(*fit, target, f, r))
-        except ZeroVariance as exc:
+            out.append(_result(spec, scale, R, j, S, u, n, fill))
+        except (SingularSystem, ZeroVariance) as exc:
             out.append(exc)
     return out
 
@@ -310,13 +305,15 @@ def _fit(columns: Sequence[Column], n: int, spec: ModelSpec, j: int, S: Sequence
 def fit_implicit(d: Dataset, spec: ModelSpec) -> FitResult:
     """Least-squares fit of the implicit model given by spec.
 
-    Z = [1 (with an intercept), the rhs terms, the target], evaluated block
-    by block from d: the design is never held whole.
+    Z = [1 (with a term target), the rhs terms, the target], evaluated block
+    by block from d: the design is never held whole.  The unit column is
+    among the fit's columns only with an intercept.
     """
-    target = 1.0 if spec.lhs is LhsKind.UNITY else spec.lhs_term
-    columns = [1.0] * spec.intercept + list(spec.rhs_terms) + [target]
+    lead = spec.lhs is not LhsKind.UNITY
+    target = spec.lhs_term if lead else 1.0
+    columns = [1.0] * lead + list(spec.rhs_terms) + [target]
     m = len(columns) - 1
-    return _fit(columns, d.n, spec, m, range(m), d)
+    return _fit(columns, d.n, spec, m, range(lead - spec.intercept, m), d)
 
 
 def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:
@@ -337,20 +334,19 @@ def fit_rotation(d: Dataset, terms: Sequence[Term], pivot: int) -> FitResult:
 
 
 def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult, DegenerateError]]:
-    """One rotation fit per pivot, in term order, from one term evaluation,
-    one factorization and one batched read-off.
+    """One rotation fit per pivot, in term order, all read off one factor of
+    Z = [T_1..T_m, 1].
 
-    The terms are evaluated once into W, whose rows the results keep as
-    their targets.  A degenerate pivot (singular design, constant target)
-    is recorded in its slot as the exception instance rather than aborting
-    the remaining rotations; global errors (domain violations) still
-    propagate.  Too few observations fill every slot.
+    A degenerate pivot (singular design, constant target) is recorded in its
+    slot as the exception instance rather than aborting the remaining
+    rotations; global errors (domain violations) still propagate.  Too few
+    observations fill every slot.
     """
+    fits = [_rotation(terms, pivot) for pivot in range(len(terms))]
     try:
-        W = design_matrix(d, ModelSpec.nonresponse(terms))[0]
+        return _regress([*terms, 1.0], d.n, fits, d)
     except Underdetermined as exc:
         return [exc] * len(terms)
-    return _regress([*W.T, 1.0], d.n, [_rotation(terms, pivot) for pivot in range(len(terms))])
 
 
 def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
@@ -421,7 +417,8 @@ def univariate_nra(y: np.ndarray) -> UnivariateResult:
     y = np.asarray(y, dtype=float)
     n = len(y)
     sy = float(np.sum(y))
-    syy = _sum_squares(y)
+    with np.errstate(over="ignore"):
+        syy = _in_range(float(y @ y), y)
     if syy <= 0:
         raise ZeroVariance("all-zero variable")
     if sy == 0:
@@ -437,23 +434,23 @@ def beta_from_alpha(alpha: Sequence[float]) -> np.ndarray:
     This is the algebraic inversion of 1 = a0*y + sum a_i x_i into
     y = b0 + sum b_i x_i.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    a0 = alpha[0]
-    if a0 == 0:
-        raise ConversionUndefined("coefficient on the response term is zero")
-    out = np.empty_like(alpha)
-    out[0] = 1.0 / a0
-    out[1:] = -alpha[1:] / a0
-    return out
+    return _invert(alpha, "coefficient on the response term is zero")
 
 
 def alpha_from_beta(beta: Sequence[float]) -> np.ndarray:
     """Exact inverse of beta_from_alpha: a0 = 1/b0, a_i = -b_i/b0."""
-    beta = np.asarray(beta, dtype=float)
-    b0 = beta[0]
-    if b0 == 0:
-        raise ConversionUndefined("intercept is zero")
-    out = np.empty_like(beta)
-    out[0] = 1.0 / b0
-    out[1:] = -beta[1:] / b0
+    return _invert(beta, "intercept is zero")
+
+
+def _invert(v: Sequence[float], zero: str) -> np.ndarray:
+    """(1/v0, -v1/v0, ...), the map between the two coefficient forms and
+    its own inverse.  DomainViolation when finite v maps beyond the float
+    range."""
+    v = np.asarray(v, dtype=float)
+    if v[0] == 0:
+        raise ConversionUndefined(zero)
+    with np.errstate(over="ignore"):
+        out = np.concatenate(([1.0], -v[1:])) / v[0]
+    if np.isfinite(v).all() and not np.isfinite(out).all():
+        raise DomainViolation("the converted coefficients are beyond the float range")
     return out

@@ -405,9 +405,7 @@ def design_matrix(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     Column k of W is the k-th rhs term evaluated row-wise, with a leading
     column of ones when the spec carries an intercept.  The target is the
     unity vector or the pivot term.  W is the transpose of a term-major
-    block, one contiguous row per column, which the fitters read row by
-    row.  The target is a vector of its own, so that a fit's result, which
-    keeps its target, does not keep the whole design alive.
+    block, one contiguous row per column.
     """
     k = len(spec.rhs_terms) + spec.intercept
     Wt = np.empty((k, d.n))

