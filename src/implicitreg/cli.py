@@ -323,6 +323,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_convert(args) -> int:
     values = _floats(args.values, "--values")
+    if not values:
+        raise InvalidSpec("--values takes at least one number")
     if args.direction == "beta-from-alpha":
         out = fitters.beta_from_alpha(values)
         label = "beta"

@@ -15,10 +15,10 @@ merged into the small triangular factor R as R <- qr([R; next block]), so
 memory stays flat in n (the TSQR reduction of Demmel, Grigori, Hoemmen &
 Langou, arXiv:0808.2664): the one pass over the data.  The column scales
 are read off R.  Each fit is then the small problem R[:, S] b ~ R[:, j],
-whose own QR gives the coefficients, the Gram inverse and the rank, and the
-QR of R[:, S + [j]] every sum of squares, as the residual norm is the tail
-of Q'b (Golub & Van Loan, Matrix Computations, 5.3; Goodnight 1979).  W'W
-is never formed, a fit's n-length rows are made only when read, and BLAS
+and one QR of R[:, S + [j]] gives its coefficients, Gram inverse, rank and
+every sum of squares, as the residual norm is the tail of Q'b (Golub &
+Van Loan, Matrix Computations, 5.3; Goodnight 1979).  Neither Q nor W'W
+is formed, a fit's n-length rows are made only when read, and BLAS
 runs on one thread (_blas.one_thread).
 """
 
@@ -144,26 +144,29 @@ def _factor(fill: Fill, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lstsq(scale: np.ndarray, R: np.ndarray, j: int, S: Sequence[int],
-           labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of column j of the factored design on columns S, in
-    original units, and a square root L of the Gram inverse of those
-    columns (the inverse is L L').
+           labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From one QR r of R[:, S + [j]]: the coefficients of column j of the
+    factored design on columns S, in original units; a root L of the Gram
+    inverse of those columns (the inverse is L L'); and t = r[:, -1], column
+    j over scale[j] in the basis of the fit's columns.
 
     Raises SingularSystem naming the first column of S whose unit-scale
-    distance from the span of the columns before it falls below RANK_TOL.
-    L is r^-1 with each row divided by its column's scale, so it stays in
-    range for data whose squares would not.
+    distance from the span of those before it, on r's diagonal, is below
+    RANK_TOL.  L is r[:m, :m]^-1 with each row divided by its column's
+    scale, so it stays in range for data whose squares would not.
     """
     S = list(S)
-    q, r = np.linalg.qr(R[:, S])
-    diag = np.abs(np.diag(r))
-    k = next((i for i, v in enumerate(diag) if v < RANK_TOL), len(diag))
-    if k < len(S):
+    m = len(S)
+    r = np.linalg.qr(R[:, S + [j]], mode="r")
+    diag = np.abs(np.diag(r)[:m])
+    k = next((i for i, v in enumerate(diag) if v < RANK_TOL), m)
+    if k < m:
         raise SingularSystem(f"singular system: {labels[k]!r} is collinear "
                              "with the columns before it")
-    sol = np.linalg.solve(r, np.column_stack([q.T @ R[:, j], np.eye(len(S))]))
+    t = r[:, -1]
+    sol = np.linalg.solve(r[:m, :m], np.column_stack([t[:m], np.eye(m)]))
     s = scale[S]
-    return sol[:, 0] * scale[j] / s, sol[:, 1:] / s[:, None]
+    return sol[:, 0] * scale[j] / s, sol[:, 1:] / s[:, None], t
 
 
 def _in_range(total: float, v: np.ndarray) -> float:
@@ -210,46 +213,40 @@ def _result(spec: ModelSpec, scale: np.ndarray, R: np.ndarray, j: int, S: Sequen
             u: Optional[int], n: int, fill: Fill) -> FitResult:
     """The fit (spec, j, S) of the factored design, whose unit column is u.
 
-    t = qr(R[:, S + [j]])[:, -1] is column j over scale[j] in the basis of
-    the fit's columns, its head the fit and its tail the residual: SSE is
-    (scale[j] |t[|S|:]|)^2 and the unit-constant R^2 = a'W'1/n is
+    t from _lstsq is the target, its head the fit and its tail the residual:
+    SSE is (scale[j] |t[|S|:]|)^2 and the unit-constant R^2 = a'W'1/n is
     |t[:|S|]|^2.  An intercept fit has u first in S, so SSR = |t[1:|S|]|^2
-    and SST = SSR + SSE, with no cancellation; without one, u goes first in
-    the QR and the fit is centred on the mean t[0].  A target that R reads
-    as constant within rounding has its row checked by _constant.  The
-    standard errors are sqrt(sigma2) times the row norms of the Gram
-    inverse's root, so they stay in range where the covariance does not."""
+    and SST = SSR + SSE, with no cancellation; a term fit without one takes
+    its own QR with u first and is centred on the mean t[0].  R alone decides
+    a constant target: |t[1:]| within R's rounding of |t[0]|.  The standard
+    errors are sqrt(sigma2) times the row norms of the Gram inverse's root,
+    so they stay in range where the covariance does not."""
     labels = spec.column_labels()
-    coeffs, root = _lstsq(scale, R, j, S, labels)
+    coeffs, root, t = _lstsq(scale, R, j, S, labels)
     row = np.zeros((1, len(scale)))
     row[0, S] = coeffs
     rows = cache(partial(_row_pass, fill, n, j, row))
     m, s = len(S), scale[j]
-    lead = [] if spec.intercept or u == j else [u]
-    r = np.linalg.qr(R[:, [*lead, *S, j]], mode="r")
-    t = r[:, -1]
 
     if spec.lhs is LhsKind.UNITY:
         sse = _squares(t[m:], s)
         r2, tag, f_stat = float(t[:m] @ t[:m]), R2_NONRESPONSE, None
     else:
+        if not spec.intercept:
+            r = np.linalg.qr(R[:, [u, *S, j]], mode="r")
+            t = r[:, -1]
         bound = (MEAN_ROUNDING * math.log2(n + 1) + FACTOR_ROUNDING * math.sqrt(n)) * EPS
         if math.hypot(*t[1:].tolist()) <= bound * abs(t[0]):
-            target = rows()[0]
-            tbar = float(np.mean(target))
-            with np.errstate(over="ignore"):
-                total = float((target - tbar) @ (target - tbar))
-            if _constant(target, tbar, total):
-                raise ZeroVariance("target has zero centered variation")
+            raise ZeroVariance("target has zero centered variation")
         sst = _squares(t[1:], s)
-        if lead:
+        if spec.intercept:
+            sse = _squares(t[m:], s)
+            ssr = _squares(t[1:m], s)
+        else:
             f = r[:, 1:-1] @ (coeffs * scale[S] / s)
             sse = _squares(t - f, s)
             f[0] -= t[0]
             ssr = _squares(f, s)
-        else:
-            sse = _squares(t[m:], s)
-            ssr = _squares(t[1:m], s)
         r2, tag = ssr / sst, R2_CENTERED
         has_f = spec.intercept and m > 1 and n > m and sse > 0
         f_stat = (ssr / (m - 1)) / (sse / (n - m)) if has_f else None

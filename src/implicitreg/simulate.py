@@ -70,6 +70,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSpec("n must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpec("seed must be >= 0")
         k = self.kind
         if not all(math.isfinite(v) for v in (self.noise_sigma, *astuple(k))):
             raise InvalidSpec("generator parameters must be finite")
@@ -87,8 +89,22 @@ class GeneratorSpec:
 
 def generate(spec: GeneratorSpec) -> Union[Dataset, np.ndarray]:
     """Sample per the spec; geometric kinds return a Dataset, univariate
-    kinds a plain vector."""
-    rng = np.random.default_rng(spec.seed)
+    kinds a plain vector.  InvalidSpec when the parameters give samples
+    beyond the float range."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = _sample(spec, np.random.default_rng(spec.seed))
+        finite = all(np.isfinite(c).all() for c in columns)
+    except OverflowError:       # a uniform range b - a beyond the float range
+        finite = False
+    if not finite:
+        raise InvalidSpec(f"{spec.kind} gives samples beyond the float range")
+    return columns[0] if len(columns) == 1 else Dataset(*columns)
+
+
+def _sample(spec: GeneratorSpec, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The sampled columns: (x, y) for a geometric kind, (y,) for a
+    univariate one."""
     k = spec.kind
     if isinstance(k, Line):
         x = rng.uniform(*LINE_X_RANGE, size=spec.n)
@@ -109,16 +125,16 @@ def generate(spec: GeneratorSpec) -> Union[Dataset, np.ndarray]:
         return _with_noise(x, y, spec, rng)
     if isinstance(k, ConstantNormal):
         if k.sigma == 0:
-            return np.full(spec.n, float(k.mu))
-        return rng.normal(k.mu, k.sigma, size=spec.n)
+            return (np.full(spec.n, float(k.mu)),)
+        return (rng.normal(k.mu, k.sigma, size=spec.n),)
     if isinstance(k, Uniform):
-        return rng.uniform(k.a, k.b, size=spec.n)
+        return (rng.uniform(k.a, k.b, size=spec.n),)
     raise InvalidSpec(f"unknown generator kind {k!r}")
 
 
 def _with_noise(x: np.ndarray, y: np.ndarray, spec: GeneratorSpec,
-                rng: np.random.Generator) -> Dataset:
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     if spec.noise_sigma > 0:
         x = x + rng.normal(0.0, spec.noise_sigma, size=spec.n)
         y = y + rng.normal(0.0, spec.noise_sigma, size=spec.n)
-    return Dataset(x, y)
+    return x, y

@@ -189,8 +189,8 @@ class ModelSpec:
             if t in seen:
                 raise DuplicateTerm(t)
             seen.add(t)
-        if self.lhs is LhsKind.UNITY and self.intercept:
-            raise InvalidSpec("the unity-regressand model carries no intercept")
+        if self.lhs is LhsKind.UNITY and (self.intercept or Term(0, 0) in self.rhs_terms):
+            raise InvalidSpec("the unity-regressand model carries no intercept, so no term 1")
         if self.lhs is LhsKind.TERM:
             if self.lhs_term is None:
                 raise InvalidSpec("lhs_term required when lhs is a term")
@@ -206,6 +206,8 @@ class ModelSpec:
     @classmethod
     def rotation(cls, terms: Sequence[Term], pivot: int) -> "ModelSpec":
         terms = tuple(terms)
+        if len(terms) < 2:
+            raise InvalidSpec("a rotation needs at least two terms")
         if not 0 <= pivot < len(terms):
             raise InvalidSpec(f"pivot {pivot} out of range")
         rhs = terms[:pivot] + terms[pivot + 1:]

@@ -77,6 +77,17 @@ class TestFit:
         assert main(["fit", "--input", str(tmp_path / "nope.csv"),
                      "--model", "nonresponse", "--terms", "x,y"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("term_list", ["1", "1,x,y", "x,y,1"])
+    def test_nonresponse_refuses_unit_term(self, tmp_path, capsys, term_list):
+        # 1 = 1*1 would be a silent exact fit: the term 1 is the intercept
+        # that the unit-constant model does not carry.
+        for command in ("fit", "diagnose"):
+            code = main([command, "--input", str(line_csv(tmp_path)), "--model", "nonresponse",
+                         "--terms", term_list])
+            err = capsys.readouterr().err
+            assert code == EXIT_INPUT
+            assert err.startswith("error: ") and "no term 1" in err and len(err.splitlines()) == 1
+
     def test_pivot_not_in_terms(self, tmp_path):
         assert main(["fit", "--input", str(line_csv(tmp_path)),
                      "--model", "rotation:x2", "--terms", "x,y"]) == EXIT_INPUT
@@ -125,8 +136,17 @@ class TestFailures:
         ["simulate", "--kind", "circle", "--params", "0,0,1", "--n", "5", "--noise", "nan"],
         ["fit", "--input", "{tmp}/xyx.csv", "--model", "nonresponse"],
         ["fit", "--input", "{tmp}/yxx.csv", "--model", "standard"],
+        ["convert", "--direction", "beta-from-alpha", "--values="],
+        ["simulate", "--kind", "line", "--params", "0,1", "--n", "3", "--seed", "-1"],
+        ["simulate", "--kind", "normal", "--params", "1e308,1e308", "--n", "100"],
+        ["simulate", "--kind", "uniform", "--params=-1e308,1e308", "--n", "100"],
+        ["simulate", "--kind", "circle", "--params", "1e308,0,1e308", "--n", "3"],
+        ["simulate", "--kind", "ellipse", "--params", "1e308,0,1e308,1e308,0.7", "--n", "100"],
     ], ids=["convert-non-numeric", "simulate-non-numeric", "input-is-directory",
-            "simulate-nan-noise", "duplicate-header-nonresponse", "duplicate-header-standard"])
+            "simulate-nan-noise", "duplicate-header-nonresponse", "duplicate-header-standard",
+            "convert-no-values", "simulate-negative-seed", "simulate-normal-overflow",
+            "simulate-uniform-overflow", "simulate-circle-overflow",
+            "simulate-ellipse-overflow"])
     def test_input_failure_exits_2_with_one_line(self, tmp_path, capsys, argv):
         for header in ("x,y,x", "y,x,x"):
             rows = "1,2,3\n2,3,5\n3,5,4\n4,1,2\n"
@@ -230,6 +250,16 @@ class TestExtremeScale:
                                            "float range; rescale the data\n")
 
 class TestRotateAll:
+    @pytest.mark.parametrize("argv", [
+        ["rotate-all", "--terms", "x"],
+        ["fit", "--model", "rotation:x", "--terms", "x"],
+        ["diagnose", "--model", "rotation:x", "--terms", "x"],
+    ], ids=["rotate-all", "fit", "diagnose"])
+    def test_single_term_exits_2(self, tmp_path, capsys, argv):
+        code = main(argv + ["--input", str(line_csv(tmp_path))])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: a rotation needs at least two terms\n"
+
     def test_five_reports(self, tmp_path, capsys):
         rng = np.random.default_rng(83)
         p = tmp_path / "d.csv"

@@ -35,6 +35,7 @@ from implicitreg.errors import (
     ConversionUndefined,
     DomainError,
     DomainViolation,
+    InvalidSpec,
     MeanUndefined,
     SingularSystem,
     Underdetermined,
@@ -92,6 +93,13 @@ class TestFitNonresponse:
         d = random_dataset(rng)
         f = fit_nonresponse(d, parse_terms("x,y,xy"))
         np.testing.assert_allclose(f.cov, f.sigma2_hat * f.gram_inverse, atol=0)
+
+    @pytest.mark.parametrize("term_list", ["1", "1,x,y", "x,y,1"])
+    def test_unit_term_refused(self, tri_dataset, term_list):
+        # The term 1 is the intercept the unit-constant model does not carry:
+        # 1 = 1*1 would fit exactly and say nothing about the data.
+        with pytest.raises(InvalidSpec, match="no term 1"):
+            fit_nonresponse(tri_dataset, parse_terms(term_list))
 
 
 class TestFitRotation:
@@ -347,6 +355,29 @@ class TestRowsOnRequest:
         f.target, f.fitted, f.residuals
         assert calls == {t: 8 for t in CUBIC_TERMS}     # one pass makes all three rows
 
+    @pytest.mark.parametrize("fit, small", [(fit_nonresponse, 1), (fit_all_rotations, 9)],
+                             ids=["nonresponse", "all_rotations"])
+    def test_one_small_qr_per_fit(self, monkeypatch, fit, small):
+        # Four row blocks merge into R; each fit then takes one QR of
+        # R[:, S + [j]], in mode "r": no Q is formed.
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced":
+                            calls.append((len(a) > len(CUBIC_TERMS) + 1, mode)) or qr(a, mode))
+        fit(four_block_dataset(), CUBIC_TERMS)
+        assert Counter(calls) == {(True, "r"): 4, (False, "r"): small}
+
+    def test_constant_pivot_reads_the_data_once(self, monkeypatch):
+        calls = Counter()
+        evaluate = Term.evaluate
+        monkeypatch.setattr(Term, "evaluate",
+                            lambda t, x, y: calls.update([t]) or evaluate(t, x, y))
+        d = four_block_dataset()
+        terms = parse_terms("x,y,x2")
+        with pytest.raises(ZeroVariance):
+            fit_rotation(Dataset(d.x, np.full(d.n, 2.5)), terms, 1)
+        assert calls == {t: 4 for t in terms}
+
     @pytest.mark.parametrize("case", ["nonresponse", "rotation", "all_rotations", "standard",
                                       "term_without_intercept"])
     def test_rows_and_sums_match_the_design(self, monkeypatch, case):
@@ -440,6 +471,17 @@ class TestFitStandard:
     def test_constant_response(self):
         with pytest.raises(ZeroVariance):
             fit_standard(MultiDataset([3.0, 3.0, 3.0], [[1.0], [2.0], [3.0]], ("x",)))
+
+    def test_spread_within_factor_rounding_is_constant(self):
+        # An RMS spread of 1e-14 of the mean, at n = 200, is within R's
+        # rounding (about 1.9e-14 here): R alone calls the target constant.
+        n = 200
+        x = np.random.default_rng(n).uniform(0, 10, n)
+        t = 1.0 + 1e-14 * np.resize([1.0, -1.0], n)
+        with pytest.raises(ZeroVariance):
+            fit_standard(MultiDataset(t, x[:, None], ("x",)))
+        with pytest.raises(ZeroVariance):
+            fit_rotation(Dataset(x, t), parse_terms("x,y"), 1)
 
     @pytest.mark.parametrize("value", [0.0, 1.0, 3.3, 0.1, 1e7, 1e8, -2.5e15, 1e-300])
     @pytest.mark.parametrize("n", [3, 200, 10001, 200000])

@@ -65,7 +65,31 @@ class TestInvalidSpecs:
         dict(kind=Uniform(2, 2), n=5),
         dict(kind=Line(0, 1), n=0),
         dict(kind=Line(0, 1), n=5, noise_sigma=-0.1),
+        dict(kind=Line(0, 1), n=5, seed=-1),
     ])
     def test_rejected(self, spec_kwargs):
         with pytest.raises(InvalidSpec):
             GeneratorSpec(**spec_kwargs)
+
+
+class TestSamplesBeyondFloatRange:
+    """Parameters whose samples leave the float range are refused, without a
+    numpy warning, for the vector kinds as for the Dataset kinds."""
+
+    @pytest.mark.parametrize("kind, n, noise", [
+        (ConstantNormal(1e308, 1e308), 100, 0.0),
+        (Uniform(-1e308, 1e308), 100, 0.0),
+        (Circle(1e308, 0.0, 1e308), 3, 0.0),
+        (Ellipse(1e308, 0.0, 1e308, 1e308, 0.7), 100, 0.0),
+        (Line(0.0, 1e308), 3, 0.0),
+        (Line(0.0, 1.0), 100, 1e308),
+    ])
+    def test_refused(self, recwarn, kind, n, noise):
+        with pytest.raises(InvalidSpec, match=rf"^{type(kind).__name__}\(.*\) gives samples "
+                                              "beyond the float range$"):
+            generate(GeneratorSpec(kind, n=n, noise_sigma=noise, seed=0))
+        assert not recwarn.list
+
+    def test_large_finite_samples_kept(self):
+        y = generate(GeneratorSpec(ConstantNormal(1e308, 1e300), n=100, seed=0))
+        assert np.isfinite(y).all()
