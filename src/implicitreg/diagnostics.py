@@ -22,7 +22,8 @@ from .errors import (
     TriangleViolation,
     ZeroVariance,
 )
-from .fitters import RANK_TOL, ROW_BLOCK, FitResult, _constant, _factor, _lstsq, _source
+from .fitters import (RANK_TOL, ROW_BLOCK, FitResult, _constant, _factor, _lstsq,
+                      _singular, _source)
 from .terms import Dataset
 
 CLAMP_TOL = 1e-9
@@ -247,15 +248,17 @@ def pinwheel_data(d: Dataset) -> list[PinwheelLine]:
     def zero(coeff: float, column: int, target: int) -> bool:
         return abs(coeff) * scale[column] / scale[target] < RANK_TOL
 
-    out = []
-    b0, b1 = _lstsq(scale, R, Y, [ONE, X], ["1", "x"])[0]
-    out.append(PinwheelLine("rotation y-on-x", b1, b0, False, None, (b0, b1)))
-    c0, c1 = _lstsq(scale, R, X, [ONE, Y], ["1", "y"])[0]    # x = c0 + c1*y
+    fits = [(Y, [ONE, X]), (X, [ONE, Y]), (ONE, [X, Y])]     # y on x, x on y, 1 on x and y
+    solved = _lstsq(scale, R, fits)
+    for s, labels in zip(solved, (["1", "x"], ["1", "y"], ["x", "y"])):
+        if isinstance(s, int):
+            raise _singular(labels[s])
+    (b0, b1), (c0, c1), (a1, a2) = (s[0] for s in solved)
+    out = [PinwheelLine("rotation y-on-x", b1, b0, False, None, (b0, b1))]
     if zero(c1, Y, X):
         out.append(PinwheelLine("rotation x-on-y", None, None, True, c0, (c0, c1)))
     else:
         out.append(PinwheelLine("rotation x-on-y", 1.0 / c1, -c0 / c1, False, None, (c0, c1)))
-    a1, a2 = _lstsq(scale, R, ONE, [X, Y], ["x", "y"])[0]
     if not zero(a2, Y, ONE):
         out.append(PinwheelLine("nonresponse line", -a1 / a2, 1.0 / a2, False, None, (a1, a2)))
     elif zero(a1, X, ONE):

@@ -9,24 +9,27 @@ Every least-squares fit regresses one column of a design Z on some of its
 other columns: the unit column of Z = [T_1..T_m, 1] in the non-response
 fit, a term (on the unit column and the other terms) in a rotation, y in
 Z = [1, X, y] for standard OLS.  Z is never held whole: a block source
-writes ROW_BLOCK rows of it at a time, term-major, evaluating the terms of
-a fit from the data or slicing vectors already in hand, and the blocks are
-merged into the small triangular factor R as R <- qr([R; next block]), so
-memory stays flat in n (the TSQR reduction of Demmel, Grigori, Hoemmen &
-Langou, arXiv:0808.2664): the one pass over the data.  The column scales
-are read off R.  Each fit is then the small problem R[:, S] b ~ R[:, j],
-and one QR of R[:, S + [j]] gives its coefficients, Gram inverse, rank and
-every sum of squares, as the residual norm is the tail of Q'b (Golub &
-Van Loan, Matrix Computations, 5.3; Goodnight 1979).  Neither Q nor W'W
-is formed, a fit's n-length rows are made only when read, and BLAS
-runs on one thread (_blas.one_thread).
+writes ROW_BLOCK rows of it at a time, term-major, making the terms of a
+fit from one table of the block's powers of x and y or slicing vectors
+already in hand, and the blocks are merged into the small triangular
+factor R as R <- qr([R; next block]), so memory stays flat in n (the TSQR
+reduction of Demmel, Grigori, Hoemmen & Langou, arXiv:0808.2664): the one
+pass over the data.  The column scales are read off R.  Each fit is then
+the small problem R[:, S] b ~ R[:, j], and the QR of R[:, S + [j]] gives
+its coefficients, Gram inverse, rank and every sum of squares, as the
+residual norm is the tail of Q'b (Golub & Van Loan, Matrix Computations,
+5.3; Goodnight 1979).  All fits of one factor are read off in one stacked
+pass: one stacked QR of their R[:, S + [j]], a rank test on each diagonal
+and one stacked solve.  Neither Q nor W'W is formed, a fit's n-length
+rows are made only when read, and BLAS runs on one thread
+(_blas.one_thread).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -43,7 +46,7 @@ from .errors import (
     Underdetermined,
     ZeroVariance,
 )
-from .terms import Dataset, LhsKind, ModelSpec, MultiDataset, Term
+from .terms import Dataset, LhsKind, ModelSpec, MultiDataset, Term, _power
 
 R2_NONRESPONSE = "Eq12-nonresponse"
 R2_CENTERED = "Eq8-centered"
@@ -71,7 +74,8 @@ def singular_tolerance(A: np.ndarray) -> float:
 class FitResult:
     """One least-squares fit, its statistics read off the factor.  target,
     fitted and residuals (target - W @ coeffs) are n-length rows that the
-    first read makes from the data, in one block pass, and keeps."""
+    first read makes from the data, in one block pass, and keeps; the column
+    labels too are made on first read."""
     spec: ModelSpec
     coeffs: np.ndarray          # rhs order, intercept first when present
     r_squared: float
@@ -84,11 +88,18 @@ class FitResult:
     gram_inverse: np.ndarray
     n: int
     sse: float
-    column_labels: list[str] = field(default_factory=list)
-    _rows: Optional[Callable] = field(default=None, repr=False, compare=False)  # cached pass
+    _rows: Optional[Callable] = field(default=None, repr=False, compare=False)  # the row pass
 
-    target = property(lambda self: self._rows()[0])
-    fitted = property(lambda self: self._rows()[1])
+    @cached_property
+    def column_labels(self) -> list[str]:
+        return self.spec.column_labels()
+
+    @cached_property
+    def _made(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._rows()
+
+    target = property(lambda self: self._made[0])
+    fitted = property(lambda self: self._made[1])
 
     @cached_property
     def residuals(self) -> np.ndarray:
@@ -99,18 +110,52 @@ def _source(columns: Sequence[Column], d: Optional[Dataset] = None) -> Fill:
     """The block source of Z = [columns]: fill(out, a, b) writes rows a..b
     of Z, transposed, into out.
 
-    A column is a vector, which is sliced; a Term, which is evaluated on
-    rows a..b of d, with a DomainError naming the data row; or a constant.
+    A column is a vector, which is sliced; a constant; or a Term x^a y^b of
+    d.  The terms of a block are made from one power table: each distinct
+    power x^a or y^b is computed once (terms._power, the arithmetic of
+    Term.evaluate), into the row of the term that is that power alone where
+    there is one, and each product term is written in place as the product
+    of its two powers.  Their rows are checked once per block, by their sums,
+    which are finite only when every entry is; a block that fails (or whose
+    sum overflows) is evaluated again term by term, so that the DomainError
+    names the term and the data row that Term.evaluate finds.
     """
+    terms = [(i, [(v, e) for v, e in ((0, col.x_exp), (1, col.y_exp)) if e != 0])
+             for i, col in enumerate(columns) if isinstance(col, Term)]
+    home: dict[tuple[int, float], int] = {}     # a power -> the row of the term it is alone
+    for i, powers in terms:
+        if len(powers) == 1:
+            home.setdefault(powers[0], i)
+    keys = list(dict.fromkeys(p for _, powers in terms for p in powers))
+    products = [(i, powers) for i, powers in terms if i not in home.values()]
+    span = slice(terms[0][0], terms[-1][0] + 1) if terms else None     # the term rows
+
     def fill(out: np.ndarray, a: int, b: int) -> None:
         for row, col in zip(out, columns):
-            if isinstance(col, Term):
-                try:
-                    row[:] = col.evaluate(d.x[a:b], d.y[a:b])
-                except DomainError as exc:
-                    raise DomainError(exc.row + a, exc.term) from None
-            else:
+            if not isinstance(col, Term):
                 row[:] = col[a:b] if isinstance(col, np.ndarray) else col
+        if span is None:
+            return
+        data = (d.x[a:b], d.y[a:b])
+        with np.errstate(all="ignore"):
+            table = {}
+            for v, e in keys:
+                i = home.get((v, e))
+                dest = out[i] if i is not None else None if e == 1 else np.empty(b - a)
+                table[v, e] = _power(data[v], e, dest)
+            for i, powers in products:
+                if len(powers) == 2:
+                    np.multiply(table[powers[0]], table[powers[1]], out=out[i])
+                else:
+                    out[i] = table[powers[0]] if powers else 1.0
+            finite = np.isfinite(np.add.reduce(out[span], axis=1)).all()
+        if not finite:
+            for row, col in zip(out, columns):
+                if isinstance(col, Term):
+                    try:
+                        row[:] = col.evaluate(*data)
+                    except DomainError as exc:
+                        raise DomainError(exc.row + a, exc.term) from None
     return fill
 
 
@@ -143,30 +188,48 @@ def _factor(fill: Fill, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, R / scale
 
 
-def _lstsq(scale: np.ndarray, R: np.ndarray, j: int, S: Sequence[int],
-           labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """From one QR r of R[:, S + [j]]: the coefficients of column j of the
-    factored design on columns S, in original units; a root L of the Gram
-    inverse of those columns (the inverse is L L'); and t = r[:, -1], column
-    j over scale[j] in the basis of the fit's columns.
+def _lstsq(scale: np.ndarray, R: np.ndarray, fits: Sequence[tuple[int, Sequence[int]]]
+           ) -> list[Union[tuple[np.ndarray, np.ndarray, np.ndarray], int]]:
+    """Fits (j, S) of column j of the factored design on columns S, all of
+    one width m = |S|, in one stacked pass: one QR r of each R[:, S + [j]],
+    a rank test on each r's diagonal, and one solve over the fits that pass.
 
-    Raises SingularSystem naming the first column of S whose unit-scale
-    distance from the span of those before it, on r's diagonal, is below
-    RANK_TOL.  L is r[:m, :m]^-1 with each row divided by its column's
-    scale, so it stays in range for data whose squares would not.
+    A fit's slot holds its coefficients, in original units; a root L of the
+    Gram inverse of its columns (the inverse is L L'); and t = r[:, -1],
+    column j over scale[j] in the basis of the fit's columns.  L is
+    r[:m, :m]^-1 with each row divided by its column's scale, so it stays in
+    range for data whose squares would not.  A singular fit's slot holds
+    instead the index in S of its first column whose unit-scale distance
+    from the span of those before it, on r's diagonal, is below RANK_TOL.
     """
-    S = list(S)
-    m = len(S)
-    r = np.linalg.qr(R[:, S + [j]], mode="r")
-    diag = np.abs(np.diag(r)[:m])
-    k = next((i for i, v in enumerate(diag) if v < RANK_TOL), m)
-    if k < m:
-        raise SingularSystem(f"singular system: {labels[k]!r} is collinear "
-                             "with the columns before it")
-    t = r[:, -1]
-    sol = np.linalg.solve(r[:m, :m], np.column_stack([t[:m], np.eye(m)]))
-    s = scale[S]
-    return sol[:, 0] * scale[j] / s, sol[:, 1:] / s[:, None], t
+    cols = np.array([[*S, j] for j, S in fits])
+    m = cols.shape[1] - 1
+    r = np.linalg.qr(R[:, cols].transpose(1, 0, 2), mode="r")
+    t = r[:, :, -1]
+    low = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, :m]) < RANK_TOL
+    out: list = [int(np.argmax(row)) for row in low]
+    ok = np.flatnonzero(~low.any(axis=1))
+    if ok.size:
+        rhs = np.empty((ok.size, m, m + 1))
+        rhs[:, :, 0] = t[ok, :m]
+        rhs[:, :, 1:] = np.eye(m)
+        sol = np.linalg.solve(r[ok, :m, :m], rhs)
+        s = scale[cols[ok, :m]]
+        coeffs = sol[:, :, 0] * scale[cols[ok, m]][:, None] / s
+        roots = sol[:, :, 1:] / s[:, :, None]
+        for i, c, L in zip(ok.tolist(), coeffs, roots):
+            out[i] = (c, L, t[i])
+    return out
+
+
+def _singular(label: str, unity: bool = False) -> SingularSystem:
+    """SingularSystem naming the collinear column; for a unit-constant fit,
+    also what such a relation means there."""
+    why = ("; the data satisfy a relation with no constant term, such as a curve "
+           "through the origin, which 1 = sum a_k T_k cannot express and a rotation "
+           "can") if unity else ""
+    return SingularSystem(f"singular system: {label!r} is collinear with the columns "
+                          f"before it{why}")
 
 
 def _in_range(total: float, v: np.ndarray) -> float:
@@ -195,11 +258,14 @@ def _constant(v: np.ndarray, mean: float, total: float) -> bool:
 
 
 @one_thread
-def _row_pass(fill: Fill, n: int, j: int, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column j of Z and Z row', for a 1 x k coefficient row over every
-    column of Z, from one ROW_BLOCK pass of Z's block source."""
+def _row_pass(fill: Fill, n: int, k: int, j: int, S: Sequence[int], coeffs: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Column j of Z and the fit Z[:, S] coeffs, for a design Z of k
+    columns, from one ROW_BLOCK pass of Z's block source."""
+    row = np.zeros((1, k))
+    row[0, S] = coeffs
     target, fitted = np.empty(n), np.empty((1, n))
-    buf = np.empty((row.shape[1], min(ROW_BLOCK, n)))
+    buf = np.empty((k, min(ROW_BLOCK, n)))
     for a in range(0, n, ROW_BLOCK):
         b = min(a + ROW_BLOCK, n)
         block = buf[:, :b - a]
@@ -209,23 +275,22 @@ def _row_pass(fill: Fill, n: int, j: int, row: np.ndarray) -> tuple[np.ndarray, 
     return target, fitted[0]
 
 
-def _result(spec: ModelSpec, scale: np.ndarray, R: np.ndarray, j: int, S: Sequence[int],
-            u: Optional[int], n: int, fill: Fill) -> FitResult:
-    """The fit (spec, j, S) of the factored design, whose unit column is u.
+def _result(spec: ModelSpec, j: int, S: Sequence[int], scale: np.ndarray, R: np.ndarray,
+            u: Optional[int], n: int, solved: Union[tuple, int], fill: Fill) -> FitResult:
+    """The fit (spec, j, S) of the factored design, whose unit column is u,
+    from its slot of _lstsq.
 
-    t from _lstsq is the target, its head the fit and its tail the residual:
-    SSE is (scale[j] |t[|S|:]|)^2 and the unit-constant R^2 = a'W'1/n is
+    t is the target, its head the fit and its tail the residual: SSE is
+    (scale[j] |t[|S|:]|)^2 and the unit-constant R^2 = a'W'1/n is
     |t[:|S|]|^2.  An intercept fit has u first in S, so SSR = |t[1:|S|]|^2
     and SST = SSR + SSE, with no cancellation; a term fit without one takes
     its own QR with u first and is centred on the mean t[0].  R alone decides
     a constant target: |t[1:]| within R's rounding of |t[0]|.  The standard
     errors are sqrt(sigma2) times the row norms of the Gram inverse's root,
     so they stay in range where the covariance does not."""
-    labels = spec.column_labels()
-    coeffs, root, t = _lstsq(scale, R, j, S, labels)
-    row = np.zeros((1, len(scale)))
-    row[0, S] = coeffs
-    rows = cache(partial(_row_pass, fill, n, j, row))
+    if isinstance(solved, int):
+        raise _singular(spec.column_labels()[solved], spec.lhs is LhsKind.UNITY)
+    coeffs, root, t = solved
     m, s = len(S), scale[j]
 
     if spec.lhs is LhsKind.UNITY:
@@ -252,39 +317,41 @@ def _result(spec: ModelSpec, scale: np.ndarray, R: np.ndarray, j: int, S: Sequen
         f_stat = (ssr / (m - 1)) / (sse / (n - m)) if has_f else None
 
     sigma2 = sse / (n - m) if n > m else float("nan")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gram_inverse = root @ root.T
         cov = sigma2 * gram_inverse
-    stderr = math.sqrt(sigma2) * np.hypot.reduce(root, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        stderr = math.sqrt(sigma2) * np.hypot.reduce(root, axis=1)
         t_stats = np.where(stderr > 0, coeffs / stderr, np.nan)
+    k = len(scale)
     return FitResult(spec=spec, coeffs=coeffs, r_squared=r2, r2_formula=tag, sigma2_hat=sigma2,
                      cov=cov, stderr=stderr, t_stats=t_stats, f_stat=f_stat, n=n, sse=sse,
-                     gram_inverse=gram_inverse, column_labels=labels, _rows=rows)
+                     gram_inverse=gram_inverse,
+                     _rows=lambda: _row_pass(fill, n, k, j, S, coeffs))
 
 
 @one_thread
 def _regress(columns: Sequence[Column], n: int, fits: Fits, d: Optional[Dataset] = None
              ) -> list[Union[FitResult, DegenerateError]]:
-    """Fits (spec, j, S) of column j of Z = [columns] on columns S, read off
-    one factor of Z.
+    """Fits (spec, j, S) of column j of Z = [columns] on columns S, all of
+    one width |S|, read off one factor of Z.
 
-    The factor is the one pass over the data, evaluating a Term column block
-    by block.  Each fit then takes small solves on R alone (_result); a
-    singular fit or a constant target keeps its exception in its slot.  The
+    The factor is the one pass over the data, evaluating Term columns block
+    by block.  The fits are then read off R in one stacked pass (_lstsq) and
+    their statistics off its small factors (_result); a singular fit or a
+    constant target keeps its exception in its slot.  The
     constant column of Z is its unit column.  A result makes its n-length
     rows from the same block source only when they are read.
     """
     fill = _source(columns, d)
     scale, R = _factor(fill, len(columns), n)
-    width = max(len(S) for _, _, S in fits)
+    width = len(fits[0][2])
     if n < width:
         raise Underdetermined(f"{n} observations for {width} columns")
     u = next((i for i, c in enumerate(columns) if isinstance(c, float)), None)
     out: list[Union[FitResult, DegenerateError]] = []
-    for spec, j, S in fits:
+    for fit, solved in zip(fits, _lstsq(scale, R, [(j, S) for _, j, S in fits])):
         try:
-            out.append(_result(spec, scale, R, j, S, u, n, fill))
+            out.append(_result(*fit, scale, R, u, n, solved, fill))
         except (SingularSystem, ZeroVariance) as exc:
             out.append(exc)
     return out
@@ -355,9 +422,11 @@ def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     columns = [*X1t, *X2t]
     scale, R = _factor(_source(columns), len(columns), X1t.shape[1])
     k = len(X1t)
-    labels = [f"X1[:, {i}]" for i in range(k)]
-    return np.column_stack([_lstsq(scale, R, j, range(k), labels)[0]
-                            for j in range(k, len(columns))])
+    solved = _lstsq(scale, R, [(j, range(k)) for j in range(k, len(columns))])
+    for s in solved:
+        if isinstance(s, int):
+            raise _singular(f"X1[:, {s}]")
+    return np.column_stack([s[0] for s in solved])
 
 
 def fit_standard(d: MultiDataset) -> FitResult:

@@ -77,15 +77,9 @@ def _fmt_exp(e: float) -> str:
 
 
 def _pow(base: np.ndarray, exp: float, term: Term) -> np.ndarray:
-    """base^exp for exp != 0, with explicit domain checking instead of
-    silent NaN: a fractional exponent of a negative base and a negative
-    exponent at zero raise DomainError with the offending row.
-
-    An integral power is taken of |base| and the sign restored for odd
-    exponents, since numpy's vector pow takes a slow element-by-element
-    path on negative bases.  Powers 1 and 2 are a copy and a square, which
-    give the same values as pow at a fraction of its cost.
-    """
+    """base^exp for exp != 0, as a new array, with explicit domain checking
+    instead of silent NaN: a fractional exponent of a negative base and a
+    negative exponent at zero raise DomainError with the offending row."""
     integral = float(exp).is_integer()
     if not integral:
         bad = base < 0
@@ -95,15 +89,32 @@ def _pow(base: np.ndarray, exp: float, term: Term) -> np.ndarray:
         bad = base == 0
         if bad.any():
             raise DomainError(int(np.argmax(bad)) + 1, term)
-    if not integral:
-        return np.power(base, exp)
+    out = _power(base, exp)
+    return out.copy() if out is base else out
+
+
+def _power(base: np.ndarray, exp: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """base^exp for exp != 0, unchecked: into out when given, else base
+    itself for exp 1 and a new array otherwise.  Outside the domain the
+    entries are NaN or inf.
+
+    An integral power is taken of |base| and the sign restored for odd
+    exponents, since numpy's vector pow takes a slow element-by-element
+    path on negative bases.  Powers 1 and 2 are a copy and a square, which
+    give the same values as pow at a fraction of its cost.
+    """
     if exp == 1:
-        return base.copy()
-    if exp == 2:
-        return np.square(base)
-    out = np.power(np.abs(base), exp)
-    if exp % 2:
-        np.copysign(out, base, out=out)
+        if out is None:
+            return base
+        np.copyto(out, base)
+    elif exp == 2:
+        out = np.square(base, out=out)
+    elif float(exp).is_integer():
+        out = np.power(np.abs(base, out=out), exp, out=out)
+        if exp % 2:
+            np.copysign(out, base, out=out)
+    else:
+        out = np.power(base, exp, out=out)
     return out
 
 
@@ -184,17 +195,16 @@ class ModelSpec:
         object.__setattr__(self, "rhs_terms", tuple(self.rhs_terms))
         if not self.rhs_terms:
             raise InvalidSpec("rhs_terms must be non-empty")
-        seen = set()
-        for t in self.rhs_terms:
-            if t in seen:
-                raise DuplicateTerm(t)
-            seen.add(t)
-        if self.lhs is LhsKind.UNITY and (self.intercept or Term(0, 0) in self.rhs_terms):
+        seen = set(self.rhs_terms)
+        if len(seen) < len(self.rhs_terms):
+            rhs = self.rhs_terms
+            raise DuplicateTerm(next(t for i, t in enumerate(rhs) if t in rhs[:i]))
+        if self.lhs is LhsKind.UNITY and (self.intercept or Term(0, 0) in seen):
             raise InvalidSpec("the unity-regressand model carries no intercept, so no term 1")
         if self.lhs is LhsKind.TERM:
             if self.lhs_term is None:
                 raise InvalidSpec("lhs_term required when lhs is a term")
-            if self.lhs_term in self.rhs_terms:
+            if self.lhs_term in seen:
                 raise InvalidSpec("pivot term must be excluded from rhs_terms")
         elif self.lhs_term is not None:
             raise InvalidSpec("lhs_term only meaningful when lhs is a term")

@@ -4,8 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run, so a
+# property that fails in a CI log fails the same way locally.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
 
 from implicitreg import Dataset
 

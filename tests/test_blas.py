@@ -166,7 +166,8 @@ class TestScope:
 
 
 # Fits in a fresh interpreter that loaded numpy first; a probe inside
-# fitters._lstsq reads numpy's OpenBLAS thread count during every solve.
+# fitters._lstsq reads numpy's OpenBLAS thread count during every stacked
+# read-off and counts the fits solved in it.
 LIBRARY = """
 import ctypes, glob, json, os, sys, threading
 import numpy as np
@@ -177,11 +178,12 @@ import implicitreg.fitters as f
 from implicitreg import simulate, terms
 from implicitreg.errors import DomainError, SingularSystem
 
-inside = []
+inside, solves = [], []
 lstsq = f._lstsq
-def probe(*args):
+def probe(scale, R, fits):
     inside.append(count())
-    return lstsq(*args)
+    solves.append(len(fits))
+    return lstsq(scale, R, fits)
 f._lstsq = probe
 
 d = simulate.generate(simulate.GeneratorSpec(simulate.Ellipse(3, -2, 2, 1, 0.5), 3000, 0.05, 7))
@@ -207,7 +209,7 @@ for t in threads:
 out["alive"] = sum(t.is_alive() for t in threads)
 out["after_threads"] = count()
 out["inside"] = sorted(set(inside))
-out["solves"] = len(inside)
+out["solves"] = sum(solves)
 print(json.dumps(out))
 """ % CUBIC
 

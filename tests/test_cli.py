@@ -88,6 +88,27 @@ class TestFit:
             assert code == EXIT_INPUT
             assert err.startswith("error: ") and "no term 1" in err and len(err.splitlines()) == 1
 
+    def test_nonresponse_through_origin_says_why(self, tmp_path, capsys):
+        # x^2 + y^2 = 2x has no constant term: the unit-constant fit cannot
+        # exist, a rotation can.
+        p = tmp_path / "origin.csv"
+        assert main(["simulate", "--kind", "circle", "--params", "1,0,1", "--n", "200",
+                     "--out-file", str(p)]) == EXIT_OK
+        fit = ["fit", "--input", str(p), "--terms", "x,y,xy,x2,y2", "--model"]
+        capsys.readouterr()
+        assert main(fit + ["nonresponse"]) == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert err.startswith("error: singular system: 'y^2' is collinear with the columns "
+                              "before it; ")
+        assert "no constant term" in err and "through the origin" in err
+        assert "1 = sum a_k T_k cannot express and a rotation can" in err
+        assert len(err.splitlines()) == 1
+        assert main(fit + ["rotation:x"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(fit + ["rotation:y"]) == EXIT_DEGENERATE     # a rotation's message is as it was
+        assert capsys.readouterr().err == ("error: singular system: 'y^2' is collinear with the "
+                                           "columns before it\n")
+
     def test_pivot_not_in_terms(self, tmp_path):
         assert main(["fit", "--input", str(line_csv(tmp_path)),
                      "--model", "rotation:x2", "--terms", "x,y"]) == EXIT_INPUT

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import offset_line, random_dataset, unit_condition
@@ -13,6 +15,7 @@ from implicitreg import (
     Circle,
     ConicCoeffs,
     Dataset,
+    Ellipse,
     GeneratorSpec,
     MultiDataset,
     Term,
@@ -270,20 +273,17 @@ class TestSolver:
         assert peak < 3 * n * 8 + 2 * fitters.ROW_BLOCK * k * 8
 
     def test_all_rotations_evaluate_and_factor_once(self, monkeypatch):
-        calls = Counter()
-
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(Term, "evaluate", counting("evaluate", Term.evaluate))
-        monkeypatch.setattr(fitters, "_factor", counting("factor", fitters._factor))
-        rng = np.random.default_rng(67)
-        results = fit_all_rotations(random_dataset(rng), list(CONIC_TERMS))
+        # One block: x, y, x^2 and y^2 are computed once each and xy is
+        # their product; Term.evaluate is left for a block with a bad value.
+        d = random_dataset(np.random.default_rng(67))
+        calls = count_powers(monkeypatch, d)
+        monkeypatch.setattr(Term, "evaluate", lambda *a: calls.update(["evaluate"]))
+        factor = fitters._factor
+        monkeypatch.setattr(fitters, "_factor",
+                            lambda *a: calls.update(["factor"]) or factor(*a))
+        results = fit_all_rotations(d, list(CONIC_TERMS))
         assert len(results) == 5 and all(hasattr(r, "coeffs") for r in results)
-        assert calls == {"evaluate": 5, "factor": 1}
+        assert calls == {("x", 1): 1, ("y", 1): 1, ("x", 2): 1, ("y", 2): 1, "factor": 1}
 
     @pytest.mark.parametrize("fit", [
         lambda d: fit_nonresponse(d, list(CONIC_TERMS)),
@@ -299,6 +299,20 @@ class TestSolver:
 
 
 CUBIC_TERMS = parse_terms("x,y,xy,x2,y2,x^3,y^3,x^2*y,x*y^2")
+CUBIC_POWERS = [(v, e) for v in "xy" for e in (1, 2, 3)]
+
+
+def count_powers(monkeypatch, d):
+    """A Counter of the block fill's power computations, keyed by
+    (variable, exponent); d is the dataset whose x and y are the bases."""
+    calls = Counter()
+    power = fitters._power
+
+    def counting(base, exp, out=None):
+        calls[("x" if np.shares_memory(base, d.x) else "y", exp)] += 1
+        return power(base, exp, out)
+    monkeypatch.setattr(fitters, "_power", counting)
+    return calls
 
 
 def four_block_dataset():
@@ -345,38 +359,42 @@ class TestRowsOnRequest:
         assert read - held >= 3 * d.n * 8      # target, fitted and residuals, kept
 
     def test_nonresponse_evaluates_each_term_once_per_block(self, monkeypatch):
-        calls = Counter()
-        evaluate = Term.evaluate
-        monkeypatch.setattr(Term, "evaluate",
-                            lambda t, x, y: calls.update([t]) or evaluate(t, x, y))
+        # Each distinct power of x and y is computed once per block, once per
+        # pass; the products x*y, x^2*y and x*y^2 reuse them.
         d = four_block_dataset()
+        calls = count_powers(monkeypatch, d)
+        monkeypatch.setattr(Term, "evaluate", lambda *a: calls.update(["evaluate"]))
         f = fit_nonresponse(d, CUBIC_TERMS)
-        assert calls == {t: 4 for t in CUBIC_TERMS}
+        assert calls == {p: 4 for p in CUBIC_POWERS}
         f.target, f.fitted, f.residuals
-        assert calls == {t: 8 for t in CUBIC_TERMS}     # one pass makes all three rows
+        assert calls == {p: 8 for p in CUBIC_POWERS}    # one pass makes all three rows
 
     @pytest.mark.parametrize("fit, small", [(fit_nonresponse, 1), (fit_all_rotations, 9)],
                              ids=["nonresponse", "all_rotations"])
     def test_one_small_qr_per_fit(self, monkeypatch, fit, small):
-        # Four row blocks merge into R; each fit then takes one QR of
-        # R[:, S + [j]], in mode "r": no Q is formed.
+        # Four row blocks merge into R; the fits are then read off it in one
+        # stacked QR of their R[:, S + [j]], one small R each, in mode "r":
+        # no Q is formed.
         calls = []
         qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced":
-                            calls.append((len(a) > len(CUBIC_TERMS) + 1, mode)) or qr(a, mode))
+
+        def counting(a, mode="reduced"):
+            merge = a.ndim == 2 and len(a) > k
+            calls.append(("merge" if merge else a.shape, mode))
+            return qr(a, mode)
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        k = len(CUBIC_TERMS) + 1
         fit(four_block_dataset(), CUBIC_TERMS)
-        assert Counter(calls) == {(True, "r"): 4, (False, "r"): small}
+        assert Counter(calls) == {("merge", "r"): 4, ((small, k, k), "r"): 1}
 
     def test_constant_pivot_reads_the_data_once(self, monkeypatch):
-        calls = Counter()
-        evaluate = Term.evaluate
-        monkeypatch.setattr(Term, "evaluate",
-                            lambda t, x, y: calls.update([t]) or evaluate(t, x, y))
         d = four_block_dataset()
-        terms = parse_terms("x,y,x2")
+        d = Dataset(d.x, np.full(d.n, 2.5))
+        calls = count_powers(monkeypatch, d)
+        monkeypatch.setattr(Term, "evaluate", lambda *a: calls.update(["evaluate"]))
         with pytest.raises(ZeroVariance):
-            fit_rotation(Dataset(d.x, np.full(d.n, 2.5)), terms, 1)
-        assert calls == {t: 4 for t in terms}
+            fit_rotation(d, parse_terms("x,y,x2"), 1)
+        assert calls == {("x", 1): 4, ("y", 1): 4, ("x", 2): 4}
 
     @pytest.mark.parametrize("case", ["nonresponse", "rotation", "all_rotations", "standard",
                                       "term_without_intercept"])
@@ -415,6 +433,139 @@ class TestRowsOnRequest:
             else:
                 r2 = float(np.sum((fit - t.mean()) ** 2) / np.sum((t - t.mean()) ** 2))
             assert f.r_squared == pytest.approx(r2, rel=1e-9)
+
+
+FILL_EXPONENTS = [0, 1, 2, 3, -1, -2, 0.5, 1.5, -0.5]
+# Zeros of both signs and negative values meet the domain checks; 1e200
+# squares past the float range, and 1.5e308 sums past it while every entry
+# stays finite.
+FILL_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-200, 1e200, -1e200, 1.5e308]
+
+
+@st.composite
+def fill_sources(draw):
+    """A dataset and the columns of a design on it: terms with integer,
+    negative and fractional exponents, vectors, and the unit constant."""
+    n = draw(st.integers(1, 30))
+    values = st.lists(st.sampled_from(FILL_VALUES), min_size=n, max_size=n).map(np.array)
+    d = Dataset(draw(values), draw(values))
+    term = st.builds(Term, st.sampled_from(FILL_EXPONENTS), st.sampled_from(FILL_EXPONENTS))
+    columns = draw(st.lists(st.one_of(term, term, values, st.just(1.0)), min_size=1, max_size=6))
+    return d, columns
+
+
+def evaluated_block(columns, d, a, b):
+    """Rows a..b of Z' made column by column with Term.evaluate, or the term
+    and global data row of the first DomainError it raises."""
+    rows = []
+    for col in columns:
+        if isinstance(col, Term):
+            try:
+                rows.append(col.evaluate(d.x[a:b], d.y[a:b]))
+            except DomainError as exc:
+                return exc.term, exc.row + a
+        else:
+            rows.append(col[a:b] if isinstance(col, np.ndarray) else np.full(b - a, col))
+    return np.array(rows)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestBlockFill:
+    """The block source computes each distinct power once per block and
+    writes the terms in place; the rows are Term.evaluate's, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(fill_sources())
+    def test_rows_and_errors_match_evaluate(self, case):
+        d, columns = case
+        k, n = len(columns), d.n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitters, "ROW_BLOCK", 7)
+            fill = fitters._source(columns, d)
+            buf = np.full((k, n + 2), 7.25)     # strided blocks, as the factor writes them
+            expect = got = None
+            for a in range(0, n, fitters.ROW_BLOCK):
+                b = min(a + fitters.ROW_BLOCK, n)
+                want = evaluated_block(columns, d, a, b)
+                if isinstance(want, tuple):
+                    expect = want
+                    with pytest.raises(DomainError) as exc:
+                        fill(buf[:, 1 + a:1 + b], a, b)
+                    got = exc.value.term, exc.value.row
+                    break
+                fill(buf[:, 1 + a:1 + b], a, b)
+                np.testing.assert_array_equal(bits(buf[:, 1 + a:1 + b]), bits(want))
+            assert got == expect
+            assert (buf[:, [0, -1]] == 7.25).all()
+            if expect is not None:
+                # The factor's pass stops at the same term and row.
+                with pytest.raises(DomainError) as exc:
+                    fitters._factor(fill, k, n)
+                assert (exc.value.term, exc.value.row) == expect
+                if n <= fitters.ROW_BLOCK:
+                    # One block: the term and row that evaluating its whole column names.
+                    failed = [c for c in columns if isinstance(c, Term)
+                              and isinstance(evaluated_block([c], d, 0, n), tuple)]
+                    assert evaluated_block(failed[:1], d, 0, n) == expect
+
+
+class TestStackedReadOff:
+    """fit_all_rotations reads its fits off R in one stacked pass; each slot
+    is what the single fit on that pivot gives."""
+
+    FIELDS = ("coeffs", "stderr", "t_stats", "cov", "gram_inverse", "sse", "r_squared",
+              "sigma2_hat", "f_stat", "column_labels")
+
+    def test_all_rotations_match_single_fits_bitwise(self):
+        d = generate(GeneratorSpec(Ellipse(3.0, -2.0, 2.0, 1.0, 0.5), 3 * fitters.ROW_BLOCK + 5,
+                                   0.05, 7))
+        for pivot, f in enumerate(fit_all_rotations(d, CUBIC_TERMS)):
+            g = fit_rotation(d, CUBIC_TERMS, pivot)
+            for name in self.FIELDS:
+                a, b = getattr(f, name), getattr(g, name)
+                if isinstance(a, list):
+                    assert a == b
+                else:
+                    np.testing.assert_array_equal(bits(np.asarray(a, float)),
+                                                  bits(np.asarray(b, float)), err_msg=name)
+
+    def singles(self, d, terms):
+        out = []
+        for pivot in range(len(terms)):
+            try:
+                out.append(fit_rotation(d, terms, pivot))
+            except (SingularSystem, ZeroVariance) as exc:
+                out.append(exc)
+        return out
+
+    def test_circle_through_origin_keeps_the_collinear_term(self):
+        # x^2 + y^2 = 2x: with y or xy as the pivot, y^2 is collinear.
+        d = generate(GeneratorSpec(Circle(1.0, 0.0, 1.0), 200))
+        stacked = fit_all_rotations(d, list(CONIC_TERMS))
+        for pivot, (f, g) in enumerate(zip(stacked, self.singles(d, list(CONIC_TERMS)))):
+            if pivot in (1, 2):
+                for e in (f, g):
+                    assert isinstance(e, SingularSystem)
+                    assert str(e) == "singular system: 'y^2' is collinear with the columns before it"
+            else:
+                np.testing.assert_array_equal(bits(f.coeffs), bits(g.coeffs))
+
+    def test_constant_pivot_keeps_zero_variance(self):
+        rng = np.random.default_rng(3)
+        d = Dataset(rng.uniform(0, 10, 50), np.full(50, 2.5))
+        terms = parse_terms("x,y,x2")
+        stacked = fit_all_rotations(d, terms)
+        assert [type(f) for f in stacked] == [SingularSystem, ZeroVariance, SingularSystem]
+        assert [str(f) for f in stacked] == [str(g) for g in self.singles(d, terms)]
+        assert "'y' is collinear" in str(stacked[0])
+
+    def test_underdetermined_fills_every_slot(self):
+        d = Dataset([1.0, 2.0, 3.0], [2.0, 1.0, 5.0])
+        stacked = fit_all_rotations(d, CUBIC_TERMS)
+        assert len(stacked) == 9 and all(isinstance(f, Underdetermined) for f in stacked)
 
 
 class TestAliasMatrix:

@@ -450,6 +450,9 @@ class TestModelSpec:
     def test_duplicate_rhs(self):
         with pytest.raises(DuplicateTerm):
             ModelSpec.nonresponse([Term(1, 0), Term(1, 0)])
+        with pytest.raises(DuplicateTerm) as exc:       # the first term seen twice
+            ModelSpec.nonresponse([Term(1, 0), Term(0, 1), Term(0, 1), Term(1, 0)])
+        assert exc.value.term == Term(0, 1)
 
 
 class TestDesignMatrix:
