@@ -22,9 +22,8 @@ from .errors import (
     TriangleViolation,
     ZeroVariance,
 )
-from .fitters import (RANK_TOL, ROW_BLOCK, FitResult, _constant, _factor, _lstsq,
-                      _singular, _source)
-from .terms import Dataset
+from .fitters import RANK_TOL, ROW_BLOCK, FitResult, _constant, _factor, _lstsq, _singular
+from .terms import Dataset, _source
 
 CLAMP_TOL = 1e-9
 PERFECT_TOL = 1e-14
@@ -71,15 +70,15 @@ def _from_sums(sst: float, ssm: float, sse: float, n: int,
                unreconstructed: int = 0) -> SeparationDiagnostics:
     """The triangle of the three sums, with thresholds relative to the sums
     so that the data's units do not matter.  When SSE or SSM vanishes the
-    angles are null.  SSE = 0 is a perfect fit; so is SSM = 0 with every
-    row estimated at the means (the mean-only model), but not SSM = 0 from
-    rows that were not reconstructed.  `warning` names the case."""
+    angles are null.  Only SSE = 0 is a perfect fit; SSM = 0 is a model that
+    explains nothing, whether every row is estimated at the means or rows
+    were not reconstructed.  `warning` names the case."""
     if _negligible(sst, ssm + sse):
         raise ZeroVariance("no total variation")
     e_hat = math.sqrt(sse / n)
     if _negligible(sse, sst) or _negligible(ssm, sst):
         return SeparationDiagnostics(sst, ssm, sse, None, None, None, e_hat, None, None,
-                                     perfect_fit=_negligible(sse, sst) or not unreconstructed,
+                                     perfect_fit=_negligible(sse, sst),
                                      unreconstructed=unreconstructed)
     theta_t = _arccos_deg((ssm + sse - sst) / (2.0 * math.sqrt(ssm * sse)))
     theta_m = _arccos_deg((sst + sse - ssm) / (2.0 * math.sqrt(sst * sse)))

@@ -8,13 +8,12 @@ the conversion between unit-constant and response-form coefficients.
 Every least-squares fit regresses one column of a design Z on some of its
 other columns: the unit column of Z = [T_1..T_m, 1] in the non-response
 fit, a term (on the unit column and the other terms) in a rotation, y in
-Z = [1, X, y] for standard OLS.  Z is never held whole: a block source
-writes ROW_BLOCK rows of it at a time, term-major, making the terms of a
-fit from one table of the block's powers of x and y or slicing vectors
-already in hand, and the blocks are merged into the small triangular
-factor R as R <- qr([R; next block]), so memory stays flat in n (the TSQR
-reduction of Demmel, Grigori, Hoemmen & Langou, arXiv:0808.2664): the one
-pass over the data.  The column scales are read off R.  Each fit is then
+Z = [1, X, y] for standard OLS.  Z is never held whole: the block source
+of terms._source, where every term is evaluated, writes ROW_BLOCK rows of
+it at a time, term-major, and the blocks are merged into the small
+triangular factor R as R <- qr([R; next block]), so memory stays flat in
+n (the TSQR reduction of Demmel, Grigori, Hoemmen & Langou,
+arXiv:0808.2664): the one pass over the data.  The column scales are read off R.  Each fit is then
 the small problem R[:, S] b ~ R[:, j], and the QR of R[:, S + [j]] gives
 its coefficients, Gram inverse, rank and every sum of squares, as the
 residual norm is the tail of Q'b (Golub & Van Loan, Matrix Computations,
@@ -38,7 +37,6 @@ from ._blas import one_thread
 from .errors import (
     ConversionUndefined,
     DegenerateError,
-    DomainError,
     DomainViolation,
     MeanUndefined,
     SingularSystem,
@@ -46,7 +44,7 @@ from .errors import (
     Underdetermined,
     ZeroVariance,
 )
-from .terms import Dataset, LhsKind, ModelSpec, MultiDataset, Term, _power
+from .terms import Column, Dataset, Fill, LhsKind, ModelSpec, MultiDataset, Term, _source
 
 R2_NONRESPONSE = "Eq12-nonresponse"
 R2_CENTERED = "Eq8-centered"
@@ -59,8 +57,6 @@ MEAN_ROUNDING = 4           # times log2(n + 1) * eps * |mean|: bound on a pairw
 FACTOR_ROUNDING = 4         # times sqrt(n) * eps * |mean|: a constant's spread off R (2.9 seen)
 TOL_SINGULAR_FACTOR = 1e-12
 
-Column = Union[np.ndarray, Term, float]        # a column of Z: a vector, a term or a constant
-Fill = Callable[[np.ndarray, int, int], None]   # fill(out, a, b): rows a..b of Z' into out
 Fits = Sequence[tuple[ModelSpec, int, Sequence[int]]]   # (spec, j, S): column j on columns S
 
 
@@ -104,59 +100,6 @@ class FitResult:
     @cached_property
     def residuals(self) -> np.ndarray:
         return self.target - self.fitted
-
-
-def _source(columns: Sequence[Column], d: Optional[Dataset] = None) -> Fill:
-    """The block source of Z = [columns]: fill(out, a, b) writes rows a..b
-    of Z, transposed, into out.
-
-    A column is a vector, which is sliced; a constant; or a Term x^a y^b of
-    d.  The terms of a block are made from one power table: each distinct
-    power x^a or y^b is computed once (terms._power, the arithmetic of
-    Term.evaluate), into the row of the term that is that power alone where
-    there is one, and each product term is written in place as the product
-    of its two powers.  Their rows are checked once per block, by their sums,
-    which are finite only when every entry is; a block that fails (or whose
-    sum overflows) is evaluated again term by term, so that the DomainError
-    names the term and the data row that Term.evaluate finds.
-    """
-    terms = [(i, [(v, e) for v, e in ((0, col.x_exp), (1, col.y_exp)) if e != 0])
-             for i, col in enumerate(columns) if isinstance(col, Term)]
-    home: dict[tuple[int, float], int] = {}     # a power -> the row of the term it is alone
-    for i, powers in terms:
-        if len(powers) == 1:
-            home.setdefault(powers[0], i)
-    keys = list(dict.fromkeys(p for _, powers in terms for p in powers))
-    products = [(i, powers) for i, powers in terms if i not in home.values()]
-    span = slice(terms[0][0], terms[-1][0] + 1) if terms else None     # the term rows
-
-    def fill(out: np.ndarray, a: int, b: int) -> None:
-        for row, col in zip(out, columns):
-            if not isinstance(col, Term):
-                row[:] = col[a:b] if isinstance(col, np.ndarray) else col
-        if span is None:
-            return
-        data = (d.x[a:b], d.y[a:b])
-        with np.errstate(all="ignore"):
-            table = {}
-            for v, e in keys:
-                i = home.get((v, e))
-                dest = out[i] if i is not None else None if e == 1 else np.empty(b - a)
-                table[v, e] = _power(data[v], e, dest)
-            for i, powers in products:
-                if len(powers) == 2:
-                    np.multiply(table[powers[0]], table[powers[1]], out=out[i])
-                else:
-                    out[i] = table[powers[0]] if powers else 1.0
-            finite = np.isfinite(np.add.reduce(out[span], axis=1)).all()
-        if not finite:
-            for row, col in zip(out, columns):
-                if isinstance(col, Term):
-                    try:
-                        row[:] = col.evaluate(*data)
-                    except DomainError as exc:
-                        raise DomainError(exc.row + a, exc.term) from None
-    return fill
 
 
 @one_thread
@@ -330,19 +273,19 @@ def _result(spec: ModelSpec, j: int, S: Sequence[int], scale: np.ndarray, R: np.
 
 
 @one_thread
-def _regress(columns: Sequence[Column], n: int, fits: Fits, d: Optional[Dataset] = None
-             ) -> list[Union[FitResult, DegenerateError]]:
+def _regress(columns: Sequence[Column], n: int, fits: Fits, x: Optional[np.ndarray] = None,
+             y: Optional[np.ndarray] = None) -> list[Union[FitResult, DegenerateError]]:
     """Fits (spec, j, S) of column j of Z = [columns] on columns S, all of
     one width |S|, read off one factor of Z.
 
-    The factor is the one pass over the data, evaluating Term columns block
-    by block.  The fits are then read off R in one stacked pass (_lstsq) and
-    their statistics off its small factors (_result); a singular fit or a
-    constant target keeps its exception in its slot.  The
-    constant column of Z is its unit column.  A result makes its n-length
-    rows from the same block source only when they are read.
+    The factor is the one pass over the data, the block source evaluating
+    Term columns of x and y block by block.  The fits are then read off R
+    in one stacked pass (_lstsq) and their statistics off its small factors
+    (_result); a singular fit or a constant target keeps its exception in
+    its slot.  The constant column of Z is its unit column.  A result makes
+    its n-length rows from the same block source only when they are read.
     """
-    fill = _source(columns, d)
+    fill = _source(columns, x, y)
     scale, R = _factor(fill, len(columns), n)
     width = len(fits[0][2])
     if n < width:
@@ -358,9 +301,9 @@ def _regress(columns: Sequence[Column], n: int, fits: Fits, d: Optional[Dataset]
 
 
 def _fit(columns: Sequence[Column], n: int, spec: ModelSpec, j: int, S: Sequence[int],
-         d: Optional[Dataset] = None) -> FitResult:
+         x: Optional[np.ndarray] = None, y: Optional[np.ndarray] = None) -> FitResult:
     """The one fit (spec, j, S) of Z = [columns]; a degenerate fit raises."""
-    (fit,) = _regress(columns, n, [(spec, j, S)], d)
+    (fit,) = _regress(columns, n, [(spec, j, S)], x, y)
     if isinstance(fit, DegenerateError):
         raise fit
     return fit
@@ -377,7 +320,7 @@ def fit_implicit(d: Dataset, spec: ModelSpec) -> FitResult:
     target = spec.lhs_term if lead else 1.0
     columns = [1.0] * lead + list(spec.rhs_terms) + [target]
     m = len(columns) - 1
-    return _fit(columns, d.n, spec, m, range(lead - spec.intercept, m), d)
+    return _fit(columns, d.n, spec, m, range(lead - spec.intercept, m), d.x, d.y)
 
 
 def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:
@@ -394,7 +337,7 @@ def _rotation(terms: Sequence[Term], pivot: int) -> tuple[ModelSpec, int, list[i
 
 def fit_rotation(d: Dataset, terms: Sequence[Term], pivot: int) -> FitResult:
     """OLS of the pivot term on an intercept plus every remaining term."""
-    return _fit([*terms, 1.0], d.n, *_rotation(terms, pivot), d)
+    return _fit([*terms, 1.0], d.n, *_rotation(terms, pivot), d.x, d.y)
 
 
 def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult, DegenerateError]]:
@@ -408,7 +351,7 @@ def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult
     """
     fits = [_rotation(terms, pivot) for pivot in range(len(terms))]
     try:
-        return _regress([*terms, 1.0], d.n, fits, d)
+        return _regress([*terms, 1.0], d.n, fits, d.x, d.y)
     except Underdetermined as exc:
         return [exc] * len(terms)
 

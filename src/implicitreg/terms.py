@@ -1,8 +1,11 @@
-"""Term algebra, dataset ingestion, and design-matrix construction.
+"""Term algebra, term evaluation, dataset ingestion, and design-matrix
+construction.
 
 A Term is the monomial x^a * y^b.  Model columns are terms evaluated
 row-wise over a two-variable dataset; the target column is either the
-unity vector, one pivot term, or an external response column.
+unity vector, one pivot term, or an external response column.  Every term
+is evaluated by one block source, _source: Term.evaluate, design_matrix,
+every fit and the pinwheel lines fill their columns through it.
 """
 
 from __future__ import annotations
@@ -38,20 +41,15 @@ class Term:
     x_exp: float
     y_exp: float
 
-    def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x^x_exp * y^y_exp row-wise.  A zero exponent contributes 1, also
-        at 0 (the intercept convention).  DomainError names the first row
-        where a power is undefined or the product is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = [_pow(base, exp, self)
-                      for base, exp in ((x, self.x_exp), (y, self.y_exp)) if exp != 0]
-            out = powers[0] if powers else np.ones_like(x, dtype=float)
-            if len(powers) == 2:
-                out *= powers[1]
-        finite = np.isfinite(out)
-        if not finite.all():
-            raise DomainError(int(np.argmin(finite)) + 1, self)
-        return out
+    def evaluate(self, x, y) -> np.ndarray:
+        """x^x_exp * y^y_exp entrywise, in float: one fill of the block
+        source of this term alone.  A zero exponent contributes 1, also at
+        0 (the intercept convention).  DomainError names the first entry,
+        counted from 1, where the value is not finite."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        out = np.empty((1, x.size))
+        _source([self], x.ravel(), y.ravel())(out, 0, x.size)
+        return out.reshape(x.shape)
 
     def label(self) -> str:
         if self.x_exp == 0 and self.y_exp == 0:
@@ -74,23 +72,6 @@ class Term:
 
 def _fmt_exp(e: float) -> str:
     return str(int(e)) if float(e).is_integer() else repr(e)
-
-
-def _pow(base: np.ndarray, exp: float, term: Term) -> np.ndarray:
-    """base^exp for exp != 0, as a new array, with explicit domain checking
-    instead of silent NaN: a fractional exponent of a negative base and a
-    negative exponent at zero raise DomainError with the offending row."""
-    integral = float(exp).is_integer()
-    if not integral:
-        bad = base < 0
-        if bad.any():
-            raise DomainError(int(np.argmax(bad)) + 1, term)
-    if exp < 0:
-        bad = base == 0
-        if bad.any():
-            raise DomainError(int(np.argmax(bad)) + 1, term)
-    out = _power(base, exp)
-    return out.copy() if out is base else out
 
 
 def _power(base: np.ndarray, exp: float, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -116,6 +97,64 @@ def _power(base: np.ndarray, exp: float, out: Optional[np.ndarray] = None) -> np
     else:
         out = np.power(base, exp, out=out)
     return out
+
+
+Column = Union[np.ndarray, Term, float]        # a column of Z: a vector, a term or a constant
+Fill = Callable[[np.ndarray, int, int], None]   # fill(out, a, b): rows a..b of Z' into out
+
+
+def _source(columns: Sequence[Column], x: Optional[np.ndarray] = None,
+            y: Optional[np.ndarray] = None) -> Fill:
+    """The block source of Z = [columns], the one evaluator of terms:
+    fill(out, a, b) writes rows a..b of Z, transposed, into out.
+
+    A column is a vector, which is sliced; a constant; or a Term x^a y^b of
+    the float vectors x and y.  The terms of a block are made from one power
+    table: each distinct power x^a or y^b is computed once (_power), into
+    the row of the term that is that power alone where there is one, and
+    each product term is written in place as the product of its two powers.
+    A term is undefined where its value is not finite.  The term rows are
+    checked once per block, by their sums, which are finite only when every
+    entry is; when a sum is not, DomainError names the first data row with
+    a non-finite term entry and, on that row, the first such term in column
+    order, so the answer does not depend on the block size.
+    """
+    terms = [(i, [(v, e) for v, e in ((0, col.x_exp), (1, col.y_exp)) if e != 0])
+             for i, col in enumerate(columns) if isinstance(col, Term)]
+    home: dict[tuple[int, float], int] = {}     # a power -> the row of the term it is alone
+    for i, powers in terms:
+        if len(powers) == 1:
+            home.setdefault(powers[0], i)
+    keys = list(dict.fromkeys(p for _, powers in terms for p in powers))
+    products = [(i, powers) for i, powers in terms if i not in home.values()]
+    rows = [i for i, _ in terms]
+    span = slice(rows[0], rows[-1] + 1) if rows else None      # the term rows
+
+    def fill(out: np.ndarray, a: int, b: int) -> None:
+        for row, col in zip(out, columns):
+            if not isinstance(col, Term):
+                row[:] = col[a:b] if isinstance(col, np.ndarray) else col
+        if span is None:
+            return
+        data = (x[a:b], y[a:b])
+        with np.errstate(all="ignore"):
+            table = {}
+            for v, e in keys:
+                i = home.get((v, e))
+                dest = out[i] if i is not None else None if e == 1 else np.empty(b - a)
+                table[v, e] = _power(data[v], e, dest)
+            for i, powers in products:
+                if len(powers) == 2:
+                    np.multiply(table[powers[0]], table[powers[1]], out=out[i])
+                else:
+                    out[i] = table[powers[0]] if powers else 1.0
+            finite = np.isfinite(np.add.reduce(out[span], axis=1)).all()
+        if not finite:
+            bad = ~np.isfinite(out[rows])
+            if bad.any():
+                row = int(np.argmax(bad.any(axis=0)))
+                raise DomainError(a + row + 1, columns[rows[int(np.argmax(bad[:, row]))]])
+    return fill
 
 
 @dataclass(frozen=True)
@@ -416,16 +455,15 @@ def design_matrix(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Column k of W is the k-th rhs term evaluated row-wise, with a leading
     column of ones when the spec carries an intercept.  The target is the
-    unity vector or the pivot term.  W is the transpose of a term-major
-    block, one contiguous row per column.
+    unity vector or the pivot term.  W and the target are one whole-array
+    fill of [1?, rhs terms, target], term-major: W is the transpose of its
+    leading rows, one contiguous row per column.
     """
-    k = len(spec.rhs_terms) + spec.intercept
-    Wt = np.empty((k, d.n))
-    if spec.intercept:
-        Wt[0] = 1.0
-    for row, t in zip(Wt[spec.intercept:], spec.rhs_terms):
-        row[:] = t.evaluate(d.x, d.y)
-    target = np.ones(d.n) if spec.lhs is LhsKind.UNITY else spec.lhs_term.evaluate(d.x, d.y)
+    target = 1.0 if spec.lhs is LhsKind.UNITY else spec.lhs_term
+    columns = [1.0] * spec.intercept + list(spec.rhs_terms) + [target]
+    k = len(columns) - 1
+    Z = np.empty((k + 1, d.n))
+    _source(columns, d.x, d.y)(Z, 0, d.n)
     if d.n < k:
         raise Underdetermined(f"{d.n} observations for {k} columns")
-    return Wt.T, target
+    return Z[:k].T, Z[k]

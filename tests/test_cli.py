@@ -211,6 +211,17 @@ class TestFailures:
         assert code == EXIT_DOMAIN
         assert capsys.readouterr().err == "error: term x^0.5 undefined at data row 20\n"
 
+    @pytest.mark.parametrize("block", [7, fitters.ROW_BLOCK])
+    def test_domain_error_names_the_first_bad_row(self, tmp_path, capsys, monkeypatch, block):
+        # x^-0.5 is undefined at row 2 (x = 0) and at row 10 (x = -1).
+        monkeypatch.setattr(fitters, "ROW_BLOCK", block)
+        p = tmp_path / "d.csv"
+        xs = [{2: 0.0, 10: -1.0}.get(row, 1.0 + row / 10) for row in range(1, 21)]
+        p.write_text("x,y\n" + "".join(f"{x!r},{1 + x * x!r}\n" for x in xs))
+        code = main(["fit", "--input", str(p), "--model", "nonresponse", "--terms", "x^-0.5,y"])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: term x^-0.5 undefined at data row 2\n"
+
     def test_unexpected_exception_exits_5(self, monkeypatch, capsys):
         def broken(args):
             raise RuntimeError("boom")
@@ -327,6 +338,17 @@ class TestDiagnose:
             "--model", "nonresponse", "--terms", "x,y,xy,x2,y2"])
         assert code == EXIT_OK
         assert "PerfectFit" in rep["warnings"]
+
+    def test_mean_only_standard_fit_is_no_perfect_fit(self, tmp_path, capsys):
+        # y on x over a circle centred on the origin: the fit is the mean.
+        code, rep = run_json(capsys, [
+            "diagnose", "--input", str(circle_csv(tmp_path)),
+            "--model", "standard", "--response-col", "y"])
+        assert code == EXIT_OK
+        assert rep["separation"]["perfect_fit"] is False
+        assert rep["separation"]["theta_t"] is None
+        assert rep["warnings"] == ["the model explains no variation (SSM = 0), so the "
+                                   "separation angles are undefined"]
 
     def test_noisy_circle_finite_angles(self, tmp_path, capsys):
         from implicitreg import Circle, GeneratorSpec, generate

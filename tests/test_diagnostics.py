@@ -52,10 +52,13 @@ class TestSeparationUnivariate:
         assert d.sse == 0.0
 
     def test_mean_only_model_flagged(self):
+        # Estimates at the mean explain nothing: no perfect fit, and the
+        # warning names the cause.
         yhat = np.full(3, np.mean(SLR_Y))
         d = separation_univariate(SLR_Y, yhat)
-        assert d.perfect_fit
+        assert not d.perfect_fit
         assert d.ssm == pytest.approx(0.0, abs=1e-15)
+        assert d.warning.startswith("the model explains no variation (SSM = 0)")
 
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):

@@ -44,7 +44,7 @@ from implicitreg.errors import (
     Underdetermined,
     ZeroVariance,
 )
-from implicitreg import fitters
+from implicitreg import fitters, terms
 from implicitreg.terms import LhsKind, ModelSpec, design_matrix
 
 
@@ -254,6 +254,18 @@ class TestSolver:
             fit_nonresponse(d, parse_terms("y,x^0.5"))
         assert exc.value.row == 20 and exc.value.term == Term(0.5, 0)
 
+    @pytest.mark.parametrize("block", [7, fitters.ROW_BLOCK])
+    def test_domain_error_names_the_first_bad_row(self, monkeypatch, block):
+        # x^-0.5 fails at row 2 (x = 0) and row 10 (x = -1), in the same
+        # block or in two: the first bad row is named at every block size.
+        monkeypatch.setattr(fitters, "ROW_BLOCK", block)
+        x = np.linspace(1.0, 3.0, 20)
+        x[1], x[9] = 0.0, -1.0
+        d = Dataset(x, np.linspace(0.5, 2.0, 20))
+        with pytest.raises(DomainError) as exc:
+            fit_nonresponse(d, parse_terms("x^-0.5,y"))
+        assert exc.value.row == 2 and exc.value.term == Term(-0.5, 0)
+
     def test_nonresponse_holds_no_design(self):
         # Peak memory: the three output rows (target, fitted, residuals) and
         # block-sized buffers.  A k x n design alone is 9 more rows here.
@@ -274,7 +286,7 @@ class TestSolver:
 
     def test_all_rotations_evaluate_and_factor_once(self, monkeypatch):
         # One block: x, y, x^2 and y^2 are computed once each and xy is
-        # their product; Term.evaluate is left for a block with a bad value.
+        # their product; the fill never goes through Term.evaluate.
         d = random_dataset(np.random.default_rng(67))
         calls = count_powers(monkeypatch, d)
         monkeypatch.setattr(Term, "evaluate", lambda *a: calls.update(["evaluate"]))
@@ -306,12 +318,12 @@ def count_powers(monkeypatch, d):
     """A Counter of the block fill's power computations, keyed by
     (variable, exponent); d is the dataset whose x and y are the bases."""
     calls = Counter()
-    power = fitters._power
+    power = terms._power
 
     def counting(base, exp, out=None):
         calls[("x" if np.shares_memory(base, d.x) else "y", exp)] += 1
         return power(base, exp, out)
-    monkeypatch.setattr(fitters, "_power", counting)
+    monkeypatch.setattr(terms, "_power", counting)
     return calls
 
 
@@ -436,7 +448,7 @@ class TestRowsOnRequest:
 
 
 FILL_EXPONENTS = [0, 1, 2, 3, -1, -2, 0.5, 1.5, -0.5]
-# Zeros of both signs and negative values meet the domain checks; 1e200
+# Zeros of both signs and negative values make powers undefined; 1e200
 # squares past the float range, and 1.5e308 sums past it while every entry
 # stays finite.
 FILL_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-200, 1e200, -1e200, 1.5e308]
@@ -454,19 +466,27 @@ def fill_sources(draw):
     return d, columns
 
 
-def evaluated_block(columns, d, a, b):
-    """Rows a..b of Z' made column by column with Term.evaluate, or the term
-    and global data row of the first DomainError it raises."""
-    rows = []
-    for col in columns:
-        if isinstance(col, Term):
-            try:
-                rows.append(col.evaluate(d.x[a:b], d.y[a:b]))
-            except DomainError as exc:
-                return exc.term, exc.row + a
-        else:
-            rows.append(col[a:b] if isinstance(col, np.ndarray) else np.full(b - a, col))
-    return np.array(rows)
+def reference_design(columns, d):
+    """Z' made whole, column by column: a term is the product of its
+    terms._power powers of the whole x and y columns (1 for the intercept),
+    a vector is itself and a constant fills its row.  Also the (term, data
+    row) a fill must name: the first non-finite term entry in row-major
+    order, that is the first such row and on it the first such term in
+    column order; None when every term entry is finite."""
+    Z = np.empty((len(columns), d.n))
+    with np.errstate(all="ignore"):
+        for row, col in zip(Z, columns):
+            if not isinstance(col, Term):
+                row[:] = col
+                continue
+            powers = [np.array(terms._power(base, e))
+                      for base, e in ((d.x, col.x_exp), (d.y, col.y_exp)) if e != 0]
+            row[:] = powers[0] * powers[1] if len(powers) == 2 else powers[0] if powers else 1.0
+    for r in range(d.n):
+        for col, row in zip(columns, Z):
+            if isinstance(col, Term) and not math.isfinite(row[r]):
+                return Z, (col, r + 1)
+    return Z, None
 
 
 def bits(a):
@@ -475,41 +495,47 @@ def bits(a):
 
 class TestBlockFill:
     """The block source computes each distinct power once per block and
-    writes the terms in place; the rows are Term.evaluate's, bit for bit."""
+    writes the terms in place.  Its rows are the whole-column products of
+    terms._power, bit for bit, and its DomainError names the first
+    non-finite term entry in row-major order, whatever the block size."""
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(fill_sources())
     def test_rows_and_errors_match_evaluate(self, case):
         d, columns = case
         k, n = len(columns), d.n
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fitters, "ROW_BLOCK", 7)
-            fill = fitters._source(columns, d)
-            buf = np.full((k, n + 2), 7.25)     # strided blocks, as the factor writes them
-            expect = got = None
-            for a in range(0, n, fitters.ROW_BLOCK):
-                b = min(a + fitters.ROW_BLOCK, n)
-                want = evaluated_block(columns, d, a, b)
-                if isinstance(want, tuple):
-                    expect = want
-                    with pytest.raises(DomainError) as exc:
+        Z, expect = reference_design(columns, d)
+        for block in (7, fitters.ROW_BLOCK):        # blocks of 7, then one block
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fitters, "ROW_BLOCK", block)
+                fill = terms._source(columns, d.x, d.y)
+                buf = np.full((k, n + 2), 7.25)     # strided blocks, as the factor writes them
+                got = None
+                for a in range(0, n, block):
+                    b = min(a + block, n)
+                    try:
                         fill(buf[:, 1 + a:1 + b], a, b)
-                    got = exc.value.term, exc.value.row
-                    break
-                fill(buf[:, 1 + a:1 + b], a, b)
-                np.testing.assert_array_equal(bits(buf[:, 1 + a:1 + b]), bits(want))
-            assert got == expect
-            assert (buf[:, [0, -1]] == 7.25).all()
-            if expect is not None:
-                # The factor's pass stops at the same term and row.
-                with pytest.raises(DomainError) as exc:
-                    fitters._factor(fill, k, n)
-                assert (exc.value.term, exc.value.row) == expect
-                if n <= fitters.ROW_BLOCK:
-                    # One block: the term and row that evaluating its whole column names.
-                    failed = [c for c in columns if isinstance(c, Term)
-                              and isinstance(evaluated_block([c], d, 0, n), tuple)]
-                    assert evaluated_block(failed[:1], d, 0, n) == expect
+                    except DomainError as exc:
+                        got = exc.term, exc.row
+                        break
+                    np.testing.assert_array_equal(bits(buf[:, 1 + a:1 + b]), bits(Z[:, a:b]))
+                assert got == expect
+                assert (buf[:, [0, -1]] == 7.25).all()
+                if expect is not None:
+                    # The factor's pass stops at the same term and row.
+                    with pytest.raises(DomainError) as exc:
+                        fitters._factor(fill, k, n)
+                    assert (exc.value.term, exc.value.row) == expect
+        # Term.evaluate is the fill of one term: its column, or its first bad row.
+        for col, want in zip(columns, Z):
+            if isinstance(col, Term):
+                bad = ~np.isfinite(want)
+                if bad.any():
+                    with pytest.raises(DomainError) as exc:
+                        col.evaluate(d.x, d.y)
+                    assert (exc.value.term, exc.value.row) == (col, int(np.argmax(bad)) + 1)
+                else:
+                    np.testing.assert_array_equal(bits(col.evaluate(d.x, d.y)), bits(want))
 
 
 class TestStackedReadOff:

@@ -405,6 +405,15 @@ class TestTermEvaluate:
                 exact = Fraction(base) ** exp
                 assert abs(Fraction(value) - exact) <= Fraction(math.ulp(float(exact))), term
                 assert (value < 0) == (base < 0 and exp % 2 == 1), term
+        # Integer arrays and lists evaluate in float: the float values, bit
+        # for bit (3037000500 squared wraps around in int64).
+        ints = [3_037_000_500, -7, 2, 1]
+        ones = [1, 1, 1, 1]
+        want = Term(exp, 0).evaluate(np.array(ints, dtype=float), np.ones(4)).view(np.uint64)
+        for v in (np.array(ints), ints):
+            for got in (Term(exp, 0).evaluate(v, ones), Term(0, exp).evaluate(ones, v)):
+                assert got.dtype == float
+                np.testing.assert_array_equal(got.view(np.uint64), want)
 
     @pytest.mark.parametrize("exp", [1, 2])
     def test_copy_and_square_equal_pow(self, exp):
