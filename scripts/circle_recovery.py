@@ -9,7 +9,7 @@ import argparse
 
 from implicitreg import Circle, GeneratorSpec, fit_nonresponse, generate
 from implicitreg.conics import ConicCoeffs, classify_conic, conic_geometry
-from implicitreg.diagnostics import reconstruct_from_conic, separation_bivariate
+from implicitreg.diagnostics import separation_from_conic
 from implicitreg.terms import CONIC_TERMS
 
 
@@ -35,8 +35,7 @@ def main() -> None:
         geom = conic_geometry(conic)
         center_err = ((geom.center[0] - cx) ** 2 + (geom.center[1] - cy) ** 2) ** 0.5
         radius_err = abs(0.5 * (geom.semi_axes[0] + geom.semi_axes[1]) - args.radius)
-        x_hat, y_hat, _ = reconstruct_from_conic(conic, d)
-        sep = separation_bivariate(d.x, x_hat, d.y, y_hat)
+        sep = separation_from_conic(conic, d)
         theta = "exact" if sep.perfect_fit else f"{sep.theta_t:8.2f}"
         ratio = "  --  " if sep.ratio is None else f"{sep.ratio:8.4f}"
         print(f"{sigma:6.2f} {classify_conic(conic).value:>10} {center_err:11.4f} "

@@ -18,7 +18,7 @@ _EXPORTS = {
                "conic_geometry", "invert_rotation_linear", "solve_for_x", "solve_for_y"),
     "diagnostics": ("OrthogonalityCheck", "PinwheelLine", "SeparationDiagnostics",
                     "ols_orthogonality_check", "pinwheel_data", "reconstruct_from_conic",
-                    "separation_bivariate", "separation_univariate"),
+                    "separation_bivariate", "separation_from_conic", "separation_univariate"),
     "errors": (),
     "fitters": ("FitResult", "UnivariateResult", "alias_matrix", "alpha_from_beta",
                 "beta_from_alpha", "fit_all_rotations", "fit_implicit", "fit_nonresponse",

@@ -245,8 +245,7 @@ def _nonresponse_report(d: terms.Dataset, term_list, diagnose: bool) -> Report:
         return report
     if c is None:
         raise InvalidSpec("diagnosis needs terms drawn from {x, y, xy, x2, y2}")
-    x_hat, y_hat, _bad = diagnostics.reconstruct_from_conic(c, d)
-    _add_separation(report, diagnostics.separation_bivariate(d.x, x_hat, d.y, y_hat))
+    _add_separation(report, diagnostics.separation_from_conic(c, d))
     if set(term_list) == {terms.Term(1, 0), terms.Term(0, 1)}:
         lines = diagnostics.pinwheel_data(d)
         report.pinwheel = [dataclasses.asdict(p) for p in lines]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .terms import Dataset, _source
 
 CLAMP_TOL = 1e-9
 PERFECT_TOL = 1e-14
+
+Estimates = Callable[[slice], Sequence[np.ndarray]]   # estimates(rows): each coordinate's on rows
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,11 @@ def _from_sums(sst: float, ssm: float, sse: float, n: int,
     )
 
 
-def _separation(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> SeparationDiagnostics:
-    """SST/SSM/SSE pooled over (observed, estimated) coordinate pairs, each
-    around the mean of its observations, summed ROW_BLOCK rows at a time.
+def _separation(obs: Sequence[np.ndarray], estimates: Estimates) -> SeparationDiagnostics:
+    """SST/SSM/SSE pooled over the observed coordinates obs, each around the
+    mean of its observations, summed ROW_BLOCK rows at a time.
+    estimates(rows) gives each coordinate's estimates on the slice rows, so
+    no estimate need be held longer than a block.
 
     A row whose estimate is not finite in some coordinate was not
     reconstructed: it adds its raw squared deviations from the means to
@@ -105,24 +109,25 @@ def _separation(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> SeparationDia
     squares underflow), raises SumOfSquaresOverflow; SSM and SSE are read
     against SST, so a zero there is only negligible.
     """
-    n = len(pairs[0][0])
-    means = [float(np.mean(obs)) for obs, _ in pairs]
-    spread = [0.0] * len(pairs)     # each coordinate's part of SST
+    n = len(obs[0])
+    means = [float(np.mean(o)) for o in obs]
+    spread = [0.0] * len(obs)       # each coordinate's part of SST
     sst = ssm = sse = 0.0
     unreconstructed = 0
     with np.errstate(over="ignore"):
         for a in range(0, n, ROW_BLOCK):
             rows = slice(a, a + ROW_BLOCK)
-            ok = np.isfinite(pairs[0][1][rows])
-            for _, est in pairs[1:]:
-                ok &= np.isfinite(est[rows])
+            ests = estimates(rows)
+            ok = np.isfinite(ests[0])
+            for est in ests[1:]:
+                ok &= np.isfinite(est)
             lost = ~ok
             count = int(np.count_nonzero(lost))
             unreconstructed += count
-            for i, ((obs, est), mean) in enumerate(zip(pairs, means)):
-                dev = obs[rows] - mean
-                model = est[rows] - mean
-                error = est[rows] - obs[rows]
+            for i, (o, est, mean) in enumerate(zip(obs, ests, means)):
+                dev = o[rows] - mean
+                model = est - mean
+                error = est - o[rows]
                 if count:
                     model[lost] = 0.0
                     error[lost] = dev[lost]
@@ -133,7 +138,7 @@ def _separation(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> SeparationDia
                 sse += float(error @ error)
     if not all(map(math.isfinite, (sst, ssm, sse))):
         raise SumOfSquaresOverflow()
-    flat = [_constant(obs, mean, s) for (obs, _), mean, s in zip(pairs, means, spread)]
+    flat = [_constant(o, mean, s) for o, mean, s in zip(obs, means, spread)]
     if all(flat):
         raise ZeroVariance("no total variation")
     if any(s == 0.0 and not c for s, c in zip(spread, flat)):
@@ -141,15 +146,21 @@ def _separation(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> SeparationDia
     return _from_sums(sst, ssm, sse, n, unreconstructed=unreconstructed)
 
 
+def _paired(*columns) -> list[np.ndarray]:
+    """The columns as float vectors of one length, at least two."""
+    columns = [np.asarray(v, dtype=float) for v in columns]
+    shape = columns[0].shape
+    if len(shape) != 1 or shape[0] < 2 or any(v.shape != shape for v in columns):
+        raise ZeroVariance("need at least two paired observations")
+    return columns
+
+
 def separation_univariate(y: Sequence[float], y_hat: Sequence[float]) -> SeparationDiagnostics:
     """SST/SSM/SSE around the mean of y, with law-of-cosines angles.  A
     non-finite entry of y_hat counts as unreconstructed, as in
     separation_bivariate."""
-    y = np.asarray(y, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    if y.shape != y_hat.shape or y.ndim != 1 or len(y) < 2:
-        raise ZeroVariance("need at least two paired observations")
-    return _separation([(y, y_hat)])
+    y, y_hat = _paired(y, y_hat)
+    return _separation([y], lambda rows: [y_hat[rows]])
 
 
 def separation_bivariate(x, x_hat, y, y_hat) -> SeparationDiagnostics:
@@ -160,20 +171,35 @@ def separation_bivariate(x, x_hat, y, y_hat) -> SeparationDiagnostics:
     to SSE, nothing to SSM, and are tallied.  The sums go ROW_BLOCK rows at
     a time, so no temporary is as long as the data.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    n = len(x)
-    if not (len(y) == len(x_hat) == len(y_hat) == n) or n < 2:
-        raise ZeroVariance("need at least two paired observations")
-    return _separation([(x, x_hat), (y, y_hat)])
+    x, x_hat, y, y_hat = _paired(x, x_hat, y, y_hat)
+    return _separation([x, y], lambda rows: [x_hat[rows], y_hat[rows]])
+
+
+def separation_from_conic(c: ConicCoeffs, d: Dataset) -> SeparationDiagnostics:
+    """separation_bivariate of d against its nearest-root reconstruction on
+    the relation c, bitwise, with the estimates made one ROW_BLOCK at a
+    time and never held whole.  Callers who want the estimates themselves
+    use reconstruct_from_conic."""
+    return _separation(_paired(d.x, d.y), _conic_estimates(c, d))
 
 
 def _nearest(roots, observed: np.ndarray) -> np.ndarray:
     """The root closest to each observation; ties take the smaller root."""
     lower, upper, _ = roots
     return np.where(np.abs(upper - observed) < np.abs(lower - observed), upper, lower)
+
+
+def _conic_estimates(c: ConicCoeffs, d: Dataset) -> Estimates:
+    """The nearest-root estimator of d on c: for a slice of rows, x_hat from
+    the roots x at each y and y_hat from the roots y at each x, each the root
+    closest to the observed value (ties take the smaller); NaN where no root
+    exists or none is determined."""
+    swapped = c.swapped()
+
+    def estimates(rows: slice) -> list[np.ndarray]:
+        x, y = d.x[rows], d.y[rows]
+        return [_nearest(y_roots(swapped, y), x), _nearest(y_roots(c, x), y)]
+    return estimates
 
 
 def reconstruct_from_conic(c: ConicCoeffs, d: Dataset) -> tuple[np.ndarray, np.ndarray, int]:
@@ -186,11 +212,10 @@ def reconstruct_from_conic(c: ConicCoeffs, d: Dataset) -> tuple[np.ndarray, np.n
     """
     x_hat = np.empty(d.n)
     y_hat = np.empty(d.n)
-    swapped = c.swapped()
+    estimates = _conic_estimates(c, d)
     for a in range(0, d.n, ROW_BLOCK):
         rows = slice(a, a + ROW_BLOCK)
-        y_hat[rows] = _nearest(y_roots(c, d.x[rows]), d.y[rows])
-        x_hat[rows] = _nearest(y_roots(swapped, d.y[rows]), d.x[rows])
+        x_hat[rows], y_hat[rows] = estimates(rows)
     bad = int(np.sum(~(np.isfinite(x_hat) & np.isfinite(y_hat))))
     return x_hat, y_hat, bad
 

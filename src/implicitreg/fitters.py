@@ -38,6 +38,7 @@ from .errors import (
     ConversionUndefined,
     DegenerateError,
     DomainViolation,
+    InvalidSpec,
     MeanUndefined,
     SingularSystem,
     SumOfSquaresOverflow,
@@ -362,6 +363,12 @@ def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     for the j-th excluded column, read off one factor of [X1, X2]."""
     X1t = np.asarray(X1, dtype=float).T
     X2t = np.atleast_2d(np.asarray(X2, dtype=float).T)     # a vector is one column
+    if X1t.shape[-1] != X2t.shape[-1]:
+        raise InvalidSpec(f"X1 and X2 must have the same number of rows, "
+                          f"not {X1t.shape[-1]} and {X2t.shape[-1]}")
+    for name, X in (("X1", X1t), ("X2", X2t)):
+        if not np.all(np.isfinite(X)):
+            raise InvalidSpec(f"{name} entries must be finite")
     columns = [*X1t, *X2t]
     scale, R = _factor(_source(columns), len(columns), X1t.shape[1])
     k = len(X1t)

@@ -249,6 +249,94 @@ class TestReconstruction:
             assert bad == ref_bad
 
 
+def noisy_ellipse(rng, n):
+    """A drawn ellipse about (1, -1) in the unit-constant form, and n points
+    near it."""
+    center = np.array([1.0, -1.0])
+    turn = rng.uniform(0.0, math.pi)
+    R = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+    axes = rng.uniform(1.5, 2.0, 2)
+    M = R @ np.diag(axes ** -2.0) @ R.T      # (p - center)' M (p - center) = 1
+    k = 1.0 - center @ M @ center
+    b = -2.0 * M @ center / k
+    c = ConicCoeffs(b[0], b[1], 2.0 * M[0, 1] / k, M[0, 0] / k, M[1, 1] / k)
+    t = rng.uniform(0.0, 2 * math.pi, n)
+    x, y = center[:, None] + R @ (axes[:, None] * [np.cos(t), np.sin(t)])
+    return c, x + rng.normal(0.0, 0.05, n), y + rng.normal(0.0, 0.05, n)
+
+
+def outcome(call):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as e:
+        return type(e), str(e)
+
+
+def two_step(c, d):
+    """The separation of d against reconstruct_from_conic's arrays, and the
+    count of rows reconstruct_from_conic left unreconstructed."""
+    x_hat, y_hat, bad = reconstruct_from_conic(c, d)
+    return outcome(lambda: separation_bivariate(d.x, x_hat, d.y, y_hat)), bad
+
+
+class TestStreamedSeparation:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           block=st.sampled_from([7, ROW_BLOCK]), free=st.booleans(), swap=st.booleans())
+    def test_matches_two_step_bitwise(self, seed, n, block, free, swap):
+        rng = np.random.default_rng(seed)
+        if block == ROW_BLOCK:
+            n += ROW_BLOCK - 20
+        c, x, y = noisy_ellipse(rng, n)
+        if free:
+            # a5 = 0: a relation linear in y, whose rows at x = -a2/a3
+            # determine no y
+            c = ConicCoeffs(c.a1, c.a2, rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0), c.a4)
+        # Lost rows on both sides of the block edges: far off the ellipse,
+        # or at the free x of the linear relation.
+        edges = [r for e in range(block, n, block) for r in (e - 1, e)]
+        lost = sorted({*edges, *rng.choice(n, size=min(n, 3), replace=False)})
+        x[lost] = -c.a2 / c.a3 if free else 40.0
+        y[lost[::2]] = 40.0
+        if swap:
+            c, x, y = c.swapped(), y, x
+        d = Dataset(x, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagnostics, "ROW_BLOCK", block)
+            streamed = outcome(lambda: diagnostics.separation_from_conic(c, d))
+            expected, bad = two_step(c, d)
+        assert streamed == expected
+        if isinstance(streamed, diagnostics.SeparationDiagnostics):
+            assert streamed.unreconstructed == bad
+            assert bad >= (len(edges) if not free else 1)
+
+    def test_one_row_raises_as_before(self):
+        c, d = ConicCoeffs(0, 0, 0, 1, 1), Dataset([0.5], [0.5])
+        with pytest.raises(ZeroVariance, match="need at least two paired observations"):
+            diagnostics.separation_from_conic(c, d)
+        assert outcome(lambda: diagnostics.separation_from_conic(c, d)) == two_step(c, d)[0]
+
+    def test_traced_peak_is_flat_in_n(self):
+        # Every estimate lives one block at a time, so three more blocks of
+        # rows add nothing to the peak; whole x_hat and y_hat would add 384 KB.
+        rng = np.random.default_rng(11)
+        peaks = []
+        for blocks in (3, 6):
+            c, x, y = noisy_ellipse(rng, blocks * ROW_BLOCK + 5)
+            x[::1000] = 40.0
+            d = Dataset(x, y)
+            diagnostics.separation_from_conic(c, d)
+            tracemalloc.start()
+            try:
+                sep = diagnostics.separation_from_conic(c, d)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sep.unreconstructed > 0
+        assert abs(peaks[1] - peaks[0]) <= 8 * 1024
+
+
 class TestOrthogonality:
     def test_slr_fixture(self):
         md = MultiDataset(SLR_Y, np.array([[0.0], [1.0], [2.0]]), ("x",))

@@ -169,6 +169,21 @@ class TestSolver:
         np.testing.assert_allclose(alias_matrix(np.eye(2), [3.0, -7.0])[:, 0], [3, -7],
                                    atol=1e-14)
 
+    @pytest.mark.parametrize("X1, X2, message", [
+        ([[1.0, 0.0], [np.nan, 1.0], [2.0, 1.0], [3.0, 5.0]], [1.0, 2.0, 3.0, 4.0],
+         "X1 entries must be finite"),
+        ([[1.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 5.0]], [1.0, np.inf, 3.0, 4.0],
+         "X2 entries must be finite"),
+        ([[1.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 5.0]], [1.0, 2.0, 3.0],
+         "X1 and X2 must have the same number of rows, not 4 and 3"),
+    ], ids=["nan-in-X1", "inf-in-X2", "4-rows-against-3"])
+    def test_bad_input_named_before_the_factor(self, X1, X2, message, monkeypatch):
+        def no_factor(*args):
+            raise AssertionError("factored bad input")
+        monkeypatch.setattr(fitters, "_factor", no_factor)
+        with pytest.raises(InvalidSpec, match=f"^{message}$"):
+            alias_matrix(np.array(X1), np.array(X2))
+
     def test_equal_columns_singular(self):
         W = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(SingularSystem, match=r"'X1\[:, 1\]'"):

@@ -29,8 +29,9 @@ PUBLIC = [
     "fit_all_rotations", "fit_implicit", "fit_nonresponse", "fit_rotation", "fit_standard",
     "fitters", "generate", "invert_rotation_linear", "load_csv", "load_multi_csv",
     "nra2_closed", "ols_orthogonality_check", "parse_terms", "pinwheel_data",
-    "reconstruct_from_conic", "separation_bivariate", "separation_univariate", "simulate",
-    "slr_closed", "solve_for_x", "solve_for_y", "terms", "univariate_nra",
+    "reconstruct_from_conic", "separation_bivariate", "separation_from_conic",
+    "separation_univariate", "simulate", "slr_closed", "solve_for_x", "solve_for_y", "terms",
+    "univariate_nra",
 ]
 
 # Prints the OpenBLAS thread count and the thread variables, read by the same
