@@ -18,12 +18,14 @@ import numpy as np
 from .conics import ConicCoeffs, y_roots
 from .errors import (
     InterceptRequired,
+    InvalidSpec,
     SumOfSquaresOverflow,
     TriangleViolation,
     ZeroVariance,
 )
-from .fitters import RANK_TOL, ROW_BLOCK, FitResult, _constant, _factor, _lstsq, _singular
-from .terms import Dataset, _source
+from ._blas import one_thread
+from .fitters import RANK_TOL, ROW_BLOCK, Factor, FitResult, _constant
+from .terms import Dataset
 
 CLAMP_TOL = 1e-9
 PERFECT_TOL = 1e-14
@@ -146,20 +148,24 @@ def _separation(obs: Sequence[np.ndarray], estimates: Estimates) -> SeparationDi
     return _from_sums(sst, ssm, sse, n, unreconstructed=unreconstructed)
 
 
-def _paired(*columns) -> list[np.ndarray]:
-    """The columns as float vectors of one length, at least two."""
-    columns = [np.asarray(v, dtype=float) for v in columns]
+def _paired(observed: Sequence, estimates: Sequence = ()) -> list[np.ndarray]:
+    """The observed columns, then the estimates, as float vectors of one
+    length, at least two.  An observation must be finite; a non-finite
+    estimate marks its row unreconstructed."""
+    columns = [np.asarray(v, dtype=float) for v in (*observed, *estimates)]
     shape = columns[0].shape
     if len(shape) != 1 or shape[0] < 2 or any(v.shape != shape for v in columns):
         raise ZeroVariance("need at least two paired observations")
+    if not all(np.isfinite(v).all() for v in columns[:len(observed)]):
+        raise InvalidSpec("observed entries must be finite")
     return columns
 
 
 def separation_univariate(y: Sequence[float], y_hat: Sequence[float]) -> SeparationDiagnostics:
     """SST/SSM/SSE around the mean of y, with law-of-cosines angles.  A
     non-finite entry of y_hat counts as unreconstructed, as in
-    separation_bivariate."""
-    y, y_hat = _paired(y, y_hat)
+    separation_bivariate; one of y is refused."""
+    y, y_hat = _paired([y], [y_hat])
     return _separation([y], lambda rows: [y_hat[rows]])
 
 
@@ -168,10 +174,11 @@ def separation_bivariate(x, x_hat, y, y_hat) -> SeparationDiagnostics:
 
     NaN entries in x_hat/y_hat mark observations the model could not
     reconstruct; they contribute their raw squared deviation from the mean
-    to SSE, nothing to SSM, and are tallied.  The sums go ROW_BLOCK rows at
-    a time, so no temporary is as long as the data.
+    to SSE, nothing to SSM, and are tallied.  A non-finite x or y is
+    refused.  The sums go ROW_BLOCK rows at a time, so no temporary is as
+    long as the data.
     """
-    x, x_hat, y, y_hat = _paired(x, x_hat, y, y_hat)
+    x, y, x_hat, y_hat = _paired([x, y], [x_hat, y_hat])
     return _separation([x, y], lambda rows: [x_hat[rows], y_hat[rows]])
 
 
@@ -180,7 +187,7 @@ def separation_from_conic(c: ConicCoeffs, d: Dataset) -> SeparationDiagnostics:
     the relation c, bitwise, with the estimates made one ROW_BLOCK at a
     time and never held whole.  Callers who want the estimates themselves
     use reconstruct_from_conic."""
-    return _separation(_paired(d.x, d.y), _conic_estimates(c, d))
+    return _separation(_paired([d.x, d.y]), _conic_estimates(c, d))
 
 
 def _nearest(roots, observed: np.ndarray) -> np.ndarray:
@@ -251,6 +258,7 @@ class PinwheelLine:
         return self.slope is None and not self.vertical
 
 
+@one_thread
 def pinwheel_data(d: Dataset) -> list[PinwheelLine]:
     """The two rotation lines and the unit-constant line for {x, y} data.
 
@@ -266,18 +274,15 @@ def pinwheel_data(d: Dataset) -> list[PinwheelLine]:
     its y coefficient vanishes; when both of its coefficients vanish (data
     centred on the origin) it does not exist and its record is `missing`.
     """
-    scale, R = _factor(_source([d.x, d.y, 1.0]), 3, d.n)
+    factor = Factor([d.x, d.y, 1.0], d.n)
     X, Y, ONE = 0, 1, 2
 
     def zero(coeff: float, column: int, target: int) -> bool:
-        return abs(coeff) * scale[column] / scale[target] < RANK_TOL
+        return abs(coeff) * factor.scale[column] / factor.scale[target] < RANK_TOL
 
     fits = [(Y, [ONE, X]), (X, [ONE, Y]), (ONE, [X, Y])]     # y on x, x on y, 1 on x and y
-    solved = _lstsq(scale, R, fits)
-    for s, labels in zip(solved, (["1", "x"], ["1", "y"], ["x", "y"])):
-        if isinstance(s, int):
-            raise _singular(labels[s])
-    (b0, b1), (c0, c1), (a1, a2) = (s[0] for s in solved)
+    labels = [["1", "x"], ["1", "y"], ["x", "y"]]
+    (b0, b1), (c0, c1), (a1, a2) = factor.coefficients(fits, labels)
     out = [PinwheelLine("rotation y-on-x", b1, b0, False, None, (b0, b1))]
     if zero(c1, Y, X):
         out.append(PinwheelLine("rotation x-on-y", None, None, True, c0, (c0, c1)))

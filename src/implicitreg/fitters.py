@@ -8,20 +8,23 @@ the conversion between unit-constant and response-form coefficients.
 Every least-squares fit regresses one column of a design Z on some of its
 other columns: the unit column of Z = [T_1..T_m, 1] in the non-response
 fit, a term (on the unit column and the other terms) in a rotation, y in
-Z = [1, X, y] for standard OLS.  Z is never held whole: the block source
+Z = [1, X, y] for standard OLS, an X2 column on X1 in an alias matrix, and
+each pinwheel line of diagnostics.  Z is never held whole: the block source
 of terms._source, where every term is evaluated, writes ROW_BLOCK rows of
 it at a time, term-major, and the blocks are merged into the small
 triangular factor R as R <- qr([R; next block]), so memory stays flat in
 n (the TSQR reduction of Demmel, Grigori, Hoemmen & Langou,
-arXiv:0808.2664): the one pass over the data.  The column scales are read off R.  Each fit is then
-the small problem R[:, S] b ~ R[:, j], and the QR of R[:, S + [j]] gives
+arXiv:0808.2664): the one pass over the data.  The column scales are read
+off R.  A Factor holds that pass, and every fit is a read-off of it: the
+small problem R[:, S] b ~ R[:, j], where the QR of R[:, S + [j]] gives
 its coefficients, Gram inverse, rank and every sum of squares, as the
 residual norm is the tail of Q'b (Golub & Van Loan, Matrix Computations,
 5.3; Goodnight 1979).  All fits of one factor are read off in one stacked
-pass: one stacked QR of their R[:, S + [j]], a rank test on each diagonal
-and one stacked solve.  Neither Q nor W'W is formed, a fit's n-length
-rows are made only when read, and BLAS runs on one thread
-(_blas.one_thread).
+pass (Factor.solve, which alone refuses fewer rows than columns): one
+stacked QR of their R[:, S + [j]], a rank test on each diagonal and one
+stacked solve.  Neither Q nor W'W is formed, a fit's n-length rows are
+made only when read, and each public fit runs in one scope of one BLAS
+thread (_blas.one_thread).
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from .errors import (
     Underdetermined,
     ZeroVariance,
 )
-from .terms import Column, Dataset, Fill, LhsKind, ModelSpec, MultiDataset, Term, _source
+from .terms import (Column, Dataset, Fill, LhsKind, ModelSpec, MultiDataset, Term, _observations,
+                    _source)
 
 R2_NONRESPONSE = "Eq12-nonresponse"
 R2_CENTERED = "Eq8-centered"
@@ -103,7 +107,6 @@ class FitResult:
         return self.target - self.fitted
 
 
-@one_thread
 def _factor(fill: Fill, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Column norms of the n x k design Z and the R factor of Z scaled to
     unit columns.
@@ -130,40 +133,6 @@ def _factor(fill: Fill, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     norms = np.hypot.reduce(R, axis=0)
     scale = np.where(norms > 0, norms, 1.0)
     return scale, R / scale
-
-
-def _lstsq(scale: np.ndarray, R: np.ndarray, fits: Sequence[tuple[int, Sequence[int]]]
-           ) -> list[Union[tuple[np.ndarray, np.ndarray, np.ndarray], int]]:
-    """Fits (j, S) of column j of the factored design on columns S, all of
-    one width m = |S|, in one stacked pass: one QR r of each R[:, S + [j]],
-    a rank test on each r's diagonal, and one solve over the fits that pass.
-
-    A fit's slot holds its coefficients, in original units; a root L of the
-    Gram inverse of its columns (the inverse is L L'); and t = r[:, -1],
-    column j over scale[j] in the basis of the fit's columns.  L is
-    r[:m, :m]^-1 with each row divided by its column's scale, so it stays in
-    range for data whose squares would not.  A singular fit's slot holds
-    instead the index in S of its first column whose unit-scale distance
-    from the span of those before it, on r's diagonal, is below RANK_TOL.
-    """
-    cols = np.array([[*S, j] for j, S in fits])
-    m = cols.shape[1] - 1
-    r = np.linalg.qr(R[:, cols].transpose(1, 0, 2), mode="r")
-    t = r[:, :, -1]
-    low = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, :m]) < RANK_TOL
-    out: list = [int(np.argmax(row)) for row in low]
-    ok = np.flatnonzero(~low.any(axis=1))
-    if ok.size:
-        rhs = np.empty((ok.size, m, m + 1))
-        rhs[:, :, 0] = t[ok, :m]
-        rhs[:, :, 1:] = np.eye(m)
-        sol = np.linalg.solve(r[ok, :m, :m], rhs)
-        s = scale[cols[ok, :m]]
-        coeffs = sol[:, :, 0] * scale[cols[ok, m]][:, None] / s
-        roots = sol[:, :, 1:] / s[:, :, None]
-        for i, c, L in zip(ok.tolist(), coeffs, roots):
-            out[i] = (c, L, t[i])
-    return out
 
 
 def _singular(label: str, unity: bool = False) -> SingularSystem:
@@ -201,115 +170,149 @@ def _constant(v: np.ndarray, mean: float, total: float) -> bool:
     return spread <= MEAN_ROUNDING * math.log2(n + 1) * EPS * abs(mean)
 
 
-@one_thread
-def _row_pass(fill: Fill, n: int, k: int, j: int, S: Sequence[int], coeffs: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Column j of Z and the fit Z[:, S] coeffs, for a design Z of k
-    columns, from one ROW_BLOCK pass of Z's block source."""
-    row = np.zeros((1, k))
-    row[0, S] = coeffs
-    target, fitted = np.empty(n), np.empty((1, n))
-    buf = np.empty((k, min(ROW_BLOCK, n)))
-    for a in range(0, n, ROW_BLOCK):
-        b = min(a + ROW_BLOCK, n)
-        block = buf[:, :b - a]
-        fill(block, a, b)
-        np.matmul(row, block, out=fitted[:, a:b])
-        target[a:b] = block[j]
-    return target, fitted[0]
+class Factor:
+    """The factored design Z = [columns] of n rows, the one pass over the
+    data: the block source fill, the unit column (the constant one, if any),
+    and the column scales and unit-column R of _factor.  Every fit of Z is a
+    read-off: solve, result(s), coefficients and a result's lazy rows."""
 
+    def __init__(self, columns: Sequence[Column], n: int, x: Optional[np.ndarray] = None,
+                 y: Optional[np.ndarray] = None):
+        self.fill = _source(columns, x, y)
+        self.n, self.k = n, len(columns)
+        self.scale, self.R = _factor(self.fill, self.k, n)
+        self.unit = next((i for i, c in enumerate(columns) if isinstance(c, float)), None)
 
-def _result(spec: ModelSpec, j: int, S: Sequence[int], scale: np.ndarray, R: np.ndarray,
-            u: Optional[int], n: int, solved: Union[tuple, int], fill: Fill) -> FitResult:
-    """The fit (spec, j, S) of the factored design, whose unit column is u,
-    from its slot of _lstsq.
+    def solve(self, fits: Sequence[tuple[int, Sequence[int]]]
+              ) -> list[Union[tuple[np.ndarray, np.ndarray, np.ndarray], int]]:
+        """Fits (j, S) of column j on columns S, all of one width m = |S|,
+        in one stacked pass: one QR r of each R[:, S + [j]], a rank test on
+        each diagonal and one solve over the fits that pass; n < m is Underdetermined.
 
-    t is the target, its head the fit and its tail the residual: SSE is
-    (scale[j] |t[|S|:]|)^2 and the unit-constant R^2 = a'W'1/n is
-    |t[:|S|]|^2.  An intercept fit has u first in S, so SSR = |t[1:|S|]|^2
-    and SST = SSR + SSE, with no cancellation; a term fit without one takes
-    its own QR with u first and is centred on the mean t[0].  R alone decides
-    a constant target: |t[1:]| within R's rounding of |t[0]|.  The standard
-    errors are sqrt(sigma2) times the row norms of the Gram inverse's root,
-    so they stay in range where the covariance does not."""
-    if isinstance(solved, int):
-        raise _singular(spec.column_labels()[solved], spec.lhs is LhsKind.UNITY)
-    coeffs, root, t = solved
-    m, s = len(S), scale[j]
+        A fit's slot holds its coefficients, in original units; a root L of
+        the Gram inverse of its columns (the inverse is L L'); and
+        t = r[:, -1], column j over scale[j] in the basis of the fit's
+        columns.  L is r[:m, :m]^-1 with each row divided by its column's
+        scale, so it stays in range for data whose squares would not.  A
+        singular fit's slot holds instead the index in S of its first column
+        whose unit-scale distance from the span of those before it, on r's
+        diagonal, is below RANK_TOL.
+        """
+        cols = np.array([[*S, j] for j, S in fits])
+        m = cols.shape[1] - 1
+        if self.n < m:
+            raise Underdetermined(f"{self.n} observations for {m} columns")
+        r = np.linalg.qr(self.R[:, cols].transpose(1, 0, 2), mode="r")
+        t = r[:, :, -1]
+        low = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, :m]) < RANK_TOL
+        out: list = [int(np.argmax(row)) for row in low]
+        ok = np.flatnonzero(~low.any(axis=1))
+        if ok.size:
+            rhs = np.empty((ok.size, m, m + 1))
+            rhs[:, :, 0] = t[ok, :m]
+            rhs[:, :, 1:] = np.eye(m)
+            sol = np.linalg.solve(r[ok, :m, :m], rhs)
+            s = self.scale[cols[ok, :m]]
+            coeffs = sol[:, :, 0] * self.scale[cols[ok, m]][:, None] / s
+            roots = sol[:, :, 1:] / s[:, :, None]
+            for i, c, L in zip(ok.tolist(), coeffs, roots):
+                out[i] = (c, L, t[i])
+        return out
 
-    if spec.lhs is LhsKind.UNITY:
-        sse = _squares(t[m:], s)
-        r2, tag, f_stat = float(t[:m] @ t[:m]), R2_NONRESPONSE, None
-    else:
-        if not spec.intercept:
-            r = np.linalg.qr(R[:, [u, *S, j]], mode="r")
-            t = r[:, -1]
-        bound = (MEAN_ROUNDING * math.log2(n + 1) + FACTOR_ROUNDING * math.sqrt(n)) * EPS
-        if math.hypot(*t[1:].tolist()) <= bound * abs(t[0]):
-            raise ZeroVariance("target has zero centered variation")
-        sst = _squares(t[1:], s)
-        if spec.intercept:
+    def coefficients(self, fits: Sequence[tuple[int, Sequence[int]]],
+                     labels: Sequence[Sequence[str]]) -> list[np.ndarray]:
+        """The coefficients of fits (j, S), from solve; a singular fit raises
+        SingularSystem naming its collinear column by its entry of labels."""
+        solved = self.solve(fits)
+        for s, names in zip(solved, labels):
+            if isinstance(s, int):
+                raise _singular(names[s])
+        return [s[0] for s in solved]
+
+    def results(self, fits: Fits) -> list[Union[FitResult, DegenerateError]]:
+        """The fits (spec, j, S), all of one width, from one solve; a
+        singular fit or a constant target keeps its exception in its slot."""
+        out: list[Union[FitResult, DegenerateError]] = []
+        for fit, solved in zip(fits, self.solve([(j, S) for _, j, S in fits])):
+            try:
+                out.append(self._result(*fit, solved))
+            except (SingularSystem, ZeroVariance) as exc:
+                out.append(exc)
+        return out
+
+    def result(self, spec: ModelSpec, j: int, S: Sequence[int]) -> FitResult:
+        """The one fit (spec, j, S); a degenerate fit raises."""
+        return self._result(spec, j, S, *self.solve([(j, S)]))
+
+    def _result(self, spec: ModelSpec, j: int, S: Sequence[int], solved: Union[tuple, int]
+                ) -> FitResult:
+        """The fit (spec, j, S) from its slot of solve.
+
+        t is the target, its head the fit and its tail the residual: SSE is
+        (scale[j] |t[|S|:]|)^2 and the unit-constant R^2 = a'W'1/n is
+        |t[:|S|]|^2.  An intercept fit has the unit column first in S, so
+        SSR = |t[1:|S|]|^2 and SST = SSR + SSE, with no cancellation; a term
+        fit without one takes its own QR with the unit column first and is
+        centred on the mean t[0].  R alone decides a constant target: |t[1:]|
+        within R's rounding of |t[0]|.  The standard errors are sqrt(sigma2)
+        times the row norms of the Gram inverse's root, so they stay in range
+        where the covariance does not."""
+        if isinstance(solved, int):
+            raise _singular(spec.column_labels()[solved], spec.lhs is LhsKind.UNITY)
+        coeffs, root, t = solved
+        n, m, s = self.n, len(S), self.scale[j]
+
+        if spec.lhs is LhsKind.UNITY:
             sse = _squares(t[m:], s)
-            ssr = _squares(t[1:m], s)
+            r2, tag, f_stat = float(t[:m] @ t[:m]), R2_NONRESPONSE, None
         else:
-            f = r[:, 1:-1] @ (coeffs * scale[S] / s)
-            sse = _squares(t - f, s)
-            f[0] -= t[0]
-            ssr = _squares(f, s)
-        r2, tag = ssr / sst, R2_CENTERED
-        has_f = spec.intercept and m > 1 and n > m and sse > 0
-        f_stat = (ssr / (m - 1)) / (sse / (n - m)) if has_f else None
+            if not spec.intercept:
+                r = np.linalg.qr(self.R[:, [self.unit, *S, j]], mode="r")
+                t = r[:, -1]
+            bound = (MEAN_ROUNDING * math.log2(n + 1) + FACTOR_ROUNDING * math.sqrt(n)) * EPS
+            if math.hypot(*t[1:].tolist()) <= bound * abs(t[0]):
+                raise ZeroVariance("target has zero centered variation")
+            sst = _squares(t[1:], s)
+            if spec.intercept:
+                sse = _squares(t[m:], s)
+                ssr = _squares(t[1:m], s)
+            else:
+                f = r[:, 1:-1] @ (coeffs * self.scale[S] / s)
+                sse = _squares(t - f, s)
+                f[0] -= t[0]
+                ssr = _squares(f, s)
+            r2, tag = ssr / sst, R2_CENTERED
+            has_f = spec.intercept and m > 1 and n > m and sse > 0
+            f_stat = (ssr / (m - 1)) / (sse / (n - m)) if has_f else None
 
-    sigma2 = sse / (n - m) if n > m else float("nan")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        gram_inverse = root @ root.T
-        cov = sigma2 * gram_inverse
-        stderr = math.sqrt(sigma2) * np.hypot.reduce(root, axis=1)
-        t_stats = np.where(stderr > 0, coeffs / stderr, np.nan)
-    k = len(scale)
-    return FitResult(spec=spec, coeffs=coeffs, r_squared=r2, r2_formula=tag, sigma2_hat=sigma2,
-                     cov=cov, stderr=stderr, t_stats=t_stats, f_stat=f_stat, n=n, sse=sse,
-                     gram_inverse=gram_inverse,
-                     _rows=lambda: _row_pass(fill, n, k, j, S, coeffs))
+        sigma2 = sse / (n - m) if n > m else float("nan")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            gram_inverse = root @ root.T
+            cov = sigma2 * gram_inverse
+            stderr = math.sqrt(sigma2) * np.hypot.reduce(root, axis=1)
+            t_stats = np.where(stderr > 0, coeffs / stderr, np.nan)
+        return FitResult(spec=spec, coeffs=coeffs, r_squared=r2, r2_formula=tag, sigma2_hat=sigma2,
+                         cov=cov, stderr=stderr, t_stats=t_stats, f_stat=f_stat, n=n, sse=sse,
+                         gram_inverse=gram_inverse, _rows=lambda: self.rows(j, S, coeffs))
+
+    @one_thread
+    def rows(self, j: int, S: Sequence[int], coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Column j of Z and the fit Z[:, S] coeffs, from one ROW_BLOCK pass
+        of the block source."""
+        row = np.zeros((1, self.k))
+        row[0, S] = coeffs
+        target, fitted = np.empty(self.n), np.empty((1, self.n))
+        buf = np.empty((self.k, min(ROW_BLOCK, self.n)))
+        for a in range(0, self.n, ROW_BLOCK):
+            b = min(a + ROW_BLOCK, self.n)
+            block = buf[:, :b - a]
+            self.fill(block, a, b)
+            np.matmul(row, block, out=fitted[:, a:b])
+            target[a:b] = block[j]
+        return target, fitted[0]
 
 
 @one_thread
-def _regress(columns: Sequence[Column], n: int, fits: Fits, x: Optional[np.ndarray] = None,
-             y: Optional[np.ndarray] = None) -> list[Union[FitResult, DegenerateError]]:
-    """Fits (spec, j, S) of column j of Z = [columns] on columns S, all of
-    one width |S|, read off one factor of Z.
-
-    The factor is the one pass over the data, the block source evaluating
-    Term columns of x and y block by block.  The fits are then read off R
-    in one stacked pass (_lstsq) and their statistics off its small factors
-    (_result); a singular fit or a constant target keeps its exception in
-    its slot.  The constant column of Z is its unit column.  A result makes
-    its n-length rows from the same block source only when they are read.
-    """
-    fill = _source(columns, x, y)
-    scale, R = _factor(fill, len(columns), n)
-    width = len(fits[0][2])
-    if n < width:
-        raise Underdetermined(f"{n} observations for {width} columns")
-    u = next((i for i, c in enumerate(columns) if isinstance(c, float)), None)
-    out: list[Union[FitResult, DegenerateError]] = []
-    for fit, solved in zip(fits, _lstsq(scale, R, [(j, S) for _, j, S in fits])):
-        try:
-            out.append(_result(*fit, scale, R, u, n, solved, fill))
-        except (SingularSystem, ZeroVariance) as exc:
-            out.append(exc)
-    return out
-
-
-def _fit(columns: Sequence[Column], n: int, spec: ModelSpec, j: int, S: Sequence[int],
-         x: Optional[np.ndarray] = None, y: Optional[np.ndarray] = None) -> FitResult:
-    """The one fit (spec, j, S) of Z = [columns]; a degenerate fit raises."""
-    (fit,) = _regress(columns, n, [(spec, j, S)], x, y)
-    if isinstance(fit, DegenerateError):
-        raise fit
-    return fit
-
-
 def fit_implicit(d: Dataset, spec: ModelSpec) -> FitResult:
     """Least-squares fit of the implicit model given by spec.
 
@@ -317,11 +320,13 @@ def fit_implicit(d: Dataset, spec: ModelSpec) -> FitResult:
     by block from d: the design is never held whole.  The unit column is
     among the fit's columns only with an intercept.
     """
+    if spec.lhs is LhsKind.RESPONSE:
+        raise InvalidSpec("fit_implicit fits term models; fit_standard fits the response kind")
     lead = spec.lhs is not LhsKind.UNITY
     target = spec.lhs_term if lead else 1.0
     columns = [1.0] * lead + list(spec.rhs_terms) + [target]
     m = len(columns) - 1
-    return _fit(columns, d.n, spec, m, range(lead - spec.intercept, m), d.x, d.y)
+    return Factor(columns, d.n, d.x, d.y).result(spec, m, range(lead - spec.intercept, m))
 
 
 def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:
@@ -336,11 +341,14 @@ def _rotation(terms: Sequence[Term], pivot: int) -> tuple[ModelSpec, int, list[i
     return ModelSpec.rotation(terms, pivot), pivot, [m] + [k for k in range(m) if k != pivot]
 
 
+@one_thread
 def fit_rotation(d: Dataset, terms: Sequence[Term], pivot: int) -> FitResult:
     """OLS of the pivot term on an intercept plus every remaining term."""
-    return _fit([*terms, 1.0], d.n, *_rotation(terms, pivot), d.x, d.y)
+    fit = _rotation(terms, pivot)
+    return Factor([*terms, 1.0], d.n, d.x, d.y).result(*fit)
 
 
+@one_thread
 def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult, DegenerateError]]:
     """One rotation fit per pivot, in term order, all read off one factor of
     Z = [T_1..T_m, 1].
@@ -352,47 +360,48 @@ def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult
     """
     fits = [_rotation(terms, pivot) for pivot in range(len(terms))]
     try:
-        return _regress([*terms, 1.0], d.n, fits, d.x, d.y)
+        return Factor([*terms, 1.0], d.n, d.x, d.y).results(fits)
     except Underdetermined as exc:
         return [exc] * len(terms)
 
 
+@one_thread
 def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     """A = (X1'X1)^{-1} X1'X2, the projection of excluded columns onto
     included ones.  Column j of A is the rotation-fit coefficient vector
     for the j-th excluded column, read off one factor of [X1, X2]."""
     X1t = np.asarray(X1, dtype=float).T
     X2t = np.atleast_2d(np.asarray(X2, dtype=float).T)     # a vector is one column
-    if X1t.shape[-1] != X2t.shape[-1]:
+    n = X1t.shape[-1]
+    if n != X2t.shape[-1]:
         raise InvalidSpec(f"X1 and X2 must have the same number of rows, "
-                          f"not {X1t.shape[-1]} and {X2t.shape[-1]}")
+                          f"not {n} and {X2t.shape[-1]}")
+    if n == 0:
+        raise InvalidSpec("X1 and X2 have no rows")
     for name, X in (("X1", X1t), ("X2", X2t)):
         if not np.all(np.isfinite(X)):
             raise InvalidSpec(f"{name} entries must be finite")
-    columns = [*X1t, *X2t]
-    scale, R = _factor(_source(columns), len(columns), X1t.shape[1])
     k = len(X1t)
-    solved = _lstsq(scale, R, [(j, range(k)) for j in range(k, len(columns))])
-    for s in solved:
-        if isinstance(s, int):
-            raise _singular(f"X1[:, {s}]")
-    return np.column_stack([s[0] for s in solved])
+    fits = [(j, range(k)) for j in range(k, k + len(X2t))]
+    labels = [[f"X1[:, {i}]" for i in range(k)]] * len(fits)
+    return np.column_stack(Factor([*X1t, *X2t], n).coefficients(fits, labels))
 
 
+@one_thread
 def fit_standard(d: MultiDataset) -> FitResult:
     """Intercept OLS of the response on the explanatory columns."""
     k = d.p + 1
     spec = ModelSpec(LhsKind.RESPONSE, d.column_names, intercept=True)
-    return _fit([1.0, *d.explanatory.T, d.response], d.n, spec, k, range(k))
+    return Factor([1.0, *d.explanatory.T, d.response], d.n).result(spec, k, range(k))
 
 
 def slr_closed(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Simple-linear-regression slope and intercept by the raw-sum ratios.
 
     The paper's printed formula; raw sums lose digits on offset data, so
-    pinwheel_data reads its lines off a factor instead."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    pinwheel_data reads its lines off a factor instead.  x and y are checked
+    as a Dataset's are."""
+    x, y = _observations(x, y)
     n = len(x)
     sx, sy = float(np.sum(x)), float(np.sum(y))
     sxx, sxy = float(x @ x), float(x @ y)
@@ -408,9 +417,8 @@ def nra2_closed(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Two-term unit-constant line 1 = a1*x + a2*y by the raw-sum ratios.
 
     The paper's printed formula, kept beside the factored fit as
-    slr_closed is."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    slr_closed is, and checked as it is."""
+    x, y = _observations(x, y)
     sx, sy = float(np.sum(x)), float(np.sum(y))
     sxx, syy, sxy = float(x @ x), float(y @ y), float(x @ y)
     delta = sxx * syy - sxy * sxy
@@ -429,8 +437,9 @@ class UnivariateResult:
 
 
 def univariate_nra(y: np.ndarray) -> UnivariateResult:
-    """Fit 1 = alpha*y; the reciprocal slope is the self-weighting mean."""
-    y = np.asarray(y, dtype=float)
+    """Fit 1 = alpha*y; the reciprocal slope is the self-weighting mean.
+    y is checked as a Dataset's columns are."""
+    (y,) = _observations(y)
     n = len(y)
     sy = float(np.sum(y))
     with np.errstate(over="ignore"):
@@ -461,8 +470,10 @@ def alpha_from_beta(beta: Sequence[float]) -> np.ndarray:
 def _invert(v: Sequence[float], zero: str) -> np.ndarray:
     """(1/v0, -v1/v0, ...), the map between the two coefficient forms and
     its own inverse.  DomainViolation when finite v maps beyond the float
-    range."""
+    range.  v may hold non-finite values, which map through unchecked."""
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or not v.size:
+        raise InvalidSpec("the coefficients must be a non-empty vector")
     if v[0] == 0:
         raise ConversionUndefined(zero)
     with np.errstate(over="ignore"):

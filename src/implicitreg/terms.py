@@ -157,6 +157,19 @@ def _source(columns: Sequence[Column], x: Optional[np.ndarray] = None,
     return fill
 
 
+def _observations(*columns) -> list[np.ndarray]:
+    """The columns as float vectors, with the checks of a Dataset: one
+    dimension and one length, at least one row, and finite entries."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
+        raise InvalidSpec("the observations must be equal-length vectors")
+    if len(columns[0]) < 1:
+        raise EmptyDataset("dataset has no observations")
+    if not all(np.isfinite(c).all() for c in columns):
+        raise InvalidSpec("dataset entries must be finite")
+    return columns
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Paired observations (x_i, y_i), i = 1..n."""
@@ -165,14 +178,9 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if self.x.ndim != 1 or self.y.ndim != 1 or len(self.x) != len(self.y):
-            raise InvalidSpec("x and y must be equal-length vectors")
-        if len(self.x) < 1:
-            raise EmptyDataset("dataset has no observations")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise InvalidSpec("dataset entries must be finite")
+        x, y = _observations(self.x, self.y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
@@ -234,6 +242,9 @@ class ModelSpec:
         object.__setattr__(self, "rhs_terms", tuple(self.rhs_terms))
         if not self.rhs_terms:
             raise InvalidSpec("rhs_terms must be non-empty")
+        if self.lhs is not LhsKind.RESPONSE and not all(isinstance(t, Term)
+                                                        for t in self.rhs_terms):
+            raise InvalidSpec(f"the rhs_terms of a {self.lhs.value} model must be Terms")
         seen = set(self.rhs_terms)
         if len(seen) < len(self.rhs_terms):
             rhs = self.rhs_terms
@@ -241,8 +252,8 @@ class ModelSpec:
         if self.lhs is LhsKind.UNITY and (self.intercept or Term(0, 0) in seen):
             raise InvalidSpec("the unity-regressand model carries no intercept, so no term 1")
         if self.lhs is LhsKind.TERM:
-            if self.lhs_term is None:
-                raise InvalidSpec("lhs_term required when lhs is a term")
+            if not isinstance(self.lhs_term, Term):
+                raise InvalidSpec("a Term lhs_term required when lhs is a term")
             if self.lhs_term in seen:
                 raise InvalidSpec("pivot term must be excluded from rhs_terms")
         elif self.lhs_term is not None:

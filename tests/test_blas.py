@@ -166,8 +166,8 @@ class TestScope:
 
 
 # Fits in a fresh interpreter that loaded numpy first; a probe inside
-# fitters._lstsq reads numpy's OpenBLAS thread count during every stacked
-# read-off and counts the fits solved in it.
+# fitters.Factor.solve reads numpy's OpenBLAS thread count during every
+# stacked read-off and counts the fits solved in it.
 LIBRARY = """
 import ctypes, glob, json, os, sys, threading
 import numpy as np
@@ -179,12 +179,12 @@ from implicitreg import simulate, terms
 from implicitreg.errors import DomainError, SingularSystem
 
 inside, solves = [], []
-lstsq = f._lstsq
-def probe(scale, R, fits):
+solve = f.Factor.solve
+def probe(factor, fits):
     inside.append(count())
     solves.append(len(fits))
-    return lstsq(scale, R, fits)
-f._lstsq = probe
+    return solve(factor, fits)
+f.Factor.solve = probe
 
 d = simulate.generate(simulate.GeneratorSpec(simulate.Ellipse(3, -2, 2, 1, 0.5), 3000, 0.05, 7))
 cubic = terms.parse_terms(%r)

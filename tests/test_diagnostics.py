@@ -12,6 +12,7 @@ from implicitreg import (
     Dataset,
     MultiDataset,
     diagnostics,
+    fit_all_rotations,
     fit_nonresponse,
     fit_standard,
     ols_orthogonality_check,
@@ -25,6 +26,7 @@ from implicitreg import (
 )
 from implicitreg.errors import (
     InterceptRequired,
+    InvalidSpec,
     NoSolutionAtPoint,
     TriangleViolation,
     ZeroVariance,
@@ -135,6 +137,28 @@ def whole_array_sums(pairs):
         ssm += np.sum((est[ok] - mean) ** 2)
         sse += np.sum((est[ok] - obs[ok]) ** 2) + np.sum((obs[~ok] - mean) ** 2)
     return sst, ssm, sse, int(np.sum(~ok))
+
+
+class TestObservedEntries:
+    X, Y = np.array([1.0, 2.0, 4.0, 3.0]), np.array([3.0, 1.0, 2.0, 5.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["univariate", "bivariate-x", "bivariate-y"])
+    def test_non_finite_observation_is_refused(self, bad, where):
+        x, y = self.X.copy(), self.Y.copy()
+        (x if where == "bivariate-x" else y)[1] = bad
+        with pytest.raises(InvalidSpec, match="observed entries must be finite"):
+            if where == "univariate":
+                separation_univariate(y, self.Y + 0.1)
+            else:
+                separation_bivariate(x, self.X + 0.1, y, self.Y + 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_estimate_is_unreconstructed(self, bad):
+        x_hat, y_hat = self.X + 0.1, self.Y + 0.1
+        y_hat[1] = bad
+        assert separation_bivariate(self.X, x_hat, self.Y, y_hat).unreconstructed == 1
+        assert separation_univariate(self.Y, y_hat).unreconstructed == 1
 
 
 class TestBlockSums:
@@ -396,6 +420,20 @@ class TestPinwheel:
         ref = np.linalg.lstsq(np.column_stack([x, y]), np.ones_like(x), rcond=None)[0]
         tol = 10 * unit_condition(x, y) * eps
         np.testing.assert_allclose(lines[2].raw_coeffs, ref, rtol=tol)
+
+    @pytest.mark.parametrize("n", [50, 3 * ROW_BLOCK + 5], ids=["1-block", "4-blocks"])
+    def test_lines_are_the_fits_bitwise(self, n):
+        # The rotations (pivot y, then x) and the unit-constant fit of
+        # {x, y} read off their own factors give the pinwheel's coefficients.
+        rng = np.random.default_rng(n)
+        x = rng.uniform(1, 5, n)
+        d = Dataset(x, 1.0 + 0.8 * x + rng.normal(scale=0.05, size=n))
+        xy = parse_terms("x,y")
+        x_on_y, y_on_x = fit_all_rotations(d, xy)
+        fits = [y_on_x, x_on_y, fit_nonresponse(d, xy)]
+        for line, f in zip(pinwheel_data(d), fits, strict=True):
+            raw = np.array(line.raw_coeffs)
+            np.testing.assert_array_equal(raw.view(np.uint64), f.coeffs.view(np.uint64))
 
     def test_origin_centred_circle(self):
         # x and y are uncorrelated and both centred: the x-on-y slope is zero

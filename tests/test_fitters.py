@@ -31,12 +31,14 @@ from implicitreg import (
     generate,
     nra2_closed,
     parse_terms,
+    pinwheel_data,
     slr_closed,
     univariate_nra,
 )
 from implicitreg.errors import (
     ConversionUndefined,
     DomainError,
+    EmptyDataset,
     DomainViolation,
     InvalidSpec,
     MeanUndefined,
@@ -68,6 +70,16 @@ class TestFitImplicit:
         d = Dataset([1.0, 2.0], [3.0, 5.0])
         with pytest.raises(Underdetermined):
             fit_implicit(d, ModelSpec.nonresponse(parse_terms("x,y,xy")))
+
+    @pytest.mark.parametrize("kind, rhs, lhs, message", [
+        (LhsKind.RESPONSE, ("a",), None, "fit_standard fits the response kind"),
+        (LhsKind.UNITY, ("a",), None, "must be Terms"),
+        (LhsKind.TERM, ("a",), Term(0, 1), "must be Terms"),
+        (LhsKind.TERM, (Term(1, 0),), "y", "a Term lhs_term required"),
+    ], ids=["response", "unity-str-rhs", "term-str-rhs", "term-str-lhs"])
+    def test_spec_it_cannot_fit_is_refused(self, tri_dataset, kind, rhs, lhs, message):
+        with pytest.raises(InvalidSpec, match=message):
+            fit_implicit(tri_dataset, ModelSpec(kind, rhs, kind is not LhsKind.UNITY, lhs))
 
 
 class TestFitNonresponse:
@@ -176,13 +188,24 @@ class TestSolver:
          "X2 entries must be finite"),
         ([[1.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 5.0]], [1.0, 2.0, 3.0],
          "X1 and X2 must have the same number of rows, not 4 and 3"),
-    ], ids=["nan-in-X1", "inf-in-X2", "4-rows-against-3"])
+        (np.empty((0, 2)), np.empty(0), "X1 and X2 have no rows"),
+    ], ids=["nan-in-X1", "inf-in-X2", "4-rows-against-3", "0-rows"])
     def test_bad_input_named_before_the_factor(self, X1, X2, message, monkeypatch):
         def no_factor(*args):
             raise AssertionError("factored bad input")
         monkeypatch.setattr(fitters, "_factor", no_factor)
         with pytest.raises(InvalidSpec, match=f"^{message}$"):
             alias_matrix(np.array(X1), np.array(X2))
+
+    @pytest.mark.parametrize("fit", [
+        lambda: pinwheel_data(Dataset([1.0], [2.0])),
+        lambda: alias_matrix(np.array([[1.0, 2.0]]), np.array([3.0])),
+        lambda: fit_standard(MultiDataset([1.0], [[2.0]], ("x",))),
+    ], ids=["pinwheel-1-row", "alias-1x2", "standard-1-row"])
+    def test_fewer_rows_than_columns_underdetermined(self, fit):
+        # Every read-off of the factor refuses n < |S| in one place.
+        with pytest.raises(Underdetermined):
+            fit()
 
     def test_equal_columns_singular(self):
         W = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
@@ -687,6 +710,21 @@ class TestFitStandard:
 
 
 class TestClosedForms:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: slr_closed([1.0, np.nan, 2.0], [1.0, 2.0, 3.0]), InvalidSpec),
+        (lambda: nra2_closed([1.0, np.nan, 2.0], [1.0, 2.0, 3.0]), InvalidSpec),
+        (lambda: slr_closed([1.0, 2.0], [1.0, 2.0, 3.0]), InvalidSpec),
+        (lambda: nra2_closed([1.0, 2.0, 3.0], [1.0, 2.0]), InvalidSpec),
+        (lambda: univariate_nra([1.0, np.nan, 2.0]), InvalidSpec),
+        (lambda: univariate_nra([]), EmptyDataset),
+        (lambda: beta_from_alpha([]), InvalidSpec),
+        (lambda: alpha_from_beta([]), InvalidSpec),
+    ], ids=["slr-nan", "nra2-nan", "slr-2-against-3", "nra2-3-against-2", "univariate-nan",
+            "univariate-empty", "beta-empty", "alpha-empty"])
+    def test_bad_input_is_refused_as_a_dataset_is(self, call, error):
+        with pytest.raises(error):
+            call()
+
     def test_slr_two_points(self):
         b0, b1 = slr_closed([0.0, 1.0], [1.0, 3.0])
         assert (b0, b1) == pytest.approx((1.0, 2.0), abs=1e-14)
