@@ -43,6 +43,8 @@ EXIT_DEGENERATE = 3
 EXIT_DOMAIN = 4
 EXIT_INTERNAL = 5
 
+_CONIC_ONLY = "diagnosis needs terms drawn from {x, y, xy, x2, y2}"
+
 
 @dataclass
 class Report:
@@ -183,68 +185,64 @@ def _conic_dict(c: conics.ConicCoeffs, warnings: list[str]) -> dict:
 
 # --- model dispatch -------------------------------------------------------
 
-def _parse_model(model: str) -> tuple[str, Optional[str]]:
-    if model.startswith("rotation:"):
-        return "rotation", model.split(":", 1)[1]
-    if model in ("nonresponse", "standard", "univariate"):
-        return model, None
-    raise InvalidSpec(f"unknown model {model!r}")
-
-
 def _report(args, diagnose: bool = False) -> Report:
     """The fit report of args.model; with diagnose, also its separation
-    diagnostics."""
-    kind, pivot_txt = _parse_model(args.model)
-
-    if kind == "standard":
-        md = terms.load_multi_csv(args.input, args.response_col)
-        fit = fitters.fit_standard(md)
-        model = {"kind": "standard", "lhs": args.response_col,
-                 "terms": list(md.column_names), "intercept": True}
-    elif kind == "univariate":
-        d = terms.load_csv(args.input, args.x_col, args.y_col)
-        res = fitters.univariate_nra(d.y)
+    diagnostics (and the pinwheel lines of the two-term unit-constant fit).
+    The whole request is checked before the input is opened, so a bad
+    request exits 2 whatever the data."""
+    rotation = args.model.startswith("rotation:")
+    if not rotation and args.model not in ("nonresponse", "standard", "univariate"):
+        raise InvalidSpec(f"unknown model {args.model!r}")
+    if args.model == "univariate":
         if diagnose:
             raise InvalidSpec("diagnose supports nonresponse, rotation, and standard models")
+        (y,) = terms._read_columns(args.input, lambda header: (args.y_col,))[1].T
+        res = fitters.univariate_nra(y)
         return Report(
             model={"kind": "univariate", "lhs": "unity", "terms": [args.y_col],
                    "intercept": False},
             coefficients=[{"term": args.y_col, "value": res.alpha,
                            "stderr": None, "t_stat": None}],
             r_squared=res.r2, r2_formula=fitters.R2_UNIVARIATE,
-            univariate={"alpha": res.alpha, "mu_hat": res.mu_hat, "r2": res.r2})
+            univariate=dataclasses.asdict(res))
+    if args.model == "standard":
+        md = terms.load_multi_csv(args.input, args.response_col)
+        fit = fitters.fit_standard(md)
+        model = {"kind": "standard", "lhs": args.response_col,
+                 "terms": list(md.column_names), "intercept": True}
     else:
-        d = terms.load_csv(args.input, args.x_col, args.y_col)
         term_list = terms.parse_terms(args.terms)
-        if kind == "nonresponse":
-            return _nonresponse_report(d, term_list, diagnose)
-        pivot_term = terms.parse_terms(pivot_txt)[0]
-        if pivot_term not in term_list:
-            raise InvalidSpec(f"rotation pivot {pivot_txt!r} not in term list")
-        fit = fitters.fit_rotation(d, term_list, term_list.index(pivot_term))
-        model = _rotation_model(pivot_term, term_list)
-
+        if rotation:
+            pivot_txt = args.model.split(":", 1)[1]
+            pivot_term = terms.parse_terms(pivot_txt)[0]
+            if pivot_term not in term_list:
+                raise InvalidSpec(f"rotation pivot {pivot_txt!r} not in term list")
+            pivot = term_list.index(pivot_term)
+            terms.ModelSpec.rotation(term_list, pivot)
+        else:
+            terms.ModelSpec.nonresponse(term_list)
+            if diagnose and not set(term_list) <= set(terms.CONIC_TERMS):
+                raise InvalidSpec(_CONIC_ONLY)
+        d = terms.load_csv(args.input, args.x_col, args.y_col)
+        if rotation:
+            fit = fitters.fit_rotation(d, term_list, pivot)
+            model = _rotation_model(pivot_term, term_list)
+        else:
+            fit = fitters.fit_nonresponse(d, term_list)
+            model = {"kind": "nonresponse", "lhs": "unity",
+                     "terms": [t.label() for t in term_list], "intercept": False}
     report = Report(model, **_fit_fields(fit))
-    if diagnose:
-        _add_separation(report, diagnostics.separation_univariate(fit.target, fit.fitted))
-    return report
-
-
-def _nonresponse_report(d: terms.Dataset, term_list, diagnose: bool) -> Report:
-    """The unit-constant fit, its conic, and with diagnose its separation
-    (and the pinwheel lines of the two-term linear fit)."""
-    fit = fitters.fit_nonresponse(d, term_list)
-    report = Report(
-        model={"kind": "nonresponse", "lhs": "unity",
-               "terms": [t.label() for t in term_list], "intercept": False},
-        **_fit_fields(fit))
+    if args.model != "nonresponse":
+        if diagnose:
+            _add_separation(report, diagnostics.separation_univariate(fit.target, fit.fitted))
+        return report
     c = _conic_coeffs_from_fit(term_list, fit.coeffs)
     if c is not None:
         report.conic = _conic_dict(c, report.warnings)
     if not diagnose:
         return report
-    if c is None:
-        raise InvalidSpec("diagnosis needs terms drawn from {x, y, xy, x2, y2}")
+    if c is None:       # every coefficient is 0: there is no conic to diagnose
+        raise InvalidSpec(_CONIC_ONLY)
     _add_separation(report, diagnostics.separation_from_conic(c, d))
     if set(term_list) == {terms.Term(1, 0), terms.Term(0, 1)}:
         lines = diagnostics.pinwheel_data(d)
@@ -260,8 +258,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_rotate_all(args) -> int:
-    d = terms.load_csv(args.input, args.x_col, args.y_col)
     term_list = terms.parse_terms(args.terms)
+    terms.ModelSpec.rotation(term_list, 0)      # at least two terms
+    d = terms.load_csv(args.input, args.x_col, args.y_col)
     reports = []
     for term, result in zip(term_list, fitters.fit_all_rotations(d, term_list)):
         model = _rotation_model(term, term_list)

@@ -358,7 +358,8 @@ def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult
     rotations; global errors (domain violations) still propagate.  Too few
     observations fill every slot.
     """
-    fits = [_rotation(terms, pivot) for pivot in range(len(terms))]
+    # Pivot 0 of no terms is refused as that of one term is.
+    fits = [_rotation(terms, pivot) for pivot in range(max(len(terms), 1))]
     try:
         return Factor([*terms, 1.0], d.n, d.x, d.y).results(fits)
     except Underdetermined as exc:
@@ -379,6 +380,8 @@ def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     if n == 0:
         raise InvalidSpec("X1 and X2 have no rows")
     for name, X in (("X1", X1t), ("X2", X2t)):
+        if len(X) == 0:
+            raise InvalidSpec(f"{name} has no columns")
         if not np.all(np.isfinite(X)):
             raise InvalidSpec(f"{name} entries must be finite")
     k = len(X1t)

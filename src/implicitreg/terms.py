@@ -470,6 +470,8 @@ def design_matrix(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     fill of [1?, rhs terms, target], term-major: W is the transpose of its
     leading rows, one contiguous row per column.
     """
+    if spec.lhs is LhsKind.RESPONSE:
+        raise InvalidSpec("fit_implicit fits term models; fit_standard fits the response kind")
     target = 1.0 if spec.lhs is LhsKind.UNITY else spec.lhs_term
     columns = [1.0] * spec.intercept + list(spec.rhs_terms) + [target]
     k = len(columns) - 1

@@ -67,6 +67,19 @@ class TestFit:
         assert rep["univariate"]["mu_hat"] == pytest.approx(7 / 3, abs=1e-12)
         assert rep["univariate"]["r2"] == pytest.approx(6 / 7, abs=1e-12)
 
+    def test_univariate_reads_only_y_col(self, tmp_path, capsys):
+        # The model never uses x: a file without an x column fits, and a file
+        # with one reports the same.
+        (tmp_path / "y.csv").write_text("y\n1\n2\n3\n")
+        (tmp_path / "xy.csv").write_text("x,y\n0,1\n0,2\n0,3\n")
+        for output in ("text", "json"):
+            reports = []
+            for name in ("y.csv", "xy.csv"):
+                assert main(["fit", "--input", str(tmp_path / name), "--model", "univariate",
+                             "--output", output]) == EXIT_OK
+                reports.append(capsys.readouterr())
+            assert reports[0] == reports[1] and reports[0].err == ""
+
     def test_parse_error_exit_code(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x,y\n1,abc\n")
@@ -147,6 +160,49 @@ class TestFit:
         expect = [1, 1] if model == "nonresponse" else [1, -1]
         np.testing.assert_allclose([c["value"] for c in rep["coefficients"]], expect,
                                    atol=1e-12)
+
+
+class TestRequestErrors:
+    """A bad request exits 2 before its input is opened, whatever the data."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["diagnose", "--model", "univariate"],
+         "diagnose supports nonresponse, rotation, and standard models"),
+        (["diagnose", "--model", "nonresponse", "--terms", "x,y,x^3"],
+         "diagnosis needs terms drawn from {x, y, xy, x2, y2}"),
+        (["fit", "--model", "rotation:q"], "cannot parse term 'q'"),
+        (["fit", "--model", "rotation:"], "cannot parse term ''"),
+        (["rotate-all", "--terms", "x"], "a rotation needs at least two terms"),
+        (["rotate-all", "--terms", "x,,y"], "cannot parse term ''"),
+        (["fit", "--model", "nonresponse", "--terms", "1,x"],
+         "the unity-regressand model carries no intercept, so no term 1"),
+        (["diagnose", "--model", "nonresponse", "--terms", "1,x"],
+         "the unity-regressand model carries no intercept, so no term 1"),
+    ], ids=["diagnose-univariate", "diagnose-non-conic-terms", "unparsable-pivot", "empty-pivot",
+            "rotate-all-one-term", "rotate-all-empty-term", "fit-unit-term",
+            "diagnose-unit-term"])
+    def test_refused_before_the_input_is_read(self, tmp_path, capsys, monkeypatch, argv,
+                                               message):
+        def no_read(*args):
+            raise AssertionError("read the input of a bad request")
+        monkeypatch.setattr(terms, "_read_columns", no_read)
+        code = main(argv + ["--input", str(line_csv(tmp_path))])
+        assert (code, capsys.readouterr().err) == (EXIT_INPUT, f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, rows, message", [
+        (["diagnose", "--model", "univariate"], "1,1\n2,-1\n",
+         "diagnose supports nonresponse, rotation, and standard models"),
+        (["diagnose", "--model", "nonresponse", "--terms", "x,y,x^3"], "1,2\n2,4\n3,6\n4,8\n",
+         "diagnosis needs terms drawn from {x, y, xy, x2, y2}"),
+    ], ids=["y-sums-to-0", "x-y-proportional"])
+    def test_exit_code_does_not_depend_on_the_data(self, tmp_path, capsys, argv, rows,
+                                                   message):
+        # Once read, this data would fail the fit (exit 3): no self-weighting
+        # mean, a singular system.
+        p = tmp_path / "d.csv"
+        p.write_text("x,y\n" + rows)
+        code = main(argv + ["--input", str(p)])
+        assert (code, capsys.readouterr().err) == (EXIT_INPUT, f"error: {message}\n")
 
 
 class TestFailures:

@@ -119,6 +119,7 @@ def test_cli_exits_cleanly(tmp_path, case):
     (tmp_path / "in.csv").write_bytes(body)
     out_file = tmp_path / "out.txt"
     out_file.unlink(missing_ok=True)
+    missing = [a.replace("in.csv", "missing.csv").format(dir=tmp_path) for a in argv]
     argv = [a.format(dir=tmp_path) for a in argv]
     if to_file:
         argv += ["--out-file", str(out_file)]
@@ -126,6 +127,13 @@ def test_cli_exits_cleanly(tmp_path, case):
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     err = stderr.getvalue()
+    if argv[0] in ("fit", "diagnose", "rotate-all"):
+        # A request refused without its input is refused the same with it.
+        stderr_missing = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr_missing):
+            code_missing = main(missing)
+        if "No such file or directory" not in stderr_missing.getvalue():
+            assert (code, err) == (code_missing, stderr_missing.getvalue()), argv
     assert code in {EXIT_OK, EXIT_INPUT, EXIT_DEGENERATE, EXIT_DOMAIN}, (argv, err)
     assert "Traceback" not in err
     if code != EXIT_OK:

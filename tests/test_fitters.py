@@ -168,6 +168,10 @@ class TestFitAllRotations:
         assert isinstance(results[1], ZeroVariance)
 
 
+def _alias(X1, X2):
+    return lambda: alias_matrix(np.array(X1), np.array(X2))
+
+
 class TestSolver:
     """The scaled, row-blocked QR factor behind every fit."""
 
@@ -181,21 +185,27 @@ class TestSolver:
         np.testing.assert_allclose(alias_matrix(np.eye(2), [3.0, -7.0])[:, 0], [3, -7],
                                    atol=1e-14)
 
-    @pytest.mark.parametrize("X1, X2, message", [
-        ([[1.0, 0.0], [np.nan, 1.0], [2.0, 1.0], [3.0, 5.0]], [1.0, 2.0, 3.0, 4.0],
+    @pytest.mark.parametrize("fit, message", [
+        (_alias([[1.0, 0.0], [np.nan, 1.0], [2.0, 1.0], [3.0, 5.0]], [1.0, 2.0, 3.0, 4.0]),
          "X1 entries must be finite"),
-        ([[1.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 5.0]], [1.0, np.inf, 3.0, 4.0],
+        (_alias([[1.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 5.0]], [1.0, np.inf, 3.0, 4.0]),
          "X2 entries must be finite"),
-        ([[1.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 5.0]], [1.0, 2.0, 3.0],
+        (_alias([[1.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 5.0]], [1.0, 2.0, 3.0]),
          "X1 and X2 must have the same number of rows, not 4 and 3"),
-        (np.empty((0, 2)), np.empty(0), "X1 and X2 have no rows"),
-    ], ids=["nan-in-X1", "inf-in-X2", "4-rows-against-3", "0-rows"])
-    def test_bad_input_named_before_the_factor(self, X1, X2, message, monkeypatch):
+        (_alias(np.empty((0, 2)), np.empty(0)), "X1 and X2 have no rows"),
+        (_alias(np.empty((4, 0)), [1.0, 2.0, 3.0, 4.0]), "X1 has no columns"),
+        (_alias([[1.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 5.0]], np.empty((4, 0))),
+         "X2 has no columns"),
+        (lambda: fit_all_rotations(Dataset([1.0, 0.0, 0.5], [0.0, 1.0, 0.5]), []),
+         "a rotation needs at least two terms"),
+    ], ids=["nan-in-X1", "inf-in-X2", "4-rows-against-3", "0-rows", "X1-0-columns",
+            "X2-0-columns", "rotations-of-no-terms"])
+    def test_bad_input_named_before_the_factor(self, fit, message, monkeypatch):
         def no_factor(*args):
             raise AssertionError("factored bad input")
         monkeypatch.setattr(fitters, "_factor", no_factor)
         with pytest.raises(InvalidSpec, match=f"^{message}$"):
-            alias_matrix(np.array(X1), np.array(X2))
+            fit()
 
     @pytest.mark.parametrize("fit", [
         lambda: pinwheel_data(Dataset([1.0], [2.0])),

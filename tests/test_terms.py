@@ -487,6 +487,13 @@ class TestDesignMatrix:
         with pytest.raises(Underdetermined):
             design_matrix(d, ModelSpec.nonresponse(parse_terms("x,y,xy")))
 
+    def test_response_kind_refused(self, tri_dataset):
+        # Its rhs names MultiDataset columns, which are not terms to evaluate.
+        spec = ModelSpec(LhsKind.RESPONSE, ("x",), intercept=True)
+        with pytest.raises(InvalidSpec, match="^fit_implicit fits term models; "
+                                              "fit_standard fits the response kind$"):
+            design_matrix(tri_dataset, spec)
+
     def test_three_term_gram_matches_printed_sums(self, tri_dataset):
         # W'W and W'1 for {x, y, xy} with unity target must consist of the
         # raw sums the 3-equation system is written in.
