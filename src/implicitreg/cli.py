@@ -25,7 +25,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from . import conics, diagnostics, fitters, terms
 from .errors import (
@@ -253,11 +253,13 @@ def _report(args, diagnose: bool = False) -> Report:
     return report
 
 
-def cmd_fit(args) -> int:
-    return _emit(args, _report(args))
+def cmd_fit(args) -> str:
+    """The report of fit, or of diagnose with its separation diagnostics."""
+    report = _report(args, diagnose=args.command == "diagnose")
+    return report.to_json() if args.output == "json" else report.to_text()
 
 
-def cmd_rotate_all(args) -> int:
+def cmd_rotate_all(args) -> str:
     term_list = terms.parse_terms(args.terms)
     terms.ModelSpec.rotation(term_list, 0)      # at least two terms
     d = terms.load_csv(args.input, args.x_col, args.y_col)
@@ -269,15 +271,8 @@ def cmd_rotate_all(args) -> int:
         else:
             reports.append(Report(model, **_fit_fields(result)))
     if args.output == "json":
-        text = _json([r.to_dict() for r in reports], indent=2)
-    else:
-        text = "\n\n".join(r.to_text() for r in reports)
-    _write_out(args, text)
-    return EXIT_OK
-
-
-def cmd_diagnose(args) -> int:
-    return _emit(args, _report(args, diagnose=True))
+        return _json([r.to_dict() for r in reports], indent=2)
+    return "\n\n".join(r.to_text() for r in reports)
 
 
 # Kind -> (class name in implicitreg.simulate, parameters).  The module is
@@ -301,7 +296,7 @@ def _floats(text: str, flag: str) -> list[float]:
     return values
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Iterable[str]:
     from . import simulate
 
     cls, names = _SIM_PARAMS[args.kind]
@@ -311,43 +306,23 @@ def cmd_simulate(args) -> int:
     spec = simulate.GeneratorSpec(kind=getattr(simulate, cls)(*values), n=args.n,
                                   noise_sigma=args.noise, seed=args.seed)
     out = simulate.generate(spec)
+    # The sample is drawn whole before its rows are streamed, so a failure
+    # comes before the first block.
     if isinstance(out, terms.Dataset):
-        rows = ["x,y"] + [f"{float(xi)!r},{float(yi)!r}" for xi, yi in zip(out.x, out.y)]
-    else:
-        rows = ["y"] + [repr(float(v)) for v in out]
-    _write_out(args, "\n".join(rows))
-    return EXIT_OK
+        return terms._csv_blocks(["x", "y"], [out.x, out.y], "\n")
+    return terms._csv_blocks(["y"], [out], "\n")
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> str:
     values = _floats(args.values, "--values")
     if not values:
         raise InvalidSpec("--values takes at least one number")
-    if args.direction == "beta-from-alpha":
-        out = fitters.beta_from_alpha(values)
-        label = "beta"
-    else:
-        out = fitters.alpha_from_beta(values)
-        label = "alpha"
+    # beta-from-alpha is fitters.beta_from_alpha, and its output is beta.
+    out = getattr(fitters, args.direction.replace("-", "_"))(values)
+    label = args.direction.split("-")[0]
     if args.output == "json":
-        _write_out(args, _json({label: [float(v) for v in out]}))
-    else:
-        _write_out(args, f"{label} = " + ", ".join(f"{v:.12g}" for v in out))
-    return EXIT_OK
-
-
-def _emit(args, report: Report) -> int:
-    _write_out(args, report.to_json() if args.output == "json" else report.to_text())
-    return EXIT_OK
-
-
-def _write_out(args, text: str) -> None:
-    out_file = getattr(args, "out_file", None)
-    if out_file:
-        with open(out_file, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        return _json({label: [float(v) for v in out]})
+    return f"{label} = " + ", ".join(f"{v:.12g}" for v in out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,9 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Implicit regression toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True)
+    def common(p):
+        p.add_argument("--input", required=True)
         p.add_argument("--x-col", default="x")
         p.add_argument("--y-col", default="y")
         p.add_argument("--response-col", default="y")
@@ -380,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--terms", default="x,y")
-    p.set_defaults(func=cmd_diagnose)
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="emit a seeded synthetic dataset as CSV")
     p.add_argument("--kind", choices=sorted(_SIM_PARAMS), required=True)
@@ -403,9 +377,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, then write its output: a report, or a stream of
+    text blocks.  A failing command leaves --out-file unopened."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        output = args.func(args)
+        blocks = (output, "\n") if isinstance(output, str) else output
+        if args.out_file:
+            with open(args.out_file, "w", encoding="utf-8") as fh:
+                fh.writelines(blocks)
+        else:
+            sys.stdout.writelines(blocks)
+        return EXIT_OK
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -48,14 +48,13 @@ from .errors import (
     Underdetermined,
     ZeroVariance,
 )
-from .terms import (Column, Dataset, Fill, LhsKind, ModelSpec, MultiDataset, Term, _observations,
-                    _source)
+from .terms import (ROW_BLOCK, Column, Dataset, Fill, LhsKind, ModelSpec, MultiDataset, Term,
+                    _observations, _source)
 
 R2_NONRESPONSE = "Eq12-nonresponse"
 R2_CENTERED = "Eq8-centered"
 R2_UNIVARIATE = "Eq14-univariate"
 
-ROW_BLOCK = 8192            # rows of Z per QR merge step
 EPS = float(np.finfo(float).eps)
 RANK_TOL = math.sqrt(EPS)   # on the diagonal of a unit-column factor
 MEAN_ROUNDING = 4           # times log2(n + 1) * eps * |mean|: bound on a pairwise mean's error
@@ -370,9 +369,9 @@ def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult
 def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     """A = (X1'X1)^{-1} X1'X2, the projection of excluded columns onto
     included ones.  Column j of A is the rotation-fit coefficient vector
-    for the j-th excluded column, read off one factor of [X1, X2]."""
-    X1t = np.asarray(X1, dtype=float).T
-    X2t = np.atleast_2d(np.asarray(X2, dtype=float).T)     # a vector is one column
+    for the j-th excluded column, read off one factor of [X1, X2].  A
+    vector X1 or X2 is one column."""
+    X1t, X2t = (np.atleast_2d(np.asarray(X, dtype=float).T) for X in (X1, X2))
     n = X1t.shape[-1]
     if n != X2t.shape[-1]:
         raise InvalidSpec(f"X1 and X2 must have the same number of rows, "

@@ -11,13 +11,14 @@ every fit and the pinwheel lines fill their columns through it.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -99,6 +100,7 @@ def _power(base: np.ndarray, exp: float, out: Optional[np.ndarray] = None) -> np
     return out
 
 
+ROW_BLOCK = 8192            # rows per block: of Z in a fit, of text in a CSV body
 Column = Union[np.ndarray, Term, float]        # a column of Z: a vector, a term or a constant
 Fill = Callable[[np.ndarray, int, int], None]   # fill(out, a, b): rows a..b of Z' into out
 
@@ -432,8 +434,9 @@ def load_csv(path, x_col: str = "x", y_col: str = "y") -> Dataset:
     Columns are found by name; data rows are numbered from 1 in error reports.
     """
     _, values = _read_columns(path, lambda header: (x_col, y_col))
-    # Contiguous columns, as the row loop gave: a strided vector can take
-    # another summation order in BLAS, and the reports must not move.
+    # Contiguous copies for speed alone: views of the parse give the same
+    # reports bit for bit, but as stride-2 columns they make the fit and the
+    # separation sums 1.5-2.5x slower at 2e5 rows.
     return Dataset(values[:, 0].copy(), values[:, 1].copy())
 
 
@@ -450,13 +453,23 @@ def load_multi_csv(path, response_col: str) -> MultiDataset:
                         tuple(names[1:]))
 
 
+def _csv_blocks(names: Sequence[str], columns: Sequence[np.ndarray],
+                lineterminator: str = "\r\n") -> Iterator[str]:
+    """The CSV text of named columns, as csv.writer would write it, in
+    blocks: the header, then ROW_BLOCK rows at a time.  Only the header
+    goes through the writer: repr of a float cannot need quoting."""
+    head = io.StringIO()
+    csv.writer(head, lineterminator=lineterminator).writerow(names)
+    yield head.getvalue()
+    row = ",".join(["{!r}"] * len(columns)) + lineterminator
+    for a in range(0, len(columns[0]), ROW_BLOCK):
+        yield "".join(map(row.format, *(c[a:a + ROW_BLOCK].tolist() for c in columns)))
+
+
 def save_csv(path, d: Dataset, x_col: str = "x", y_col: str = "y") -> None:
-    """Write the dataset as csv.writer would, one joined string for the body:
-    repr of each value cannot need quoting, so only the header goes through
-    the writer."""
+    """Write the dataset as csv.writer would, streamed in row blocks."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow([x_col, y_col])
-        fh.write("".join(f"{xi!r},{yi!r}\r\n" for xi, yi in zip(d.x.tolist(), d.y.tolist())))
+        fh.writelines(_csv_blocks([x_col, y_col], [d.x, d.y]))
 
 
 # --- design matrix --------------------------------------------------------

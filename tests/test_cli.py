@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import offset_line, unit_condition
-from implicitreg import cli, fitters, terms
+from implicitreg import cli, fitters, simulate, terms
 from implicitreg.cli import (EXIT_DEGENERATE, EXIT_DOMAIN, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK,
                             main)
 
@@ -478,6 +481,72 @@ class TestSimulate:
     def test_bad_params(self):
         assert main(["simulate", "--kind", "circle", "--params", "0,0",
                      "--n", "5"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("kind, params, sample", [
+        ("line", "1,2", simulate.Line(1.0, 2.0)),
+        ("circle", "3,-2,2", simulate.Circle(3.0, -2.0, 2.0)),
+        ("ellipse", "3,-2,2,1,0.5", simulate.Ellipse(3.0, -2.0, 2.0, 1.0, 0.5)),
+        ("normal", "1,2", simulate.ConstantNormal(1.0, 2.0)),
+        ("uniform", "-1,3", simulate.Uniform(-1.0, 3.0)),
+    ])
+    def test_bytes_are_repr_rows(self, tmp_path, capsys, kind, params, sample):
+        # Three row blocks, the last of three rows, through stdout and --out-file.
+        n = 2 * terms.ROW_BLOCK + 3
+        out = simulate.generate(simulate.GeneratorSpec(sample, n, 0.05, 9))
+        if isinstance(out, terms.Dataset):
+            ref = "x,y\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(out.x, out.y))
+        else:
+            ref = "y\n" + "".join(f"{float(v)!r}\n" for v in out)
+        argv = ["simulate", "--kind", kind, f"--params={params}", "--n", str(n),
+                "--noise", "0.05", "--seed", "9"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == ref
+        path = tmp_path / "sim.csv"
+        assert main(argv + ["--out-file", str(path)]) == EXIT_OK
+        assert path.read_bytes() == ref.encode()
+
+    def test_closed_pipe_exits_2_with_one_line(self):
+        # As `simulate ... | head -1`: the reader leaves after the header.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "implicitreg.cli", "simulate", "--kind", "ellipse",
+             "--params", "3,-2,2,1,0.5", "--n", str(3 * terms.ROW_BLOCK), "--noise", "0.05"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"x,y\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (EXIT_INPUT, b"error: [Errno 32] Broken pipe\n")
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("argv, code", [
+        (["simulate", "--kind", "circle", "--params", "0,0", "--n", "5"], EXIT_INPUT),
+        (["fit", "--input", "{tmp}/absent.csv", "--model", "nonresponse"], EXIT_INPUT),
+        (["diagnose", "--input", "{circle}", "--model", "univariate"], EXIT_INPUT),
+        (["rotate-all", "--input", "{circle}", "--terms", "x"], EXIT_INPUT),
+        (["fit", "--input", "{circle}", "--model", "nonresponse", "--terms", "x^-0.5,y"],
+         EXIT_DOMAIN),
+        (["convert", "--direction", "beta-from-alpha", "--values", "0,1"], EXIT_DEGENERATE),
+    ], ids=["simulate", "fit", "diagnose", "rotate-all", "domain", "convert"])
+    def test_failing_command_creates_no_file(self, tmp_path, capsys, argv, code):
+        circle = circle_csv(tmp_path)
+        out = tmp_path / "out.txt"
+        argv = [a.format(tmp=tmp_path, circle=circle) for a in argv]
+        assert main(argv + ["--out-file", str(out)]) == code
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_file_holds_what_stdout_shows(self, tmp_path, capsys, output):
+        argv = ["diagnose", "--input", str(circle_csv(tmp_path)), "--model", "nonresponse",
+                "--terms", "x,y,xy,x2,y2", "--output", output]
+        assert main(argv) == EXIT_OK
+        shown = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out-file", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "" and out.read_text() == shown
 
 
 class TestConvert:

@@ -643,6 +643,11 @@ class TestStackedReadOff:
 
 
 class TestAliasMatrix:
+    def test_vector_x1_is_one_column(self):
+        x1, x2 = np.array([1.0, 2.0, 3.0]), np.array([2.0, 4.0, 6.1])
+        np.testing.assert_array_equal(alias_matrix(x1, x2), alias_matrix(x1[:, None], x2))
+        assert alias_matrix(x1, x2)[0, 0] == pytest.approx(28.3 / 14, rel=1e-14)
+
     def test_projection_onto_constant(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         A = alias_matrix(np.ones((4, 1)), x)

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import tracemalloc
 import urllib.request
 import warnings
 from fractions import Fraction
@@ -525,6 +526,24 @@ class TestSaveCsv:
         out = tmp_path / "out.csv"
         save_csv(out, Dataset(x, y), *columns)
         assert out.read_bytes() == ref.read_bytes()
+
+    def test_memory_flat_in_rows(self, tmp_path):
+        # The body is written a row block at a time, so doubling the rows
+        # leaves the peak where it was; one body string would grow with them.
+        rng = np.random.default_rng(8)
+
+        def peak(n):
+            d = Dataset(rng.normal(size=n), rng.normal(size=n))
+            save_csv(tmp_path / "warm.csv", d)      # first-call allocations stay out
+            tracemalloc.start()
+            try:
+                save_csv(tmp_path / "out.csv", d)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(3 * terms.ROW_BLOCK + 5), peak(6 * terms.ROW_BLOCK + 5)
+        assert large - small < 8192, (small, large)
 
     def test_round_trip_is_bitwise(self, tmp_path):
         x = np.array([-0.0, 5e-324, 1e300, 0.1])
