@@ -219,18 +219,16 @@ def _report(args, diagnose: bool = False) -> Report:
                 raise InvalidSpec(f"rotation pivot {pivot_txt!r} not in term list")
             pivot = term_list.index(pivot_term)
             terms.ModelSpec.rotation(term_list, pivot)
+            model = _rotation_model(pivot_term, term_list)
         else:
             terms.ModelSpec.nonresponse(term_list)
             if diagnose and not set(term_list) <= set(terms.CONIC_TERMS):
                 raise InvalidSpec(_CONIC_ONLY)
-        d = terms.load_csv(args.input, args.x_col, args.y_col)
-        if rotation:
-            fit = fitters.fit_rotation(d, term_list, pivot)
-            model = _rotation_model(pivot_term, term_list)
-        else:
-            fit = fitters.fit_nonresponse(d, term_list)
             model = {"kind": "nonresponse", "lhs": "unity",
                      "terms": [t.label() for t in term_list], "intercept": False}
+        d = terms.load_csv(args.input, args.x_col, args.y_col)
+        fit = (fitters.fit_rotation(d, term_list, pivot) if rotation
+               else fitters.fit_nonresponse(d, term_list))
     report = Report(model, **_fit_fields(fit))
     if args.model != "nonresponse":
         if diagnose:
@@ -275,15 +273,10 @@ def cmd_rotate_all(args) -> str:
     return "\n\n".join(r.to_text() for r in reports)
 
 
-# Kind -> (class name in implicitreg.simulate, parameters).  The module is
-# imported by cmd_simulate alone, so fit and diagnose start without it.
-_SIM_PARAMS = {
-    "line": ("Line", ("b0", "b1")),
-    "circle": ("Circle", ("cx", "cy", "r")),
-    "ellipse": ("Ellipse", ("cx", "cy", "ax", "ay", "rot")),
-    "normal": ("ConstantNormal", ("mu", "sigma")),
-    "uniform": ("Uniform", ("a", "b")),
-}
+# Kind -> class in implicitreg.simulate, whose fields are its parameters.  The
+# module is imported by cmd_simulate alone, so fit and diagnose start without it.
+_SIM_KINDS = {"line": "Line", "circle": "Circle", "ellipse": "Ellipse",
+              "normal": "ConstantNormal", "uniform": "Uniform"}
 
 
 def _floats(text: str, flag: str) -> list[float]:
@@ -299,11 +292,12 @@ def _floats(text: str, flag: str) -> list[float]:
 def cmd_simulate(args) -> Iterable[str]:
     from . import simulate
 
-    cls, names = _SIM_PARAMS[args.kind]
+    cls = getattr(simulate, _SIM_KINDS[args.kind])
+    names = [f.name for f in dataclasses.fields(cls)]
     values = _floats(args.params, "--params")
     if len(values) != len(names):
         raise InvalidSpec(f"kind {args.kind} takes parameters {','.join(names)}")
-    spec = simulate.GeneratorSpec(kind=getattr(simulate, cls)(*values), n=args.n,
+    spec = simulate.GeneratorSpec(kind=cls(*values), n=args.n,
                                   noise_sigma=args.noise, seed=args.seed)
     out = simulate.generate(spec)
     # The sample is drawn whole before its rows are streamed, so a failure
@@ -325,9 +319,15 @@ def cmd_convert(args) -> str:
     return f"{label} = " + ", ".join(f"{v:.12g}" for v in out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument refusals raise InvalidSpec: one error: line, exit 2, as in main."""
+
+    def error(self, message):
+        raise InvalidSpec(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="implicitreg",
-                                     description="Implicit regression toolkit")
+    parser = _Parser(prog="implicitreg", description="Implicit regression toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="emit a seeded synthetic dataset as CSV")
-    p.add_argument("--kind", choices=sorted(_SIM_PARAMS), required=True)
+    p.add_argument("--kind", choices=sorted(_SIM_KINDS), required=True)
     p.add_argument("--params", default="",
                    help="comma-separated kind parameters, e.g. cx,cy,r for circle")
     p.add_argument("--n", type=int, required=True)
@@ -376,11 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of a failure, by the first kind it is an instance of.
+_EXITS = ((InputError, EXIT_INPUT), (OSError, EXIT_INPUT), (DegenerateError, EXIT_DEGENERATE),
+          (DomainViolation, EXIT_DOMAIN), (Exception, EXIT_INTERNAL))
+
+
 def main(argv=None) -> int:
-    """Run one command, then write its output: a report, or a stream of
-    text blocks.  A failing command leaves --out-file unopened."""
-    args = build_parser().parse_args(argv)
+    """Parse argv, run its command, then write its output: a report, or a
+    stream of text blocks.  A failure leaves --out-file unopened."""
     try:
+        args = build_parser().parse_args(argv)
         output = args.func(args)
         blocks = (output, "\n") if isinstance(output, str) else output
         if args.out_file:
@@ -389,18 +394,11 @@ def main(argv=None) -> int:
         else:
             sys.stdout.writelines(blocks)
         return EXIT_OK
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DegenerateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except DomainViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except Exception as exc:   # last resort: any other failure is a bug
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:    # the last kind in _EXITS: any other failure is a bug
+        code = next(code for kind, code in _EXITS if isinstance(exc, kind))
+        what = "error" if code != EXIT_INTERNAL else f"internal error: {type(exc).__name__}"
+        print(f"{what}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

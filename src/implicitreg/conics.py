@@ -22,7 +22,9 @@ TOL_DENOM = 1e-12
 
 @dataclass(frozen=True)
 class ConicCoeffs:
-    """Coefficients of 1 = a1*x + a2*y + a3*xy + a4*x^2 + a5*y^2."""
+    """Coefficients of 1 = a1*x + a2*y + a3*xy + a4*x^2 + a5*y^2, all finite.
+    ConicCoeffs(*fit.coeffs) is right only for a fit over terms.CONIC_TERMS
+    in that order (x, y, xy, x2, y2); map the coefficients of any other by term."""
 
     a1: float
     a2: float
@@ -31,6 +33,8 @@ class ConicCoeffs:
     a5: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite(self.as_array()).all():
+            raise InvalidSpec("the coefficients must be finite")
         if not any((self.a1, self.a2, self.a3, self.a4, self.a5)):
             raise InvalidSpec("at least one coefficient must be nonzero")
 
@@ -91,7 +95,9 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def solve_for_y(c: ConicCoeffs, x: float) -> list[float]:
-    """Real y with (x, y) on the fitted curve, ascending; 0, 1, or 2 roots."""
+    """Real y with (x, y) on the fitted curve, ascending; 0, 1, or 2 roots; x finite."""
+    if not math.isfinite(x):
+        raise InvalidSpec(f"the point must be finite, not {x}")
     (lower,), (upper,), (free,) = y_roots(c, [x])
     if free:
         raise NoSolutionAtPoint(f"no y solves the relation at x = {x}")
@@ -107,10 +113,12 @@ def invert_rotation_linear(fit: FitResult, at: float, which: str) -> float:
     """Invert the three-term rotation y = a0 + a1*x + a2*xy rationally.
 
     which = "for_y": evaluate y = (a0 + a1*x)/(1 - a2*x) at x = at.
-    which = "for_x": evaluate x = (y - a0)/(a1 + a2*y) at y = at.
+    which = "for_x": evaluate x = (y - a0)/(a1 + a2*y) at y = at.  at must be finite.
     """
     if len(fit.coeffs) != 3:
         raise InvalidSpec("expected a 3-coefficient rotation fit (a0, a1, a2)")
+    if not math.isfinite(at):
+        raise InvalidSpec(f"the point must be finite, not {at}")
     a0, a1, a2 = (float(v) for v in fit.coeffs)
     if which == "for_y":
         denom = 1.0 - a2 * at

@@ -49,7 +49,7 @@ from .errors import (
     ZeroVariance,
 )
 from .terms import (ROW_BLOCK, Column, Dataset, Fill, LhsKind, ModelSpec, MultiDataset, Term,
-                    _observations, _source)
+                    _design_columns, _observations, _source)
 
 R2_NONRESPONSE = "Eq12-nonresponse"
 R2_CENTERED = "Eq8-centered"
@@ -315,17 +315,14 @@ class Factor:
 def fit_implicit(d: Dataset, spec: ModelSpec) -> FitResult:
     """Least-squares fit of the implicit model given by spec.
 
-    Z = [1 (with a term target), the rhs terms, the target], evaluated block
-    by block from d: the design is never held whole.  The unit column is
-    among the fit's columns only with an intercept.
+    Z = terms._design_columns(spec), evaluated block by block from d: the
+    design is never held whole.  A term fit without an intercept gets a
+    leading unit column, which centres its sums and is not among its columns.
     """
-    if spec.lhs is LhsKind.RESPONSE:
-        raise InvalidSpec("fit_implicit fits term models; fit_standard fits the response kind")
-    lead = spec.lhs is not LhsKind.UNITY
-    target = spec.lhs_term if lead else 1.0
-    columns = [1.0] * lead + list(spec.rhs_terms) + [target]
+    lead = spec.lhs is LhsKind.TERM and not spec.intercept
+    columns = [1.0] * lead + _design_columns(spec)
     m = len(columns) - 1
-    return Factor(columns, d.n, d.x, d.y).result(spec, m, range(lead - spec.intercept, m))
+    return Factor(columns, d.n, d.x, d.y).result(spec, m, range(lead, m))
 
 
 def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:

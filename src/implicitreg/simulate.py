@@ -104,17 +104,14 @@ def generate(spec: GeneratorSpec) -> Union[Dataset, np.ndarray]:
 
 def _sample(spec: GeneratorSpec, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """The sampled columns: (x, y) for a geometric kind, (y,) for a
-    univariate one."""
+    univariate one.  A circle is sampled as the ellipse of equal semi-axes."""
     k = spec.kind
     if isinstance(k, Line):
         x = rng.uniform(*LINE_X_RANGE, size=spec.n)
         y = k.b0 + k.b1 * x
         return _with_noise(x, y, spec, rng)
     if isinstance(k, Circle):
-        theta = rng.uniform(0.0, 2 * math.pi, size=spec.n)
-        x = k.cx + k.r * np.cos(theta)
-        y = k.cy + k.r * np.sin(theta)
-        return _with_noise(x, y, spec, rng)
+        k = Ellipse(k.cx, k.cy, k.r, k.r)
     if isinstance(k, Ellipse):
         theta = rng.uniform(0.0, 2 * math.pi, size=spec.n)
         u = k.ax * np.cos(theta)

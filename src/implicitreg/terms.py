@@ -198,20 +198,14 @@ class MultiDataset:
     column_names: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "response", np.asarray(self.response, dtype=float))
         expl = np.asarray(self.explanatory, dtype=float)
         if expl.ndim == 1:
             expl = expl[:, None]
+        object.__setattr__(self, "response", _observations(self.response, *expl.T)[0])
         object.__setattr__(self, "explanatory", expl)
         object.__setattr__(self, "column_names", tuple(self.column_names))
-        if expl.shape[0] != len(self.response):
-            raise InvalidSpec("explanatory rows must match response length")
         if expl.shape[1] != len(self.column_names):
             raise InvalidSpec("one name per explanatory column required")
-        if len(self.response) < 1:
-            raise EmptyDataset("dataset has no observations")
-        if not (np.all(np.isfinite(self.response)) and np.all(np.isfinite(expl))):
-            raise InvalidSpec("dataset entries must be finite")
 
     @property
     def n(self) -> int:
@@ -474,19 +468,24 @@ def save_csv(path, d: Dataset, x_col: str = "x", y_col: str = "y") -> None:
 
 # --- design matrix --------------------------------------------------------
 
+def _design_columns(spec: ModelSpec) -> list[Column]:
+    """The design columns of a term model: [1 if intercept, rhs terms,
+    target], the target being the unity vector or the pivot term."""
+    if spec.lhs is LhsKind.RESPONSE:
+        raise InvalidSpec("fit_implicit fits term models; fit_standard fits the response kind")
+    target = 1.0 if spec.lhs is LhsKind.UNITY else spec.lhs_term
+    return [1.0] * spec.intercept + list(spec.rhs_terms) + [target]
+
+
 def design_matrix(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the model columns and the target of a term model.
 
     Column k of W is the k-th rhs term evaluated row-wise, with a leading
-    column of ones when the spec carries an intercept.  The target is the
-    unity vector or the pivot term.  W and the target are one whole-array
-    fill of [1?, rhs terms, target], term-major: W is the transpose of its
-    leading rows, one contiguous row per column.
+    column of ones when the spec carries an intercept.  W and the target
+    are one whole-array fill of _design_columns, term-major: W is the
+    transpose of its leading rows, one contiguous row per column.
     """
-    if spec.lhs is LhsKind.RESPONSE:
-        raise InvalidSpec("fit_implicit fits term models; fit_standard fits the response kind")
-    target = 1.0 if spec.lhs is LhsKind.UNITY else spec.lhs_term
-    columns = [1.0] * spec.intercept + list(spec.rhs_terms) + [target]
+    columns = _design_columns(spec)
     k = len(columns) - 1
     Z = np.empty((k + 1, d.n))
     _source(columns, d.x, d.y)(Z, 0, d.n)

@@ -140,6 +140,15 @@ class TestFit:
         np.testing.assert_allclose(rep["conic"]["center"], [300, 300], rtol=0, atol=1e-9)
         np.testing.assert_allclose(rep["conic"]["semi_axes"], [1, 1], rtol=0, atol=1e-9)
 
+    def test_terms_outside_the_conic_set_report_no_conic(self, tmp_path, capsys):
+        argv = ["fit", "--input", str(circle_csv(tmp_path)), "--model", "nonresponse",
+                "--terms", "x,y,x^3"]
+        code, rep = run_json(capsys, argv)
+        assert code == EXIT_OK and "conic" not in rep
+        assert [c["term"] for c in rep["coefficients"]] == ["x", "y", "x^3"]
+        assert main(argv) == EXIT_OK
+        assert "conic class" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("model", ["standard", "rotation:y"])
     def test_offset_line_slope(self, tmp_path, capsys, model):
         slopes = []
@@ -206,6 +215,33 @@ class TestRequestErrors:
         p.write_text("x,y\n" + rows)
         code = main(argv + ["--input", str(p)])
         assert (code, capsys.readouterr().err) == (EXIT_INPUT, f"error: {message}\n")
+
+
+class TestArgumentRefusals:
+    """argparse's refusals are request errors: one error: line, exit 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--model", "nonresponse"], "the following arguments are required: --input"),
+        (["simulate", "--kind", "bogus", "--n", "3"],
+         "argument --kind: invalid choice: 'bogus' (choose from 'circle', 'ellipse', 'line', "
+         "'normal', 'uniform')"),
+        (["simulate", "--kind", "uniform", "--params", "-1,3", "--n", "3"],
+         "argument --params: expected one argument"),
+        (["convert", "--direction", "beta-from-alpha", "--values", "1", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ], ids=["no-input", "bad-kind", "dash-value", "unknown-flag", "no-command"])
+    def test_one_error_line_exit_2(self, capsys, argv, message):
+        assert main(argv) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_exits_0_with_usage_on_stdout(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 0 and out.out.startswith("usage: implicitreg") and not out.err
 
 
 class TestFailures:
@@ -504,6 +540,22 @@ class TestSimulate:
         path = tmp_path / "sim.csv"
         assert main(argv + ["--out-file", str(path)]) == EXIT_OK
         assert path.read_bytes() == ref.encode()
+
+    @pytest.mark.parametrize("params", ["0,0,2", "-0.0,-0.0,1", "3,-2,0.5"])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 7])
+    def test_circle_bytes_match_the_circle_formula(self, capsys, params, seed):
+        # The reference draws theta, then the x and y noise, from the seed's
+        # generator and puts each point at (cx + r cos theta, cy + r sin theta).
+        cx, cy, r = map(float, params.split(","))
+        n, noise = 2 * terms.ROW_BLOCK + 3, 0.05
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0.0, 2 * math.pi, size=n)
+        x = cx + r * np.cos(theta) + rng.normal(0.0, noise, size=n)
+        y = cy + r * np.sin(theta) + rng.normal(0.0, noise, size=n)
+        ref = "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+        assert main(["simulate", "--kind", "circle", f"--params={params}", "--n", str(n),
+                     "--noise", str(noise), "--seed", str(seed)]) == EXIT_OK
+        assert capsys.readouterr().out == ref
 
     def test_closed_pipe_exits_2_with_one_line(self):
         # As `simulate ... | head -1`: the reader leaves after the header.

@@ -122,6 +122,32 @@ class TestInvertRotationLinear:
             invert_rotation_linear(f, 1.0, "for_y")
 
 
+class TestNonFinite:
+    """A non-finite coefficient or point is refused, not read as an answer."""
+
+    @pytest.mark.parametrize("slot", range(5))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_coefficient_refused(self, slot, value):
+        a = [0.0, 0.0, 0.0, 1.0, 1.0]
+        a[slot] = value
+        with pytest.raises(InvalidSpec, match="coefficients must be finite"):
+            ConicCoeffs(*a)
+
+    @pytest.mark.parametrize("solve", [solve_for_y, solve_for_x])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_point_refused_by_the_solvers(self, solve, value):
+        with pytest.raises(InvalidSpec, match="point must be finite"):
+            solve(UNIT_CIRCLE, value)
+
+    @pytest.mark.parametrize("which", ["for_y", "for_x"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_point_refused_by_the_rational_inversion(self, which, value):
+        x = np.array([0.1, 0.4, 0.7, 2.0, 3.0])
+        f = fit_rotation(Dataset(x, (1 + x) / (1 - 0.1 * x)), parse_terms("x,y,xy"), pivot=1)
+        with pytest.raises(InvalidSpec, match="point must be finite"):
+            invert_rotation_linear(f, value, which)
+
+
 class TestClassify:
     def test_circle(self):
         assert classify_conic(ConicCoeffs(0, 0, 0, 0.25, 0.25)) is ConicClass.CIRCLE

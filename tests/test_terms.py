@@ -446,6 +446,30 @@ class TestTermEvaluate:
             Term(1, 1).evaluate(x, x)
 
 
+class TestMultiDataset:
+    """MultiDataset checks its columns as Dataset does, through _observations."""
+
+    @pytest.mark.parametrize("response, explanatory, names, error", [
+        ([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [1.0, 2.0, 3.0], ("x",), InvalidSpec),
+        ([1.0, 2.0, 3.0], np.ones((3, 1, 1)), ("x",), InvalidSpec),
+        ([1.0, 2.0, 3.0], [[1.0], [2.0]], ("x",), InvalidSpec),
+        ([1.0, 2.0, 3.0], [[1.0, 2.0], [2.0, 3.0], [3.0, 1.0]], ("x",), InvalidSpec),
+        ([], np.empty((0, 1)), ("x",), EmptyDataset),
+        ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0], ("x",), InvalidSpec),
+        ([1.0, 2.0, 3.0], [[1.0, 2.0], [math.inf, 3.0], [3.0, 1.0]], ("x", "z"), InvalidSpec),
+    ], ids=["2-D-response", "3-D-explanatory", "unequal-rows", "wrong-name-count", "no-rows",
+            "nan-response", "inf-explanatory"])
+    def test_bad_columns_are_refused(self, response, explanatory, names, error):
+        with pytest.raises(error):
+            terms.MultiDataset(response, explanatory, names)
+
+    def test_vector_explanatory_is_one_column(self):
+        md = terms.MultiDataset([1.0, 3.0, 4.0], [0.0, 1.0, 2.0], ["x"])
+        assert md.explanatory.shape == (3, 1) and (md.n, md.p) == (3, 1)
+        assert md.column_names == ("x",)
+        np.testing.assert_array_equal(md.explanatory[:, 0], [0.0, 1.0, 2.0])
+
+
 class TestModelSpec:
     def test_unity_rejects_intercept(self):
         with pytest.raises(InvalidSpec):
