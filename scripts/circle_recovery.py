@@ -31,7 +31,7 @@ def main() -> None:
                              noise_sigma=sigma, seed=args.seed)
         d = generate(spec)
         fit = fit_nonresponse(d, CONIC_TERMS)
-        conic = ConicCoeffs(*fit.coeffs)
+        conic = ConicCoeffs.from_fit(fit)
         geom = conic_geometry(conic)
         center_err = ((geom.center[0] - cx) ** 2 + (geom.center[1] - cy) ** 2) ** 0.5
         radius_err = abs(0.5 * (geom.semi_axes[0] + geom.semi_axes[1]) - args.radius)

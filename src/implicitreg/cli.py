@@ -43,8 +43,6 @@ EXIT_DEGENERATE = 3
 EXIT_DOMAIN = 4
 EXIT_INTERNAL = 5
 
-_CONIC_ONLY = "diagnosis needs terms drawn from {x, y, xy, x2, y2}"
-
 
 @dataclass
 class Report:
@@ -154,21 +152,6 @@ def _add_separation(report: Report, sep: diagnostics.SeparationDiagnostics) -> N
         report.warnings.append(sep.warning)
 
 
-def _conic_coeffs_from_fit(term_list, coeffs) -> Optional[conics.ConicCoeffs]:
-    """Map a unity fit over a subset of {x, y, xy, x^2, y^2} onto the
-    five-coefficient conic layout; None when a term falls outside it."""
-    slots = dict(zip(terms.CONIC_TERMS, range(5)))
-    a = [0.0] * 5
-    for t, v in zip(term_list, coeffs):
-        if t not in slots:
-            return None
-        a[slots[t]] = float(v)
-    try:
-        return conics.ConicCoeffs(*a)
-    except InvalidSpec:
-        return None
-
-
 def _conic_dict(c: conics.ConicCoeffs, warnings: list[str]) -> dict:
     kind = conics.classify_conic(c)
     out: dict[str, Any] = {"class": kind.value, "coeffs": list(c.as_array())}
@@ -223,7 +206,7 @@ def _report(args, diagnose: bool = False) -> Report:
         else:
             terms.ModelSpec.nonresponse(term_list)
             if diagnose and not set(term_list) <= set(terms.CONIC_TERMS):
-                raise InvalidSpec(_CONIC_ONLY)
+                raise InvalidSpec("diagnosis needs terms drawn from {x, y, xy, x2, y2}")
             model = {"kind": "nonresponse", "lhs": "unity",
                      "terms": [t.label() for t in term_list], "intercept": False}
         d = terms.load_csv(args.input, args.x_col, args.y_col)
@@ -234,13 +217,15 @@ def _report(args, diagnose: bool = False) -> Report:
         if diagnose:
             _add_separation(report, diagnostics.separation_univariate(fit.target, fit.fitted))
         return report
-    c = _conic_coeffs_from_fit(term_list, fit.coeffs)
-    if c is not None:
-        report.conic = _conic_dict(c, report.warnings)
+    try:
+        c = conics.ConicCoeffs.from_fit(fit)
+    except InvalidSpec:
+        if diagnose:
+            raise
+        return report
+    report.conic = _conic_dict(c, report.warnings)
     if not diagnose:
         return report
-    if c is None:       # every coefficient is 0: there is no conic to diagnose
-        raise InvalidSpec(_CONIC_ONLY)
     _add_separation(report, diagnostics.separation_from_conic(c, d))
     if set(term_list) == {terms.Term(1, 0), terms.Term(0, 1)}:
         lines = diagnostics.pinwheel_data(d)

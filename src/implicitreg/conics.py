@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidSpec, NoSolutionAtPoint, NotAnEllipse, NotRepresentable, PoleAtPoint
 from .fitters import FitResult
+from .terms import CONIC_TERMS, LhsKind, Term
 
 TOL_DISC = 1e-10
 TOL_DENOM = 1e-12
@@ -23,8 +24,8 @@ TOL_DENOM = 1e-12
 @dataclass(frozen=True)
 class ConicCoeffs:
     """Coefficients of 1 = a1*x + a2*y + a3*xy + a4*x^2 + a5*y^2, all finite.
-    ConicCoeffs(*fit.coeffs) is right only for a fit over terms.CONIC_TERMS
-    in that order (x, y, xy, x2, y2); map the coefficients of any other by term."""
+    ConicCoeffs.from_fit(fit) reads a unit-constant fit by term, and
+    ConicCoeffs(*a) takes a1..a5 in CONIC_TERMS order (x, y, xy, x2, y2)."""
 
     a1: float
     a2: float
@@ -37,6 +38,15 @@ class ConicCoeffs:
             raise InvalidSpec("the coefficients must be finite")
         if not any((self.a1, self.a2, self.a3, self.a4, self.a5)):
             raise InvalidSpec("at least one coefficient must be nonzero")
+
+    @classmethod
+    def from_fit(cls, fit: FitResult) -> "ConicCoeffs":
+        """The conic of a unit-constant fit over any order or subset of
+        CONIC_TERMS: each coefficient in its term's slot, 0 in an absent one."""
+        if fit.spec.lhs is not LhsKind.UNITY or not set(fit.spec.rhs_terms) <= set(CONIC_TERMS):
+            raise InvalidSpec("a conic is a unit-constant fit over terms from {x, y, xy, x2, y2}")
+        a = dict(zip(fit.spec.rhs_terms, map(float, fit.coeffs)))
+        return cls(*(a.get(t, 0.0) for t in CONIC_TERMS))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a1, self.a2, self.a3, self.a4, self.a5])
@@ -94,32 +104,38 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lower, upper, np.zeros(x.shape, dtype=bool)
 
 
+def _solve(c: ConicCoeffs, at: float, given: str, solved: str) -> list[float]:
+    """Real roots in c's second variable (solved) at its first (given) = at, ascending."""
+    if not math.isfinite(at):
+        raise InvalidSpec(f"the point must be finite, not {at}")
+    (lower,), (upper,), (free,) = y_roots(c, [at])
+    if free:
+        raise NoSolutionAtPoint(f"no {solved} solves the relation at {given} = {at}")
+    return [] if math.isnan(lower) else sorted({float(lower), float(upper)})
+
+
 def solve_for_y(c: ConicCoeffs, x: float) -> list[float]:
     """Real y with (x, y) on the fitted curve, ascending; 0, 1, or 2 roots; x finite."""
-    if not math.isfinite(x):
-        raise InvalidSpec(f"the point must be finite, not {x}")
-    (lower,), (upper,), (free,) = y_roots(c, [x])
-    if free:
-        raise NoSolutionAtPoint(f"no y solves the relation at x = {x}")
-    return [] if math.isnan(lower) else sorted({float(lower), float(upper)})
+    return _solve(c, x, "x", "y")
 
 
 def solve_for_x(c: ConicCoeffs, y: float) -> list[float]:
     """Mirror image of solve_for_y with the roles of x and y exchanged."""
-    return solve_for_y(c.swapped(), y)
+    return _solve(c.swapped(), y, "y", "x")
 
 
 def invert_rotation_linear(fit: FitResult, at: float, which: str) -> float:
-    """Invert the three-term rotation y = a0 + a1*x + a2*xy rationally.
+    """Invert the rotation y = a0 + a1*x + a2*xy rationally; refuse any other fit.
 
     which = "for_y": evaluate y = (a0 + a1*x)/(1 - a2*x) at x = at.
     which = "for_x": evaluate x = (y - a0)/(a1 + a2*y) at y = at.  at must be finite.
     """
-    if len(fit.coeffs) != 3:
-        raise InvalidSpec("expected a 3-coefficient rotation fit (a0, a1, a2)")
+    a = dict(zip(fit.column_labels, map(float, fit.coeffs)))
+    if fit.spec.lhs_term != Term(0, 1) or a.keys() != {"const", "x", "xy"}:
+        raise InvalidSpec("expected the rotation of y on an intercept, x and xy")
     if not math.isfinite(at):
         raise InvalidSpec(f"the point must be finite, not {at}")
-    a0, a1, a2 = (float(v) for v in fit.coeffs)
+    a0, a1, a2 = a["const"], a["x"], a["xy"]
     if which == "for_y":
         denom = 1.0 - a2 * at
         if abs(denom) < TOL_DENOM:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -495,6 +496,16 @@ class TestDiagnose:
         assert any("centred on the origin" in w for w in rep["warnings"])
         assert main(argv) == EXIT_OK
         assert "  nonresponse line: none\n" in capsys.readouterr().out
+
+    def test_all_zero_conic_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        fit = fitters.fit_nonresponse
+        monkeypatch.setattr(fitters, "fit_nonresponse", lambda d, t: dataclasses.replace(
+            fit(d, t), coeffs=np.zeros(len(t))))
+        argv = ["diagnose", "--input", str(circle_csv(tmp_path)),
+                "--model", "nonresponse", "--terms", "x,y,xy,x2,y2"]
+        assert main(argv) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: at least one coefficient must be nonzero\n")
 
 class TestSimulate:
     def test_emits_loadable_csv(self, tmp_path):

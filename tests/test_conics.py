@@ -1,15 +1,24 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from implicitreg import (
+    CONIC_TERMS,
+    Circle,
     ConicClass,
     ConicCoeffs,
     Dataset,
+    Ellipse,
+    GeneratorSpec,
+    Line,
     classify_conic,
     conic_geometry,
+    fit_nonresponse,
     fit_rotation,
+    generate,
     invert_rotation_linear,
     parse_terms,
     solve_for_x,
@@ -225,3 +234,87 @@ def _ellipse_coeffs(cx, cy, ax, ay, rot):
     lin = -2.0 * M @ center / const
     quad = M / const
     return ConicCoeffs(lin[0], lin[1], 2.0 * quad[0, 1], quad[0, 0], quad[1, 1])
+
+
+class TestFromFit:
+    """ConicCoeffs.from_fit places each coefficient by its term, whatever the
+    order of the fit's terms."""
+
+    ELLIPSE = generate(GeneratorSpec(Ellipse(1.0, -0.5, 2.0, 1.0, 0.5), n=400,
+                                     noise_sigma=0.05, seed=1))
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(CONIC_TERMS)),
+                             ids=lambda order: ",".join(map(str, order)))
+    def test_every_order_matches_the_conic_terms_order(self, order):
+        positional = ConicCoeffs(*fit_nonresponse(self.ELLIPSE, CONIC_TERMS).coeffs)
+        by_term = ConicCoeffs.from_fit(fit_nonresponse(self.ELLIPSE, order))
+        np.testing.assert_allclose(by_term.as_array(), positional.as_array(), rtol=1e-12)
+
+    def test_subset_of_squares(self):
+        f = fit_nonresponse(self.ELLIPSE, parse_terms("x2,y2"))
+        np.testing.assert_allclose(ConicCoeffs.from_fit(f).as_array(),
+                                   ConicCoeffs(0, 0, 0, *f.coeffs).as_array(), rtol=1e-12)
+
+    def test_subset_in_reverse_order(self):
+        positional = ConicCoeffs(*fit_nonresponse(self.ELLIPSE, parse_terms("x,y,xy")).coeffs)
+        by_term = ConicCoeffs.from_fit(fit_nonresponse(self.ELLIPSE, parse_terms("xy,y,x")))
+        np.testing.assert_allclose(by_term.as_array(), positional.as_array(), rtol=1e-12)
+
+    @pytest.mark.parametrize("spec", ["x,y,x2,y2", "y2,x2,y,x"])
+    def test_circle_without_xy_in_any_order(self, spec):
+        # Read positionally, these fits are hyperbolas and have no centre.
+        d = generate(GeneratorSpec(Circle(1.0, -0.5, 2.0), n=2000, noise_sigma=0.05, seed=0))
+        g = conic_geometry(ConicCoeffs.from_fit(fit_nonresponse(d, parse_terms(spec))))
+        assert g.center == pytest.approx((0.995, -0.496), abs=5e-4)
+
+    def test_refuses_a_rotation(self):
+        f = fit_rotation(self.ELLIPSE, CONIC_TERMS, pivot=4)
+        with pytest.raises(InvalidSpec, match="unit-constant fit"):
+            ConicCoeffs.from_fit(f)
+
+    def test_refuses_a_term_outside_the_conic_set(self):
+        f = fit_nonresponse(self.ELLIPSE, parse_terms("x,y,x^3"))
+        with pytest.raises(InvalidSpec, match="unit-constant fit"):
+            ConicCoeffs.from_fit(f)
+
+    def test_refuses_all_zero_coefficients(self):
+        f = dataclasses.replace(fit_nonresponse(self.ELLIPSE, CONIC_TERMS), coeffs=np.zeros(5))
+        with pytest.raises(InvalidSpec, match="at least one coefficient must be nonzero"):
+            ConicCoeffs.from_fit(f)
+
+
+class TestSolverNames:
+    def test_solve_for_x_names_x(self):
+        # 1 = y + y^2: at y = 2.0 every x and none is a root
+        with pytest.raises(NoSolutionAtPoint, match=r"^no x solves the relation at y = 2\.0$"):
+            solve_for_x(ConicCoeffs(0, 1, 0, 0, 1), 2.0)
+
+    def test_solve_for_y_names_y(self):
+        with pytest.raises(NoSolutionAtPoint, match=r"^no y solves the relation at x = 2\.0$"):
+            solve_for_y(ConicCoeffs(1, 0, 0, 1, 0), 2.0)
+
+
+class TestRotationByLabel:
+    """invert_rotation_linear reads the rotation of y on const, x and xy by
+    label and refuses every other fit, also one with 3 coefficients."""
+
+    LINE = generate(GeneratorSpec(Line(1.0, 2.0), n=200, noise_sigma=0.1, seed=3))
+
+    @pytest.mark.parametrize("fit", [
+        lambda d: fit_nonresponse(d, parse_terms("x,y,xy")),
+        lambda d: fit_rotation(d, parse_terms("x,y,xy"), pivot=0),
+        lambda d: fit_rotation(d, parse_terms("x,y,x2"), pivot=1),
+    ], ids=["unit-constant", "rotation-of-x", "rotation-on-x2"])
+    @pytest.mark.parametrize("which", ["for_y", "for_x"])
+    def test_refuses_other_three_coefficient_fits(self, fit, which):
+        f = fit(self.LINE)
+        assert len(f.coeffs) == 3
+        with pytest.raises(InvalidSpec, match="rotation of y on an intercept, x and xy"):
+            invert_rotation_linear(f, 2.0, which)
+
+    @pytest.mark.parametrize("which, at", [("for_y", 2.0), ("for_x", 5.0)])
+    def test_term_order_does_not_matter(self, which, at):
+        f = fit_rotation(self.LINE, parse_terms("x,y,xy"), pivot=1)
+        g = fit_rotation(self.LINE, parse_terms("xy,x,y"), pivot=2)
+        assert invert_rotation_linear(g, at, which) == pytest.approx(
+            invert_rotation_linear(f, at, which), rel=1e-12)
