@@ -11,20 +11,21 @@ fit, a term (on the unit column and the other terms) in a rotation, y in
 Z = [1, X, y] for standard OLS, an X2 column on X1 in an alias matrix, and
 each pinwheel line of diagnostics.  Z is never held whole: the block source
 of terms._source, where every term is evaluated, writes ROW_BLOCK rows of
-it at a time, term-major, and the blocks are merged into the small
-triangular factor R as R <- qr([R; next block]), so memory stays flat in
-n (the TSQR reduction of Demmel, Grigori, Hoemmen & Langou,
-arXiv:0808.2664): the one pass over the data.  The column scales are read
-off R.  A Factor holds that pass, and every fit is a read-off of it: the
-small problem R[:, S] b ~ R[:, j], where the QR of R[:, S + [j]] gives
-its coefficients, Gram inverse, rank and every sum of squares, as the
-residual norm is the tail of Q'b (Golub & Van Loan, Matrix Computations,
-5.3; Goodnight 1979).  All fits of one factor are read off in one stacked
-pass (Factor.solve, which alone refuses fewer rows than columns): one
-stacked QR of their R[:, S + [j]], a rank test on each diagonal and one
-stacked solve.  Neither Q nor W'W is formed, a fit's n-length rows are
-made only when read, and each public fit runs in one scope of one BLAS
-thread (_blas.one_thread).
+it at a time, term-major, and each block is reduced into the small
+triangular factor R by a two-level tree: one batched QR of its TILE-row
+tiles, whose leaves stay in cache, then one small QR of [R; the rows
+left over; the tile R's], so memory stays flat in n (the TSQR reduction
+of Demmel, Grigori, Hoemmen & Langou, arXiv:0808.2664): the one pass over
+the data.  The column scales are read off R.  A Factor holds that pass,
+and every fit is a read-off of it: the small problem R[:, S] b ~ R[:, j],
+where the QR of R[:, S + [j]] gives its coefficients, Gram inverse, rank
+and every sum of squares, as the residual norm is the tail of Q'b (Golub
+& Van Loan, Matrix Computations, 5.3; Goodnight 1979).  All fits of one
+factor are read off in one stacked pass (Factor.solve, which alone
+refuses fewer rows than columns): one stacked QR of their R[:, S + [j]],
+a rank test on each diagonal and one stacked solve.  Neither Q nor W'W is
+formed, a fit's n-length rows are made only when read, and each public
+fit runs in one scope of one BLAS thread (_blas.one_thread).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ RANK_TOL = math.sqrt(EPS)   # on the diagonal of a unit-column factor
 MEAN_ROUNDING = 4           # times log2(n + 1) * eps * |mean|: bound on a pairwise mean's error
 FACTOR_ROUNDING = 4         # times sqrt(n) * eps * |mean|: a constant's spread off R (2.9 seen)
 TOL_SINGULAR_FACTOR = 1e-12
+TILE = 1024                 # rows per leaf of a row block's QR tree (_factor), set by timing
 
 Fits = Sequence[tuple[ModelSpec, int, Sequence[int]]]   # (spec, j, S): column j on columns S
 
@@ -111,21 +113,27 @@ def _factor(fill: Fill, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     unit columns.
 
     Z is never materialised: fill writes each ROW_BLOCK rows into one reused
-    term-major buffer after R', and R is replaced by the R factor of
-    [R; block], whose Fortran-order storage is that buffer's transpose.
-    Householder QR is column-scale invariant, so the columns go in unscaled
-    and their norms are read off the small R by np.hypot, which neither
-    overflows nor underflows; R divided by them is the unit-column factor.
-    A zero column keeps scale 1 and stays zero.
+    term-major buffer, and a two-level TSQR tree reduces the block into R.
+    The block's whole TILE-row tiles are factored in one batched QR: the
+    buffer's first t * TILE columns, reshaped to (k, t, TILE) and
+    transposed, are that stack of t tiles, with no copy.  Then the running
+    R, the fewer than TILE rows left over and the t tile R's are merged in
+    one small QR.  Householder QR is column-scale invariant, so the columns
+    go in unscaled and their norms are read off the small R by np.hypot,
+    which neither overflows nor underflows; R divided by them is the
+    unit-column factor.  A zero column keeps scale 1 and stays zero.
     """
-    buf = np.empty((k, k + min(ROW_BLOCK, n)))
-    r = 0
+    buf = np.empty((k, min(ROW_BLOCK, n)))
+    R = np.empty((0, k))
     for a in range(0, n, ROW_BLOCK):
         b = min(a + ROW_BLOCK, n)
-        fill(buf[:, r:r + b - a], a, b)
-        R = np.linalg.qr(buf[:, :r + b - a].T, mode="r")
-        r = len(R)
-        buf[:, :r] = R.T
+        fill(buf[:, :b - a], a, b)
+        t = (b - a) // TILE
+        leaves = [R, buf[:, t * TILE:b - a].T]      # frees the last block's tile R's first
+        if t:
+            tiles = buf[:, :t * TILE].reshape(k, t, TILE).transpose(1, 2, 0)
+            leaves.append(np.linalg.qr(tiles, mode="r").reshape(-1, k))
+        R = np.linalg.qr(np.concatenate(leaves), mode="r")
     if not np.isfinite(R).all():
         raise DomainViolation("a column of the design has a norm beyond the float range; "
                               "rescale the data")

@@ -387,8 +387,8 @@ class TestRowsOnRequest:
 
     @pytest.mark.parametrize("fit", [fit_nonresponse, fit_all_rotations])
     def test_peak_is_the_merge_buffer(self, fit):
-        # The factor's k x (ROW_BLOCK + k) merge buffer and LAPACK's copy of
-        # it; nothing grows with n.
+        # The factor's k x ROW_BLOCK block buffer and numpy's copy of its
+        # tile stack in the batched QR; nothing grows with n.
         d = four_block_dataset()
         fit(d, CUBIC_TERMS)                 # first-call allocations stay out of the count
         tracemalloc.start()
@@ -432,9 +432,10 @@ class TestRowsOnRequest:
     @pytest.mark.parametrize("fit, small", [(fit_nonresponse, 1), (fit_all_rotations, 9)],
                              ids=["nonresponse", "all_rotations"])
     def test_one_small_qr_per_fit(self, monkeypatch, fit, small):
-        # Four row blocks merge into R; the fits are then read off it in one
-        # stacked QR of their R[:, S + [j]], one small R each, in mode "r":
-        # no Q is formed.
+        # Each of the three whole row blocks factors its tiles in one batched
+        # QR, and the four row blocks merge into R; the fits are then read off
+        # it in one stacked QR of their R[:, S + [j]], one small R each.
+        # Every call is in mode "r": no Q is formed.
         calls = []
         qr = np.linalg.qr
 
@@ -445,7 +446,8 @@ class TestRowsOnRequest:
         monkeypatch.setattr(np.linalg, "qr", counting)
         k = len(CUBIC_TERMS) + 1
         fit(four_block_dataset(), CUBIC_TERMS)
-        assert Counter(calls) == {("merge", "r"): 4, ((small, k, k), "r"): 1}
+        tiles = (fitters.ROW_BLOCK // fitters.TILE, fitters.TILE, k)
+        assert Counter(calls) == {(tiles, "r"): 3, ("merge", "r"): 4, ((small, k, k), "r"): 1}
 
     def test_constant_pivot_reads_the_data_once(self, monkeypatch):
         d = four_block_dataset()
@@ -500,6 +502,52 @@ FILL_EXPONENTS = [0, 1, 2, 3, -1, -2, 0.5, 1.5, -0.5]
 # squares past the float range, and 1.5e308 sums past it while every entry
 # stays finite.
 FILL_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-200, 1e200, -1e200, 1.5e308]
+
+
+class TestTiledFactor:
+    """_factor's two-level tree (a batched QR of each block's tiles, then one
+    merge) against the dense QR of the whole design."""
+
+    @pytest.mark.parametrize("blocks, tiles, rows, k, block, tile", [
+        (0, 0, 300, 10, None, None),
+        (0, 1, 0, 10, None, None),
+        (0, 3, 17, 10, None, None),
+        (2, 1, 5, 10, None, None),
+        (0, 0, 50, 10, 7, None),
+        (0, 0, 350, 10, 100, 32),
+        (0, 0, 200, 10, 64, 4),
+        (0, 2, 300, 1, None, None),
+    ], ids=["below_one_tile", "one_tile", "tiles_and_rows_left", "short_last_block",
+            "block_7", "block_not_a_tile_multiple", "wider_than_a_tile", "one_column"])
+    def test_matches_the_dense_factor(self, monkeypatch, blocks, tiles, rows, k, block, tile):
+        # n = blocks whole ROW_BLOCKs, then tiles whole TILEs, then rows more.
+        if block is not None:
+            monkeypatch.setattr(fitters, "ROW_BLOCK", block)
+        if tile is not None:
+            monkeypatch.setattr(fitters, "TILE", tile)
+        n = blocks * fitters.ROW_BLOCK + tiles * fitters.TILE + rows
+        rng = np.random.default_rng(n + k)
+        Z = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-2, 2, (k, 1))
+        scale, R = fitters._factor(terms._source(list(Z)), k, n)
+        R = R * scale
+        dense = np.linalg.qr(Z.T, mode="r")
+        np.testing.assert_allclose(np.abs(np.diag(R)), np.abs(np.diag(dense)), rtol=1e-12)
+        gram = Z @ Z.T
+        assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram)
+        np.testing.assert_allclose(scale, np.linalg.norm(Z, axis=1), rtol=1e-12)
+
+    def test_domain_error_in_a_later_tile(self):
+        # The first undefined entry is x^-1 on the third tile of the second
+        # block; x^0.5 fails one tile later, and the error names the first.
+        T, B = fitters.TILE, fitters.ROW_BLOCK
+        n = B + 4 * T
+        x = np.linspace(1.0, 3.0, n)
+        first = B + 2 * T + 10
+        x[first], x[first + T] = 0.0, -1.0
+        d = Dataset(x, np.linspace(0.5, 2.0, n))
+        with pytest.raises(DomainError) as exc:
+            fit_nonresponse(d, parse_terms("y,x^0.5,x^-1"))
+        assert exc.value.row == first + 1 and exc.value.term == Term(-1, 0)
 
 
 @st.composite
