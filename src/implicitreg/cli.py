@@ -197,7 +197,9 @@ def _report(args, diagnose: bool = False) -> Report:
         term_list = terms.parse_terms(args.terms)
         if rotation:
             pivot_txt = args.model.split(":", 1)[1]
-            pivot_term = terms.parse_terms(pivot_txt)[0]
+            pivot_term, *more = terms.parse_terms(pivot_txt)
+            if more:
+                raise InvalidSpec(f"rotation pivot {pivot_txt!r} must be one term")
             if pivot_term not in term_list:
                 raise InvalidSpec(f"rotation pivot {pivot_txt!r} not in term list")
             pivot = term_list.index(pivot_term)

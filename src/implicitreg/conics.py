@@ -1,8 +1,8 @@
 """Inversion of fitted implicit relations and conic geometry.
 
-Coefficients follow the unit-constant convention 1 = a1*x + a2*y + a3*xy
-+ a4*x^2 + a5*y^2, so the quadratic-in-y form is
-a5*y^2 + (a2 + a3*x)*y + (a1*x + a4*x^2 - 1) = 0 and symmetrically for x.
+A fitted relation reads c0 = a1*x + a2*y + a3*xy + a4*x^2 + a5*y^2 (c0 = 1
+in a unit-constant fit), so the quadratic-in-y form is
+a5*y^2 + (a2 + a3*x)*y + (a1*x + a4*x^2 - c0) = 0 and symmetrically for x.
 """
 
 from __future__ import annotations
@@ -23,42 +23,49 @@ TOL_DENOM = 1e-12
 
 @dataclass(frozen=True)
 class ConicCoeffs:
-    """Coefficients of 1 = a1*x + a2*y + a3*xy + a4*x^2 + a5*y^2, all finite.
-    ConicCoeffs.from_fit(fit) reads a unit-constant fit by term, and
-    ConicCoeffs(*a) takes a1..a5 in CONIC_TERMS order (x, y, xy, x2, y2)."""
+    """Coefficients of c0 = a1*x + a2*y + a3*xy + a4*x^2 + a5*y^2, all finite.
+    ConicCoeffs.from_fit(fit) reads a fit by term, and ConicCoeffs(*a) takes
+    a1..a5 in CONIC_TERMS order (x, y, xy, x2, y2), then c0."""
 
     a1: float
     a2: float
     a3: float = 0.0
     a4: float = 0.0
     a5: float = 0.0
+    c0: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.as_array()).all():
+        if not (np.isfinite(self.as_array()).all() and math.isfinite(self.c0)):
             raise InvalidSpec("the coefficients must be finite")
         if not any((self.a1, self.a2, self.a3, self.a4, self.a5)):
             raise InvalidSpec("at least one coefficient must be nonzero")
 
     @classmethod
     def from_fit(cls, fit: FitResult) -> "ConicCoeffs":
-        """The conic of a unit-constant fit over any order or subset of
-        CONIC_TERMS: each coefficient in its term's slot, 0 in an absent one."""
-        if fit.spec.lhs is not LhsKind.UNITY or not set(fit.spec.rhs_terms) <= set(CONIC_TERMS):
-            raise InvalidSpec("a conic is a unit-constant fit over terms from {x, y, xy, x2, y2}")
-        a = dict(zip(fit.spec.rhs_terms, map(float, fit.coeffs)))
-        return cls(*(a.get(t, 0.0) for t in CONIC_TERMS))
+        """The relation of a unit-constant fit or a rotation over CONIC_TERMS, by
+        term, 0 in an absent slot.  A rotation T_p = b0 + sum b_k*T_k reads as
+        c0 = b0, T_p's coefficient 1 and each other -b_k, with no division."""
+        spec, b = fit.spec, list(map(float, fit.coeffs))
+        if spec.lhs is LhsKind.UNITY:
+            a, c0 = dict(zip(spec.rhs_terms, b)), 1.0
+        else:
+            c0 = b.pop(0) if spec.intercept else 0.0
+            a = {t: -v for t, v in zip(spec.rhs_terms, b)} | {spec.lhs_term: 1.0}
+        if not set(a) <= set(CONIC_TERMS):     # and a response fit: its rhs are names
+            raise InvalidSpec("a conic is a unit-constant fit or rotation over {x, y, xy, x2, y2}")
+        return cls(*(a.get(t, 0.0) for t in CONIC_TERMS), c0)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a1, self.a2, self.a3, self.a4, self.a5])
 
     def evaluate(self, x, y):
-        """Left-hand side a1*x + ... + a5*y^2 (equals 1 on the curve)."""
+        """Right-hand side a1*x + ... + a5*y^2 (equals c0 on the curve)."""
         return (self.a1 * x + self.a2 * y + self.a3 * x * y
                 + self.a4 * x * x + self.a5 * y * y)
 
     def swapped(self) -> "ConicCoeffs":
         """Roles of x and y exchanged: (a1,a4) <-> (a2,a5)."""
-        return ConicCoeffs(self.a2, self.a1, self.a3, self.a5, self.a4)
+        return ConicCoeffs(self.a2, self.a1, self.a3, self.a5, self.a4, self.c0)
 
 
 class ConicClass(Enum):
@@ -76,23 +83,23 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     real y exists, and free marks a5 = 0 with |a2 + a3*x| < TOL_DENOM (no y
     is determined).  A discriminant within TOL_DISC below zero snaps to a
     double root.  TOL_DISC is relative to the larger of b^2 and 4|a| times
-    the rounding scale of k, 1 + |a1*x| + |a4*x^2|, so the test is free of
+    the rounding scale of k, |c0| + |a1*x| + |a4*x^2|, so the test is free of
     the data's units and a rounded tangent snaps.  Distinct roots take the
     cancellation-free Citardauq pair (Higham, Accuracy and Stability of
     Numerical Algorithms, section 1.8).
     """
     x = np.asarray(x, dtype=float)
     a = c.a5
-    b = c.a2 + c.a3 * x
-    lin, quad = c.a1 * x, c.a4 * x * x
-    k = lin + quad - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b = c.a2 + c.a3 * x
+        lin, quad = c.a1 * x, c.a4 * x * x
+        k = lin + quad - c.c0
         if a == 0.0:
             free = np.abs(b) < TOL_DENOM
             root = np.where(free, np.nan, -k / b)
             return root, root, free
         disc = b * b - 4 * a * k
-        scale = np.maximum(b * b, 4 * abs(a) * (1.0 + np.abs(lin) + np.abs(quad)))
+        scale = np.maximum(b * b, 4 * abs(a) * (abs(c.c0) + np.abs(lin) + np.abs(quad)))
         none = disc < -TOL_DISC * scale
         disc = np.maximum(disc, 0.0)
         r = np.sqrt(disc)
@@ -125,28 +132,22 @@ def solve_for_x(c: ConicCoeffs, y: float) -> list[float]:
 
 
 def invert_rotation_linear(fit: FitResult, at: float, which: str) -> float:
-    """Invert the rotation y = a0 + a1*x + a2*xy rationally; refuse any other fit.
+    """Invert the rotation y = a0 + a1*x + a2*xy; refuse any other fit.
 
-    which = "for_y": evaluate y = (a0 + a1*x)/(1 - a2*x) at x = at.
-    which = "for_x": evaluate x = (y - a0)/(a1 + a2*y) at y = at.  at must be finite.
+    which = "for_y": y at x = at; "for_x": x at y = at.  Either is the root of
+    the relation a0 = -a1*x + y - a2*xy (ConicCoeffs.from_fit); at must be finite.
     """
-    a = dict(zip(fit.column_labels, map(float, fit.coeffs)))
-    if fit.spec.lhs_term != Term(0, 1) or a.keys() != {"const", "x", "xy"}:
+    if fit.spec.lhs_term != Term(0, 1) or set(fit.column_labels) != {"const", "x", "xy"}:
         raise InvalidSpec("expected the rotation of y on an intercept, x and xy")
-    if not math.isfinite(at):
-        raise InvalidSpec(f"the point must be finite, not {at}")
-    a0, a1, a2 = a["const"], a["x"], a["xy"]
-    if which == "for_y":
-        denom = 1.0 - a2 * at
-        if abs(denom) < TOL_DENOM:
-            raise PoleAtPoint(f"pole at x = {at}")
-        return (a0 + a1 * at) / denom
-    if which == "for_x":
-        denom = a1 + a2 * at
-        if abs(denom) < TOL_DENOM:
-            raise PoleAtPoint(f"pole at y = {at}")
-        return (at - a0) / denom
-    raise InvalidSpec("which must be 'for_y' or 'for_x'")
+    solvers = {"for_y": (solve_for_y, "x"), "for_x": (solve_for_x, "y")}
+    if which not in solvers:
+        raise InvalidSpec("which must be 'for_y' or 'for_x'")
+    solve, given = solvers[which]
+    try:
+        roots = solve(ConicCoeffs.from_fit(fit), at)
+    except NoSolutionAtPoint:
+        raise PoleAtPoint(f"pole at {given} = {at}") from None
+    return roots[0] if roots else math.nan      # NaN: the root overflows to inf/inf
 
 
 def classify_conic(c: ConicCoeffs) -> ConicClass:
@@ -189,11 +190,11 @@ def conic_geometry(c: ConicCoeffs) -> ConicGeometry:
     M = np.array([[c.a4, c.a3 / 2.0], [c.a3 / 2.0, c.a5]])
     center = np.linalg.solve(2.0 * M, np.array([-c.a1, -c.a2]))
     cx, cy = float(center[0]), float(center[1])
-    # Centered form: u' M u = k with k = 1 - evaluate(center).  k is
-    # dimensionless; it vanishes when it is within TOL_DISC of the rounding
-    # scale of evaluate(center), 1 + sum |a_i T_i(center)|.
-    k = 1.0 - float(c.evaluate(cx, cy))
-    rounding = 1.0 + float(np.abs(c.as_array() * [cx, cy, cx * cy, cx * cx, cy * cy]).sum())
+    # Centered form: u' M u = k with k = c0 - evaluate(center).  k
+    # vanishes when it is within TOL_DISC of the rounding scale of
+    # evaluate(center), |c0| + sum |a_i T_i(center)|.
+    k = c.c0 - float(c.evaluate(cx, cy))
+    rounding = abs(c.c0) + float(np.abs(c.as_array() * [cx, cy, cx * cy, cx * cx, cy * cy]).sum())
     if abs(k) <= TOL_DISC * rounding:
         raise NotRepresentable("centered constant vanishes; no unit-constant form")
     if k < 0:

@@ -283,15 +283,13 @@ def pinwheel_data(d: Dataset) -> list[PinwheelLine]:
     fits = [(Y, [ONE, X]), (X, [ONE, Y]), (ONE, [X, Y])]     # y on x, x on y, 1 on x and y
     labels = [["1", "x"], ["1", "y"], ["x", "y"]]
     (b0, b1), (c0, c1), (a1, a2) = factor.coefficients(fits, labels)
-    out = [PinwheelLine("rotation y-on-x", b1, b0, False, None, (b0, b1))]
-    if zero(c1, Y, X):
-        out.append(PinwheelLine("rotation x-on-y", None, None, True, c0, (c0, c1)))
-    else:
-        out.append(PinwheelLine("rotation x-on-y", 1.0 / c1, -c0 / c1, False, None, (c0, c1)))
-    if not zero(a2, Y, ONE):
-        out.append(PinwheelLine("nonresponse line", -a1 / a2, 1.0 / a2, False, None, (a1, a2)))
-    elif zero(a1, X, ONE):
-        out.append(PinwheelLine("nonresponse line", None, None, False, None, (a1, a2)))
-    else:
-        out.append(PinwheelLine("nonresponse line", None, None, True, 1.0 / a1, (a1, a2)))
-    return out
+
+    def line(label: str, target: int, a_x: float, a_y: float, const: float, raw) -> PinwheelLine:
+        """The line const = a_x*x + a_y*y: a slope, else missing, else vertical."""
+        if not zero(a_y, Y, target):
+            return PinwheelLine(label, -a_x / a_y, const / a_y, False, None, raw)
+        vertical = not zero(a_x, X, target)
+        return PinwheelLine(label, None, None, vertical, const / a_x if vertical else None, raw)
+    return [line("rotation y-on-x", Y, -b1, 1.0, b0, (b0, b1)),
+            line("rotation x-on-y", X, 1.0, -c1, c0, (c0, c1)),
+            line("nonresponse line", ONE, a1, a2, 1.0, (a1, a2))]

@@ -286,7 +286,8 @@ _ALIASES = {
     "1": Term(0, 0),
 }
 
-_FACTOR_RE = re.compile(r"^(x|y)(?:\^(-?\d+(?:\.\d+)?))?$")
+# An exponent as Term.label writes it: an integer, a decimal, or repr's 1e-05.
+_FACTOR_RE = re.compile(r"^(x|y)(?:\^(-?\d+(?:\.\d+)?(?:e[-+]?\d+)?))?$")
 
 CONIC_TERMS = (Term(1, 0), Term(0, 1), Term(1, 1), Term(2, 0), Term(0, 2))
 

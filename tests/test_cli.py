@@ -185,6 +185,8 @@ class TestRequestErrors:
          "diagnosis needs terms drawn from {x, y, xy, x2, y2}"),
         (["fit", "--model", "rotation:q"], "cannot parse term 'q'"),
         (["fit", "--model", "rotation:"], "cannot parse term ''"),
+        (["fit", "--model", "rotation:x,y", "--terms", "x,y,xy"],
+         "rotation pivot 'x,y' must be one term"),
         (["rotate-all", "--terms", "x"], "a rotation needs at least two terms"),
         (["rotate-all", "--terms", "x,,y"], "cannot parse term ''"),
         (["fit", "--model", "nonresponse", "--terms", "1,x"],
@@ -192,7 +194,7 @@ class TestRequestErrors:
         (["diagnose", "--model", "nonresponse", "--terms", "1,x"],
          "the unity-regressand model carries no intercept, so no term 1"),
     ], ids=["diagnose-univariate", "diagnose-non-conic-terms", "unparsable-pivot", "empty-pivot",
-            "rotate-all-one-term", "rotate-all-empty-term", "fit-unit-term",
+            "two-term-pivot", "rotate-all-one-term", "rotate-all-empty-term", "fit-unit-term",
             "diagnose-unit-term"])
     def test_refused_before_the_input_is_read(self, tmp_path, capsys, monkeypatch, argv,
                                                message):

@@ -14,10 +14,17 @@ from implicitreg import (
     Ellipse,
     GeneratorSpec,
     Line,
+    LhsKind,
+    ModelSpec,
+    MultiDataset,
+    Term,
+    alpha_from_beta,
     classify_conic,
     conic_geometry,
+    fit_implicit,
     fit_nonresponse,
     fit_rotation,
+    fit_standard,
     generate,
     invert_rotation_linear,
     parse_terms,
@@ -134,10 +141,10 @@ class TestInvertRotationLinear:
 class TestNonFinite:
     """A non-finite coefficient or point is refused, not read as an answer."""
 
-    @pytest.mark.parametrize("slot", range(5))
+    @pytest.mark.parametrize("slot", range(6))      # a1..a5, then c0
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_coefficient_refused(self, slot, value):
-        a = [0.0, 0.0, 0.0, 1.0, 1.0]
+        a = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
         a[slot] = value
         with pytest.raises(InvalidSpec, match="coefficients must be finite"):
             ConicCoeffs(*a)
@@ -267,9 +274,21 @@ class TestFromFit:
         g = conic_geometry(ConicCoeffs.from_fit(fit_nonresponse(d, parse_terms(spec))))
         assert g.center == pytest.approx((0.995, -0.496), abs=5e-4)
 
-    def test_refuses_a_rotation(self):
+    def test_reads_a_rotation(self):
+        # y2 = b0 + b1*x + ... + b4*x2 reads as b0 = -b1*x - ... - b4*x2 + y2
         f = fit_rotation(self.ELLIPSE, CONIC_TERMS, pivot=4)
-        with pytest.raises(InvalidSpec, match="unit-constant fit"):
+        c = ConicCoeffs.from_fit(f)
+        assert c.as_array().tolist() == [*(-f.coeffs[1:]), 1.0]
+        assert c.c0 == f.coeffs[0]
+
+    def test_refuses_a_response_fit(self):
+        md = MultiDataset(self.ELLIPSE.y, self.ELLIPSE.x, ("x",))
+        with pytest.raises(InvalidSpec, match="unit-constant fit or rotation"):
+            ConicCoeffs.from_fit(fit_standard(md))
+
+    def test_refuses_a_rotation_on_a_term_outside_the_conic_set(self):
+        f = fit_rotation(self.ELLIPSE, parse_terms("x,y,x^3"), pivot=2)
+        with pytest.raises(InvalidSpec, match="unit-constant fit or rotation"):
             ConicCoeffs.from_fit(f)
 
     def test_refuses_a_term_outside_the_conic_set(self):
@@ -318,3 +337,148 @@ class TestRotationByLabel:
         g = fit_rotation(self.LINE, parse_terms("xy,x,y"), pivot=2)
         assert invert_rotation_linear(g, at, which) == pytest.approx(
             invert_rotation_linear(f, at, which), rel=1e-12)
+
+
+class TestRelation:
+    """ConicCoeffs holds the relation c0 = a1*x + ... + a5*y^2 with a general
+    constant: 1 in a unit-constant fit, the intercept b0 in a rotation."""
+
+    ELLIPSE = TestFromFit.ELLIPSE
+
+    def _evaluates_to_c0(self, f):
+        # The rotation T_p ~ b0 + sum b_k*T_k leaves the residual T_p - fitted
+        # on each row, so the relation's value less the residual is c0.
+        c = ConicCoeffs.from_fit(f)
+        x, y = self.ELLIPSE.x, self.ELLIPSE.y
+        rounding = abs(c.c0) + sum(abs(a * t.evaluate(x, y))
+                                   for a, t in zip(c.as_array(), CONIC_TERMS))
+        assert np.all(np.abs(c.evaluate(x, y) - f.residuals - c.c0) <= 1e-13 * rounding)
+
+    @pytest.mark.parametrize("terms, pivot", [*((CONIC_TERMS, p) for p in range(5)),
+                                              (parse_terms("xy,x,y"), 2)],
+                             ids=[*map(str, CONIC_TERMS), "y-of-xy,x,y"])
+    def test_evaluates_to_c0_on_its_fitted_rows(self, terms, pivot):
+        self._evaluates_to_c0(fit_rotation(self.ELLIPSE, terms, pivot))
+
+    def test_rotation_without_intercept_has_c0_zero(self):
+        f = fit_implicit(self.ELLIPSE,
+                         ModelSpec(LhsKind.TERM, (Term(1, 0), Term(1, 1)), False, Term(0, 1)))
+        assert ConicCoeffs.from_fit(f).c0 == 0.0
+        self._evaluates_to_c0(f)
+
+    def test_b0_zero_is_a_relation(self):
+        # y = 0 + 0*x + 1*xy, the fit of TestInvertRotationLinear.test_pole
+        # with its intercept exactly 0: the relation 0 = y - xy, y = 0 off x = 1.
+        d = Dataset([0.0, 2.0, 1.0, 1.0, 3.0], [0.0, 0.0, 5.0, -3.0, 0.0])
+        f = dataclasses.replace(fit_rotation(d, parse_terms("x,y,xy"), pivot=1),
+                                coeffs=np.array([0.0, 0.0, 1.0]))
+        c = ConicCoeffs.from_fit(f)
+        assert (c.c0, c.a2, c.a3) == (0.0, 1.0, -1.0)
+        assert solve_for_y(c, 2.0) == [0.0]
+        with pytest.raises(NoSolutionAtPoint):
+            solve_for_y(c, 1.0)
+
+    @pytest.mark.parametrize("pivot", range(5), ids=map(str, CONIC_TERMS))
+    def test_geometry_matches_the_unit_constant_form(self, pivot):
+        # b0 != 0, so the rotation divides through to 1 = T_p/b0 - sum b_k/b0*T_k.
+        f = fit_rotation(self.ELLIPSE, CONIC_TERMS, pivot=pivot)
+        assert f.coeffs[0] != 0
+        alpha = dict(zip((f.spec.lhs_term, *f.spec.rhs_terms), alpha_from_beta(f.coeffs)))
+        unit = ConicCoeffs(*(alpha[t] for t in CONIC_TERMS))
+        got, want = conic_geometry(ConicCoeffs.from_fit(f)), conic_geometry(unit)
+        assert got.center == pytest.approx(want.center, rel=1e-12)
+        assert got.semi_axes == pytest.approx(want.semi_axes, rel=1e-12)
+        assert got.rotation == pytest.approx(want.rotation, rel=1e-12)
+
+
+def _rational(fit, at, which):
+    """The rational inversion of the rotation y = a0 + a1*x + a2*xy, as
+    invert_rotation_linear computed it before it went through the root
+    solver: the oracle of TestRotationParity."""
+    a = dict(zip(fit.column_labels, map(float, fit.coeffs)))
+    if fit.spec.lhs_term != Term(0, 1) or a.keys() != {"const", "x", "xy"}:
+        raise InvalidSpec("expected the rotation of y on an intercept, x and xy")
+    if not math.isfinite(at):
+        raise InvalidSpec(f"the point must be finite, not {at}")
+    a0, a1, a2 = a["const"], a["x"], a["xy"]
+    if which == "for_y":
+        denom = 1.0 - a2 * at
+        if abs(denom) < 1e-12:
+            raise PoleAtPoint(f"pole at x = {at}")
+        return (a0 + a1 * at) / denom
+    if which == "for_x":
+        denom = a1 + a2 * at
+        if abs(denom) < 1e-12:
+            raise PoleAtPoint(f"pole at y = {at}")
+        return (at - a0) / denom
+    raise InvalidSpec("which must be 'for_y' or 'for_x'")
+
+
+def _outcome(f, *args):
+    """The float a call returns, as its bits (all NaNs alike), or the class
+    and message of the refusal it raises."""
+    try:
+        v = f(*args)
+    except (InvalidSpec, PoleAtPoint) as exc:
+        return type(exc), str(exc)
+    return "nan" if math.isnan(v) else np.float64(v).tobytes()
+
+
+class TestRotationParity:
+    """invert_rotation_linear solves the rotation's relation with y_roots and
+    gives the rational formula's float, bit for bit, or its exception."""
+
+    @staticmethod
+    def _fits():
+        pole = Dataset([0.0, 2.0, 1.0, 1.0, 3.0], [0.0, 0.0, 5.0, -3.0, 0.0])
+        data = [pole] + [generate(GeneratorSpec(shape, n=300, noise_sigma=0.05, seed=seed))
+                         for seed in (1, 2)
+                         for shape in (Line(1.0, 2.0), Ellipse(1.0, -0.5, 2.0, 1.0, 0.5))]
+        orders = [("x,y,xy", 1), ("xy,x,y", 2), ("y,xy,x", 0)]
+        return [fit_rotation(d, parse_terms(terms), pivot=p) for d in data for terms, p in orders]
+
+    @staticmethod
+    def _points(fit, rng):
+        a = dict(zip(fit.column_labels, map(float, fit.coeffs)))
+        a0, a1, a2 = a["const"], a["x"], a["xy"]
+        special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e200, -1e200, 1.7e308, -1.7e308,
+                   math.nan, math.inf, -math.inf, a0]
+        poles = [1.0 / a2, -a1 / a2]        # of for_y and of for_x
+        near = [p for q in poles for p in (q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf),
+                                           q * (1 + 1e-13), q * (1 - 1e-13))]
+        rand = [*rng.uniform(-5, 5, 150),
+                *(rng.choice([-1, 1], 60) * 10.0 ** rng.uniform(-300, 300, 60))]
+        return [float(p) for p in (*special, *near, *rand)]
+
+    def test_matches_the_rational_formula(self):
+        rng = np.random.default_rng(2201)
+        cases = 0
+        for f in self._fits():
+            for at in self._points(f, rng):
+                for which in ("for_y", "for_x"):
+                    got = _outcome(invert_rotation_linear, f, at, which)
+                    assert got == _outcome(_rational, f, at, which), (f.column_labels, at, which)
+                    cases += 1
+        assert cases > 5000
+
+    def test_the_pole_of_the_pole_fit(self):
+        f = self._fits()[0]
+        assert abs(f.coeffs[0]) < 1e-14         # a0 = 0 to rounding, so c0 = 0 too
+        for which, given, at in (("for_y", "x", 1.0), ("for_x", "y", -f.coeffs[1] / f.coeffs[2])):
+            assert _outcome(invert_rotation_linear, f, at, which) == (
+                PoleAtPoint, f"pole at {given} = {at}")
+
+    def test_an_exact_zero_keeps_its_value_not_its_sign(self):
+        # Where a0 + a1*x cancels exactly, the root solver's -k/b is -0.0 and
+        # the rational formula's quotient 0.0: equal values, not equal bits.
+        f = self._fits()[3]
+        at = -f.coeffs[0] / f.coeffs[1]
+        got, want = invert_rotation_linear(f, at, "for_y"), _rational(f, at, "for_y")
+        assert (got, want) == (0.0, 0.0)
+        assert math.copysign(1.0, got) == -math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("at", [2.0, math.nan])
+    def test_bad_which_is_refused(self, at):
+        f = self._fits()[1]
+        with pytest.raises(InvalidSpec, match="^which must be 'for_y' or 'for_x'$"):
+            invert_rotation_linear(f, at, "for_z")

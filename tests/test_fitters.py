@@ -76,7 +76,12 @@ class TestFitImplicit:
         (LhsKind.UNITY, ("a",), None, "must be Terms"),
         (LhsKind.TERM, ("a",), Term(0, 1), "must be Terms"),
         (LhsKind.TERM, (Term(1, 0),), "y", "a Term lhs_term required"),
-    ], ids=["response", "unity-str-rhs", "term-str-rhs", "term-str-lhs"])
+        (LhsKind.TERM, (Term(1, 0), Term(0, 1)), Term(0, 1),
+         "pivot term must be excluded from rhs_terms"),
+        (LhsKind.UNITY, (Term(1, 0),), Term(0, 1), "lhs_term only meaningful when lhs is a term"),
+        (LhsKind.RESPONSE, ("a",), Term(0, 1), "lhs_term only meaningful when lhs is a term"),
+    ], ids=["response", "unity-str-rhs", "term-str-rhs", "term-str-lhs", "term-pivot-in-rhs",
+            "unity-lhs-term", "response-lhs-term"])
     def test_spec_it_cannot_fit_is_refused(self, tri_dataset, kind, rhs, lhs, message):
         with pytest.raises(InvalidSpec, match=message):
             fit_implicit(tri_dataset, ModelSpec(kind, rhs, kind is not LhsKind.UNITY, lhs))

@@ -372,6 +372,20 @@ class TestParseTerms:
         with pytest.raises(TermSyntaxError):
             parse_terms("x,z^2")
 
+    @pytest.mark.parametrize("spec, term", [
+        ("x^1e-05,y", Term(1e-05, 0)), ("y^2.5e-07", Term(0, 2.5e-07)),
+        ("x^-1e-05*y", Term(-1e-05, 1)),
+    ])
+    def test_exponent_notation(self, spec, term):
+        assert parse_terms(spec)[0] == term
+        assert term.label() == spec.split(",")[0]
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_label_parses_back(self, x_exp, y_exp):
+        t = Term(x_exp, y_exp)
+        assert parse_terms(t.label()) == [t]
+
 
 class TestTermEvaluate:
     def test_intercept_term_is_one_everywhere(self):
@@ -480,6 +494,11 @@ class TestModelSpec:
         assert spec.lhs_term == Term(0, 1)
         assert spec.rhs_terms == (Term(1, 0),)
         assert spec.intercept
+
+    @pytest.mark.parametrize("pivot", [-1, 2])
+    def test_rotation_pivot_out_of_range(self, pivot):
+        with pytest.raises(InvalidSpec, match=f"^pivot {pivot} out of range$"):
+            ModelSpec.rotation([Term(1, 0), Term(0, 1)], pivot)
 
     def test_duplicate_rhs(self):
         with pytest.raises(DuplicateTerm):
