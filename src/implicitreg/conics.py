@@ -90,24 +90,58 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     a = c.a5
+    # The closed form's operations in its order, done in place: the roots
+    # are its floats bit for bit, and a call holds five float temporaries.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b = c.a2 + c.a3 * x
-        lin, quad = c.a1 * x, c.a4 * x * x
-        k = lin + quad - c.c0
+        b = c.a3 * x
+        b += c.a2
+        lin = c.a1 * x
+        quad = c.a4 * x
+        quad *= x
+        k = lin + quad
+        k -= c.c0
         if a == 0.0:
             free = np.abs(b) < TOL_DENOM
-            root = np.where(free, np.nan, -k / b)
+            # Where k or b overflows at a finite x, -k/b is inf, NaN or 0
+            # though the root may be finite: divide both by x first, so with
+            # d = b/x = a2/x + a3 the root is -(a1 - c0/x)/d - (a4/d)*x.
+            # Where that is NaN, the root overflows, and -k/b stands.
+            over = ~(np.isfinite(k) & np.isfinite(b)) & np.isfinite(x)
+            root = np.negative(k, out=k)
+            root /= b
+            if over.any():
+                xs = x[over]
+                d = c.a2 / xs + c.a3
+                scaled = -(c.a1 - c.c0 / xs) / d - c.a4 / d * xs
+                root[over] = np.where(np.isnan(scaled), root[over], scaled)
+            root[free] = np.nan
             return root, root, free
-        disc = b * b - 4 * a * k
-        scale = np.maximum(b * b, 4 * abs(a) * (abs(c.c0) + np.abs(lin) + np.abs(quad)))
-        none = disc < -TOL_DISC * scale
-        disc = np.maximum(disc, 0.0)
-        r = np.sqrt(disc)
-        q = np.where(b >= 0, -b - r, -b + r)
-        t1, t2 = q / (2 * a), 2 * k / q
-        double = np.where(none, np.nan, -b / (2 * a))
-        lower = np.where(disc == 0.0, double, np.minimum(t1, t2))
-        upper = np.where(disc == 0.0, double, np.maximum(t1, t2))
+        scale = np.abs(lin, out=lin)
+        scale += abs(c.c0)
+        scale += np.abs(quad, out=quad)
+        scale *= 4 * abs(a)
+        bb = np.multiply(b, b, out=quad)
+        np.maximum(bb, scale, out=scale)
+        disc = k * (4 * a)
+        np.subtract(bb, disc, out=disc)
+        scale *= -TOL_DISC
+        none = disc < scale
+        np.maximum(disc, 0.0, out=disc)
+        r = np.sqrt(disc, out=disc)
+        zero = r == 0.0                     # where disc == 0
+        pos = b >= 0
+        nb = np.negative(b, out=b)
+        q = np.subtract(nb, r, out=r, where=pos)     # -b - r where b >= 0, else -b + r
+        np.add(nb, r, out=q, where=~pos)
+        t2 = np.multiply(k, 2, out=k)
+        t2 /= q
+        t1 = np.divide(q, 2 * a, out=q)
+        double = np.divide(nb, 2 * a, out=nb)
+        double[none] = np.nan
+        lower = np.minimum(t1, t2, out=scale)
+        upper = np.maximum(t1, t2, out=t2)
+        np.copyto(lower, double, where=zero)
+        np.copyto(upper, double, where=zero)
     return lower, upper, np.zeros(x.shape, dtype=bool)
 
 

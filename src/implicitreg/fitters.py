@@ -402,13 +402,20 @@ def fit_standard(d: MultiDataset) -> FitResult:
     return Factor([1.0, *d.explanatory.T, d.response], d.n).result(spec, k, range(k))
 
 
+def _contiguous(*columns) -> list[np.ndarray]:
+    """The columns checked as a Dataset's are, each contiguous: BLAS sums a
+    dot product of strided columns, such as a CSV's, in another order, and
+    the raw sums below should not change in the last bit with the layout."""
+    return [np.ascontiguousarray(c) for c in _observations(*columns)]
+
+
 def slr_closed(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Simple-linear-regression slope and intercept by the raw-sum ratios.
 
     The paper's printed formula; raw sums lose digits on offset data, so
     pinwheel_data reads its lines off a factor instead.  x and y are checked
     as a Dataset's are."""
-    x, y = _observations(x, y)
+    x, y = _contiguous(x, y)
     n = len(x)
     sx, sy = float(np.sum(x)), float(np.sum(y))
     sxx, sxy = float(x @ x), float(x @ y)
@@ -425,7 +432,7 @@ def nra2_closed(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
     The paper's printed formula, kept beside the factored fit as
     slr_closed is, and checked as it is."""
-    x, y = _observations(x, y)
+    x, y = _contiguous(x, y)
     sx, sy = float(np.sum(x)), float(np.sum(y))
     sxx, syy, sxy = float(x @ x), float(y @ y), float(x @ y)
     delta = sxx * syy - sxy * sxy
@@ -446,7 +453,7 @@ class UnivariateResult:
 def univariate_nra(y: np.ndarray) -> UnivariateResult:
     """Fit 1 = alpha*y; the reciprocal slope is the self-weighting mean.
     y is checked as a Dataset's columns are."""
-    (y,) = _observations(y)
+    (y,) = _contiguous(y)
     n = len(y)
     sy = float(np.sum(y))
     with np.errstate(over="ignore"):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from implicitreg import (
     solve_for_x,
     solve_for_y,
 )
-from implicitreg.conics import ellipse_points
+from implicitreg.conics import TOL_DENOM, TOL_DISC, ellipse_points, y_roots
 from implicitreg.errors import InvalidSpec, NoSolutionAtPoint, NotAnEllipse, PoleAtPoint
 
 UNIT_CIRCLE = ConicCoeffs(0, 0, 0, 1, 1)
@@ -414,6 +415,14 @@ def _rational(fit, at, which):
     raise InvalidSpec("which must be 'for_y' or 'for_x'")
 
 
+def _exact_rotation_root(fit, at, which):
+    """The root of the rotation y = a0 + a1*x + a2*xy at a finite point, in
+    exact rational arithmetic on the fitted floats, rounded once."""
+    a = dict(zip(fit.column_labels, map(Fraction, fit.coeffs)))
+    a0, a1, a2, t = a["const"], a["x"], a["xy"], Fraction(at)
+    return float((a0 + a1 * t) / (1 - a2 * t) if which == "for_y" else (t - a0) / (a1 + a2 * t))
+
+
 def _outcome(f, *args):
     """The float a call returns, as its bits (all NaNs alike), or the class
     and message of the refusal it raises."""
@@ -450,16 +459,39 @@ class TestRotationParity:
                 *(rng.choice([-1, 1], 60) * 10.0 ** rng.uniform(-300, 300, 60))]
         return [float(p) for p in (*special, *near, *rand)]
 
+    @staticmethod
+    def _overflows(fit, at, which):
+        """Whether the rational formula's numerator or denominator overflows
+        at a finite point, and so its quotient is inf, NaN or 0 where the
+        root is finite."""
+        if not math.isfinite(at):
+            return False
+        a = dict(zip(fit.column_labels, map(float, fit.coeffs)))
+        a0, a1, a2 = a["const"], a["x"], a["xy"]
+        parts = (a0 + a1 * at, 1.0 - a2 * at) if which == "for_y" else (at - a0, a1 + a2 * at)
+        return not all(map(math.isfinite, parts))
+
     def test_matches_the_rational_formula(self):
+        # Where the oracle's numerator or denominator overflows, the root
+        # solver gives the finite root and the oracle does not: the exact root
+        # is the reference there.
         rng = np.random.default_rng(2201)
-        cases = 0
+        cases = overflows = 0
         for f in self._fits():
             for at in self._points(f, rng):
                 for which in ("for_y", "for_x"):
-                    got = _outcome(invert_rotation_linear, f, at, which)
-                    assert got == _outcome(_rational, f, at, which), (f.column_labels, at, which)
+                    if self._overflows(f, at, which):
+                        root = invert_rotation_linear(f, at, which)
+                        assert math.isfinite(root), (f.column_labels, at, which)
+                        assert root == pytest.approx(_exact_rotation_root(f, at, which),
+                                                     rel=1e-14, abs=0)
+                        overflows += 1
+                    else:
+                        got = _outcome(invert_rotation_linear, f, at, which)
+                        assert got == _outcome(_rational, f, at, which), (
+                            f.column_labels, at, which)
                     cases += 1
-        assert cases > 5000
+        assert cases > 5000 and overflows > 0
 
     def test_the_pole_of_the_pole_fit(self):
         f = self._fits()[0]
@@ -482,3 +514,110 @@ class TestRotationParity:
         f = self._fits()[1]
         with pytest.raises(InvalidSpec, match="^which must be 'for_y' or 'for_x'$"):
             invert_rotation_linear(f, at, "for_z")
+
+
+def _y_roots_before(c, x):
+    """y_roots as the textbook expression, every temporary its own array, as
+    it was written before its steps went in place: the oracle of TestYRoots."""
+    x = np.asarray(x, dtype=float)
+    a = c.a5
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b = c.a2 + c.a3 * x
+        lin, quad = c.a1 * x, c.a4 * x * x
+        k = lin + quad - c.c0
+        if a == 0.0:
+            free = np.abs(b) < TOL_DENOM
+            root = np.where(free, np.nan, -k / b)
+            return root, root, free
+        disc = b * b - 4 * a * k
+        scale = np.maximum(b * b, 4 * abs(a) * (abs(c.c0) + np.abs(lin) + np.abs(quad)))
+        none = disc < -TOL_DISC * scale
+        disc = np.maximum(disc, 0.0)
+        r = np.sqrt(disc)
+        q = np.where(b >= 0, -b - r, -b + r)
+        t1, t2 = q / (2 * a), 2 * k / q
+        double = np.where(none, np.nan, -b / (2 * a))
+        lower = np.where(disc == 0.0, double, np.minimum(t1, t2))
+        upper = np.where(disc == 0.0, double, np.maximum(t1, t2))
+    return lower, upper, np.zeros(x.shape, dtype=bool)
+
+
+def _linear_overflow(c, x):
+    """Rows of the linear branch (a5 = 0) where k = a1*x + a4*x^2 - c0 or
+    b = a2 + a3*x overflows at a finite x."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k, b = c.a1 * x + c.a4 * x * x - c.c0, c.a2 + c.a3 * x
+    return (c.a5 == 0.0) & np.isfinite(x) & ~(np.isfinite(k) & np.isfinite(b))
+
+
+def _exact_linear_root(c, x):
+    """-k/b in exact rational arithmetic on the floats, rounded once."""
+    a1, a2, a3, a4, c0, t = map(Fraction, (c.a1, c.a2, c.a3, c.a4, c.c0, x))
+    root = -(a1 * t + a4 * t * t - c0) / (a2 + a3 * t)
+    try:
+        return float(root)
+    except OverflowError:
+        return math.inf if root > 0 else -math.inf
+
+
+class TestYRoots:
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300, 1e154, -1e154,
+               1e308, -1e308, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf]
+
+    @staticmethod
+    def _conics(rng, a5_zero, c0_zero, count=40):
+        for i in range(count):
+            a = rng.normal(size=6) * 10.0 ** rng.integers(-3, 4, 6)
+            if i % 4 == 0:
+                a[rng.integers(0, 4)] = 0.0
+            if a5_zero:
+                a[4] = 0.0
+            if c0_zero:
+                a[5] = 0.0
+            yield ConicCoeffs(*a)
+
+    @pytest.mark.parametrize("a5_zero", [True, False])
+    @pytest.mark.parametrize("c0_zero", [True, False])
+    def test_bitwise_the_expression_but_where_it_overflows(self, a5_zero, c0_zero):
+        # The steps run in place in the expression's order, so every root is
+        # the expression's float, NaN and signed zero alike; the linear
+        # branch's overflow rows are the one exception.
+        rng = np.random.default_rng(2301 + 2 * a5_zero + c0_zero)
+        overflows = 0
+        for c in self._conics(rng, a5_zero, c0_zero):
+            x = np.array([*self.SPECIAL, *(rng.choice([-1, 1], 2000)
+                                           * 10.0 ** rng.uniform(-310, 308.2, 2000))])
+            over = _linear_overflow(c, x)
+            for want, got in zip(_y_roots_before(c, x), y_roots(c, x)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert (got.view(np.uint8).reshape(len(x), -1)[~over]
+                        == want.view(np.uint8).reshape(len(x), -1)[~over]).all(), c
+            overflows += over.sum()
+        assert (overflows > 0) == a5_zero
+
+    def test_linear_overflow_matches_exact_arithmetic(self):
+        rng = np.random.default_rng(2305)
+        rows = 0
+        for c in self._conics(rng, a5_zero=True, c0_zero=False, count=200):
+            x = rng.choice([-1, 1], 50) * 10.0 ** rng.uniform(296, 308.2, 50)
+            lower, upper, free = y_roots(c, x)
+            over = _linear_overflow(c, x) & ~free
+            for xi, got in zip(x[over], lower[over]):
+                want = _exact_linear_root(c, xi)
+                if math.isinf(want) and math.isnan(got):
+                    # both scaled terms overflow, opposite in sign: NaN, as -k/b gave
+                    assert math.isnan(_y_roots_before(c, [xi])[0][0])
+                    continue
+                assert got == pytest.approx(want, rel=1e-14, abs=0), (c, xi)
+                rows += 1
+        assert rows > 1000
+
+    def test_the_rotation_of_a_noisy_line(self):
+        # y = 1.0235 + 1.9884x + 3.98e-4*xy: a1*x overflows from x = 1e308 on,
+        # and the root stays near -a1/a2 = -4994.
+        d = generate(GeneratorSpec(Line(1.0, 2.0), n=300, noise_sigma=0.05, seed=1))
+        f = fit_rotation(d, parse_terms("x,y,xy"), pivot=1)
+        for at in (1e300, 1e308, 1.7e308, -1.7e308):
+            got = invert_rotation_linear(f, at, "for_y")
+            assert got == pytest.approx(_exact_rotation_root(f, at, "for_y"), rel=1e-14, abs=0)
+            assert -5000 < got < -4990

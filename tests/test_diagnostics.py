@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,15 +15,22 @@ from implicitreg import (
     diagnostics,
     fit_all_rotations,
     fit_nonresponse,
+    FitResult,
     fit_standard,
+    load_csv,
+    load_multi_csv,
+    nra2_closed,
     ols_orthogonality_check,
     parse_terms,
     pinwheel_data,
     reconstruct_from_conic,
     separation_bivariate,
+    separation_from_conic,
     separation_univariate,
+    slr_closed,
     solve_for_x,
     solve_for_y,
+    univariate_nra,
 )
 from implicitreg.errors import (
     InterceptRequired,
@@ -459,3 +467,62 @@ class TestPinwheel:
         lines = pinwheel_data(d)
         assert not any(rec.vertical for rec in lines) or all(
             rec.x_value is not None for rec in lines if rec.vertical)
+
+
+def _bits(value):
+    """A value as comparable bits: floats and arrays by their bytes, so a
+    -0.0 or a NaN's payload counts; dataclasses and FitResults field by field,
+    a fit's rows included."""
+    if isinstance(value, FitResult):
+        fields = [f.name for f in dataclasses.fields(value) if f.compare]
+        return tuple(_bits(getattr(value, name))
+                     for name in (*fields, "target", "fitted", "residuals"))
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(v) for v in dataclasses.astuple(value))
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_bits, value))
+    if isinstance(value, (float, np.floating, np.ndarray)):
+        a = np.asarray(value)
+        return a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes()
+    return value
+
+
+class TestViewsOfTheParse:
+    """The loaders' columns are views of one (n, k) parse.  Every result on
+    them is the result on contiguous copies, bit for bit."""
+
+    N = 3 * ROW_BLOCK + 5
+
+    @pytest.fixture(scope="class")
+    def ellipse_csv(self, tmp_path_factory):
+        rng = np.random.default_rng(2302)
+        t = rng.uniform(0, 2 * math.pi, self.N)
+        x = 3 + 2 * np.cos(t) + rng.normal(0, 0.05, self.N)
+        y = -2 + np.sin(t) + rng.normal(0, 0.05, self.N)
+        p = tmp_path_factory.mktemp("views") / "ellipse.csv"
+        with open(p, "w") as fh:
+            fh.write("y,z,x\n")
+            fh.writelines(f"{b!r},{a * b!r},{a!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+        return p
+
+    @staticmethod
+    def _results(d):
+        conic, cubic = parse_terms("x,y,xy,x2,y2"), parse_terms("x,y,xy,x2,y2,x^3,y^3,x^2*y,x*y^2")
+        nonresponse = fit_nonresponse(d, conic)
+        c = ConicCoeffs.from_fit(nonresponse)
+        return [nonresponse, fit_nonresponse(d, cubic), *fit_all_rotations(d, conic),
+                *fit_all_rotations(d, cubic), slr_closed(d.x, d.y), nra2_closed(d.x, d.y),
+                univariate_nra(d.y), separation_from_conic(c, d),
+                reconstruct_from_conic(c, d), pinwheel_data(d)]
+
+    def test_load_csv(self, ellipse_csv):
+        d = load_csv(ellipse_csv)
+        assert not (d.x.flags.c_contiguous or d.y.flags.c_contiguous)
+        copy = Dataset(d.x.copy(), d.y.copy())
+        assert _bits(self._results(d)) == _bits(self._results(copy))
+
+    def test_load_multi_csv(self, ellipse_csv):
+        md = load_multi_csv(ellipse_csv, "y")
+        assert not (md.response.flags.c_contiguous or md.explanatory.flags.c_contiguous)
+        copy = MultiDataset(md.response.copy(), md.explanatory.copy(), md.column_names)
+        assert _bits(fit_standard(md)) == _bits(fit_standard(copy))

@@ -110,6 +110,31 @@ class TestLoadCsv:
             load_csv(p)
 
 
+class TestLoadCsvMemory:
+    """load_csv holds each value once: x and y are views of the one (n, 2)
+    parse, 16 bytes a row."""
+
+    @pytest.mark.parametrize("n", [65536, 131072])
+    def test_load_csv_peaks_at_the_parse(self, tmp_path, n):
+        # loadtxt grows its array by a quarter at a time, so it may hold up
+        # to 20 bytes a row before it trims to 16; a contiguous copy of each
+        # column would add 16 more.
+        rng = np.random.default_rng(n)
+        p = tmp_path / "d.csv"
+        with open(p, "w") as fh:
+            fh.write("x,y\n")
+            fh.writelines(f"{a!r},{b!r}\n" for a, b in rng.normal(size=(n, 2)).tolist())
+        load_csv(p)                             # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            d = load_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * n + 256 * 1024, peak / n
+        assert d.n == n and views_of_one_parse(d.x, d.y)
+
+
 class TestLoadCsvByPath:
     """np.loadtxt reads a regular file's body by path.  Names numpy's path
     reader would take for a compressed file or a URL, and pipes, still read
@@ -320,6 +345,13 @@ MULTI_HEADERS = st.lists(st.sampled_from(["x", "z", "w"]), min_size=1, max_size=
                          unique=True).flatmap(lambda extra: st.permutations(["y", *extra]))
 
 
+def views_of_one_parse(*columns):
+    """Whether the columns are views of one (n, k) array, one column each."""
+    base = columns[0].base
+    return (base is not None and base.shape == (len(columns[0]), len(columns))
+            and all(c.base is base and np.shares_memory(c, base) for c in columns))
+
+
 @given(CSV_HEADERS, st.data())
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -329,7 +361,7 @@ def test_load_csv_matches_row_loop(tmp_path, header, data):
 
     def load():
         d = load_csv(p)
-        assert d.x.flags.c_contiguous and d.y.flags.c_contiguous
+        assert views_of_one_parse(d.x, d.y)
         return d.x, d.y
     same_outcome(load, lambda: reference_columns(p, ["x", "y"]))
 
@@ -345,7 +377,7 @@ def test_load_multi_csv_matches_row_loop(tmp_path, header, data):
     def load():
         md = load_multi_csv(p, "y")
         assert md.column_names == tuple(names[1:])
-        assert md.explanatory.flags.c_contiguous
+        assert views_of_one_parse(md.response, *md.explanatory.T)
         return (md.response, *md.explanatory.T)
     same_outcome(load, lambda: reference_columns(p, names))
 
