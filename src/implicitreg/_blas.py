@@ -45,8 +45,11 @@ def pin_numpy_import() -> None:
 
 
 def _lookup() -> tuple:
-    """The get and set thread-count functions of an OpenBLAS mapped into
-    this process or shipped in numpy.libs; () when there is none."""
+    """The get and set thread-count functions of the OpenBLAS numpy.linalg
+    calls, or () without one.  The dynamic linker resolves them through the
+    dependencies of numpy.linalg's own module, so another OpenBLAS in the
+    process (scipy's) is left alone; numpy.libs serves a linker that does not
+    search them (Windows)."""
     try:
         import ctypes
     except ImportError:
@@ -54,13 +57,9 @@ def _lookup() -> tuple:
     import glob
 
     import numpy
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
-    except OSError:
-        paths = set()
+    from numpy.linalg import _umath_linalg
     shipped = glob.glob(os.path.join(os.path.dirname(numpy.__file__) + ".libs", "*openblas*"))
-    for path in sorted(paths) + sorted(shipped):
+    for path in [_umath_linalg.__file__, *sorted(shipped)]:
         try:
             lib = ctypes.CDLL(path)
         except OSError:

@@ -105,7 +105,9 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             # Where k or b overflows at a finite x, -k/b is inf, NaN or 0
             # though the root may be finite: divide both by x first, so with
             # d = b/x = a2/x + a3 the root is -(a1 - c0/x)/d - (a4/d)*x.
-            # Where that is NaN, the root overflows, and -k/b stands.
+            # Where both terms overflow, opposite in sign, the root overflows
+            # too: it is x*u for u = y/x = (c0/x/x - a1/x - a4)/d.  Where
+            # that is NaN as well, -k/b stands.
             over = ~(np.isfinite(k) & np.isfinite(b)) & np.isfinite(x)
             root = np.negative(k, out=k)
             root /= b
@@ -113,6 +115,9 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 xs = x[over]
                 d = c.a2 / xs + c.a3
                 scaled = -(c.a1 - c.c0 / xs) / d - c.a4 / d * xs
+                both = np.isnan(scaled)
+                xb = xs[both]
+                scaled[both] = xb * ((c.c0 / xb / xb - c.a1 / xb - c.a4) / d[both])
                 root[over] = np.where(np.isnan(scaled), root[over], scaled)
             root[free] = np.nan
             return root, root, free

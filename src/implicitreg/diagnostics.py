@@ -24,7 +24,7 @@ from .errors import (
     ZeroVariance,
 )
 from ._blas import one_thread
-from .fitters import RANK_TOL, ROW_BLOCK, Factor, FitResult, _constant
+from .fitters import RANK_TOL, ROW_BLOCK, TINY, Factor, FitResult, _constant
 from .terms import Dataset
 
 CLAMP_TOL = 1e-9
@@ -70,6 +70,12 @@ def _arccos_deg(arg: float) -> float:
     return math.degrees(math.acos(min(1.0, max(-1.0, arg))))
 
 
+def _root_product(a: float, b: float) -> float:
+    """sqrt(a*b), through sqrt(a)*sqrt(b) where a*b leaves the normal range."""
+    p = a * b
+    return math.sqrt(p) if TINY <= p < math.inf else math.sqrt(a) * math.sqrt(b)
+
+
 def _from_sums(sst: float, ssm: float, sse: float, n: int,
                unreconstructed: int = 0) -> SeparationDiagnostics:
     """The triangle of the three sums, with thresholds relative to the sums
@@ -84,8 +90,8 @@ def _from_sums(sst: float, ssm: float, sse: float, n: int,
         return SeparationDiagnostics(sst, ssm, sse, None, None, None, e_hat, None, None,
                                      perfect_fit=_negligible(sse, sst),
                                      unreconstructed=unreconstructed)
-    theta_t = _arccos_deg((ssm + sse - sst) / (2.0 * math.sqrt(ssm * sse)))
-    theta_m = _arccos_deg((sst + sse - ssm) / (2.0 * math.sqrt(sst * sse)))
+    theta_t = _arccos_deg((ssm + sse - sst) / (2.0 * _root_product(ssm, sse)))
+    theta_m = _arccos_deg((sst + sse - ssm) / (2.0 * _root_product(sst, sse)))
     theta_e = 180.0 - theta_t - theta_m
     sin_m = math.sin(math.radians(theta_m))
     return SeparationDiagnostics(
@@ -107,16 +113,16 @@ def _separation(obs: Sequence[np.ndarray], estimates: Estimates) -> SeparationDi
     reconstructed: it adds its raw squared deviations from the means to
     SSE, nothing to SSM, and is tallied.  A coordinate varies when its
     deviations exceed the rounding error of its mean (fitters._constant).
-    A sum beyond the float range, or a varying coordinate's SST of 0 (its
-    squares underflow), raises SumOfSquaresOverflow; SSM and SSE are read
-    against SST, so a zero there is only negligible.
+    A sum beyond the float range, or a varying coordinate's SST below the
+    normal range (its squares underflow), raises SumOfSquaresOverflow; SSM
+    and SSE are read against SST, so a zero there is only negligible.
     """
     n = len(obs[0])
-    means = [float(np.mean(o)) for o in obs]
     spread = [0.0] * len(obs)       # each coordinate's part of SST
     sst = ssm = sse = 0.0
     unreconstructed = 0
     with np.errstate(over="ignore"):
+        means = [float(np.mean(o)) for o in obs]
         for a in range(0, n, ROW_BLOCK):
             rows = slice(a, a + ROW_BLOCK)
             ests = estimates(rows)
@@ -143,7 +149,7 @@ def _separation(obs: Sequence[np.ndarray], estimates: Estimates) -> SeparationDi
     flat = [_constant(o, mean, s) for o, mean, s in zip(obs, means, spread)]
     if all(flat):
         raise ZeroVariance("no total variation")
-    if any(s == 0.0 and not c for s, c in zip(spread, flat)):
+    if any(s < TINY and not c for s, c in zip(spread, flat)):
         raise SumOfSquaresOverflow(underflow=True)
     return _from_sums(sst, ssm, sse, n, unreconstructed=unreconstructed)
 

@@ -111,13 +111,13 @@ class DomainError(DomainViolation):
 
 
 class SumOfSquaresOverflow(DomainViolation):
-    """A sum of squares in the data's units leaves the float range: it
-    overflows (data near 1e200 and above), or it underflows to 0 from
-    deviations that are not 0 (data near 1e-200 and below).  The
-    coefficients may exist; their fit statistics do not."""
+    """A sum of squares in the data's units leaves the normal float range:
+    it overflows past about 1.8e308, or deviations that are not 0 give a sum
+    below the smallest normal float, about 2.2e-308, where a subnormal has
+    lost digits.  The coefficients may exist; their fit statistics do not."""
 
     def __init__(self, underflow: bool = False):
-        super().__init__("a sum of squares underflows to 0: it is outside the float range; "
+        super().__init__("a sum of squares underflows: it is below the normal float range; "
                          "rescale the data" if underflow else
                          "a sum of squares is beyond the float range; rescale the data")
 

@@ -57,6 +57,7 @@ R2_CENTERED = "Eq8-centered"
 R2_UNIVARIATE = "Eq14-univariate"
 
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)   # the smallest normal float
 RANK_TOL = math.sqrt(EPS)   # on the diagonal of a unit-column factor
 MEAN_ROUNDING = 4           # times log2(n + 1) * eps * |mean|: bound on a pairwise mean's error
 FACTOR_ROUNDING = 4         # times sqrt(n) * eps * |mean|: a constant's spread off R (2.9 seen)
@@ -153,16 +154,17 @@ def _singular(label: str, unity: bool = False) -> SingularSystem:
 
 
 def _in_range(total: float, v: np.ndarray) -> float:
-    """total = v'v, or SumOfSquaresOverflow when it left the float range:
-    beyond it, or 0 from entries that are not all 0 (their squares underflow)."""
-    if not math.isfinite(total) or (total == 0.0 and v.any()):
-        raise SumOfSquaresOverflow(underflow=total == 0.0)
+    """total = v'v, or SumOfSquaresOverflow when it left the normal float
+    range: beyond it, or below it from entries that are not all 0 (their
+    squares underflow, to 0 or to a subnormal that has lost digits)."""
+    if not math.isfinite(total) or (total < TINY and v.any()):
+        raise SumOfSquaresOverflow(underflow=total < TINY)
     return total
 
 
 def _squares(v: np.ndarray, scale: float) -> float:
     """(scale |v|)^2 for entries v of a unit-column factor, or
-    SumOfSquaresOverflow when it is outside the float range."""
+    SumOfSquaresOverflow when it is outside the normal float range."""
     h = math.hypot(*v.tolist()) * float(scale)
     return _in_range(h * h, v)
 
@@ -203,7 +205,8 @@ class Factor:
         scale, so it stays in range for data whose squares would not.  A
         singular fit's slot holds instead the index in S of its first column
         whose unit-scale distance from the span of those before it, on r's
-        diagonal, is below RANK_TOL.
+        diagonal, is below RANK_TOL.  Coefficients or a root beyond the float
+        range raise DomainViolation.
         """
         cols = np.array([[*S, j] for j, S in fits])
         m = cols.shape[1] - 1
@@ -220,8 +223,12 @@ class Factor:
             rhs[:, :, 1:] = np.eye(m)
             sol = np.linalg.solve(r[ok, :m, :m], rhs)
             s = self.scale[cols[ok, :m]]
-            coeffs = sol[:, :, 0] * self.scale[cols[ok, m]][:, None] / s
-            roots = sol[:, :, 1:] / s[:, :, None]
+            with np.errstate(over="ignore"):
+                coeffs = sol[:, :, 0] * self.scale[cols[ok, m]][:, None] / s
+                roots = sol[:, :, 1:] / s[:, :, None]
+            if not (np.isfinite(coeffs).all() and np.isfinite(roots).all()):
+                raise DomainViolation("the fit's coefficients or their standard errors are "
+                                      "beyond the float range; rescale the data")
             for i, c, L in zip(ok.tolist(), coeffs, roots):
                 out[i] = (c, L, t[i])
         return out
@@ -271,7 +278,7 @@ class Factor:
 
         if spec.lhs is LhsKind.UNITY:
             sse = _squares(t[m:], s)
-            r2, tag, f_stat = float(t[:m] @ t[:m]), R2_NONRESPONSE, None
+            r2, tag = float(t[:m] @ t[:m]), R2_NONRESPONSE
         else:
             if not spec.intercept:
                 r = np.linalg.qr(self.R[:, [self.unit, *S, j]], mode="r")
@@ -289,10 +296,12 @@ class Factor:
                 f[0] -= t[0]
                 ssr = _squares(f, s)
             r2, tag = ssr / sst, R2_CENTERED
-            has_f = spec.intercept and m > 1 and n > m and sse > 0
-            f_stat = (ssr / (m - 1)) / (sse / (n - m)) if has_f else None
 
         sigma2 = sse / (n - m) if n > m else float("nan")
+        if 0.0 < sigma2 < TINY:
+            raise SumOfSquaresOverflow(underflow=True)
+        has_f = spec.lhs is not LhsKind.UNITY and spec.intercept and m > 1 and sigma2 > 0
+        f_stat = (ssr / (m - 1)) / sigma2 if has_f else None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             gram_inverse = root @ root.T
             cov = sigma2 * gram_inverse

@@ -5,6 +5,8 @@ interpreters check it against numpy's own OpenBLAS.
 """
 
 import json
+import os
+import shutil
 import sys
 import threading
 import time
@@ -15,7 +17,7 @@ import pytest
 from implicitreg import _blas, fit_all_rotations, fit_nonresponse, parse_terms
 from implicitreg.errors import DomainError
 from implicitreg.simulate import Ellipse, GeneratorSpec, generate
-from test_startup import THREAD_VARS, needs_openblas, run
+from test_startup import SRC, THREAD_VARS, needs_openblas, run
 
 CUBIC = "x,y,xy,x2,y2,x^3,y^3,x^2*y,x*y^2"
 
@@ -237,6 +239,54 @@ def test_user_thread_variable_holds_inside_the_fit():
     out = library(OMP_NUM_THREADS="2")
     assert out["inside"] == [out["before"]]
     assert out["after_threads"] == out["before"]
+
+
+# numpy copied under tmp_path and imported from there, then the installed
+# numpy's OpenBLAS loaded by path: its soname is already mapped, but by
+# another file, so it maps as a second library whose path sorts first.  The
+# probe reads the OpenBLAS the running numpy.linalg calls, found through
+# the dependencies of its own module.
+SECOND_OPENBLAS = """
+import ctypes, glob, json, os
+import numpy as np
+from numpy.linalg import _umath_linalg
+installed = glob.glob(os.path.join(%r, "libscipy_openblas*.so*"))[0]
+ctypes.CDLL(installed)
+count = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_get_num_threads64_
+count.restype = ctypes.c_int
+import implicitreg.fitters as f
+from implicitreg import simulate, terms
+
+inside = []
+solve = f.Factor.solve
+def probe(factor, fits):
+    inside.append(count())
+    return solve(factor, fits)
+f.Factor.solve = probe
+
+d = simulate.generate(simulate.GeneratorSpec(simulate.Ellipse(3, -2, 2, 1, 0.5), 3000, 0.05, 7))
+out = {"numpy": np.__file__, "before": count()}
+f.fit_all_rotations(d, terms.parse_terms(%r))
+out["inside"] = sorted(set(inside))
+out["after"] = count()
+print(json.dumps(out))
+"""
+
+
+@needs_openblas
+def test_fits_pin_the_openblas_numpy_calls(tmp_path):
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for name in ("numpy", "numpy.libs"):
+        shutil.copytree(os.path.join(site, name), tmp_path / name,
+                        ignore=shutil.ignore_patterns("tests", "__pycache__"))
+    libs = os.path.join(site, "numpy.libs")
+    out = json.loads(run(["-c", SECOND_OPENBLAS % (libs, CUBIC)],
+                         PYTHONPATH=os.pathsep.join([str(tmp_path), SRC])))
+    assert out["numpy"].startswith(str(tmp_path))
+    if out["before"] < 2:
+        pytest.skip("OpenBLAS runs one thread on this host")
+    assert out["inside"] == [1]
+    assert out["after"] == out["before"]
 
 
 def test_cli_skips_the_lookup(tmp_path):
