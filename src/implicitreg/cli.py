@@ -251,7 +251,7 @@ def cmd_rotate_all(args) -> str:
     reports = []
     for term, result in zip(term_list, fitters.fit_all_rotations(d, term_list)):
         model = _rotation_model(term, term_list)
-        if isinstance(result, DegenerateError):
+        if isinstance(result, Exception):
             reports.append(Report(model, [], warnings=[f"{type(result).__name__}: {result}"]))
         else:
             reports.append(Report(model, **_fit_fields(result)))

@@ -86,7 +86,9 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the rounding scale of k, |c0| + |a1*x| + |a4*x^2|, so the test is free of
     the data's units and a rounded tangent snaps.  Distinct roots take the
     cancellation-free Citardauq pair (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 1.8).
+    Numerical Algorithms, section 1.8).  Where b^2 or 4*a5*k leaves the float
+    range though b and k do not, the roots come from b and k scaled by a
+    power of two (_wide_roots).
     """
     x = np.asarray(x, dtype=float)
     a = c.a5
@@ -129,6 +131,10 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.maximum(bb, scale, out=scale)
         disc = k * (4 * a)
         np.subtract(bb, disc, out=disc)
+        wide = None if np.isfinite(disc).all() else (
+            ~np.isfinite(disc) & np.isfinite(b) & np.isfinite(k))
+        if wide is not None:
+            wide_roots = _wide_roots(c, x[wide], b[wide], k[wide])
         scale *= -TOL_DISC
         none = disc < scale
         np.maximum(disc, 0.0, out=disc)
@@ -147,7 +153,37 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         upper = np.maximum(t1, t2, out=t2)
         np.copyto(lower, double, where=zero)
         np.copyto(upper, double, where=zero)
+        if wide is not None:
+            lower[wide], upper[wide] = wide_roots
     return lower, upper, np.zeros(x.shape, dtype=bool)
+
+
+def _wide_roots(c: ConicCoeffs, x: np.ndarray, b: np.ndarray, k: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """y_roots' (lower, upper) of a5*y^2 + b*y + k = 0 at rows where b^2 or
+    4*a5*k leaves the float range though b and k do not.
+
+    With g = 2 sqrt|a5| sqrt|k| (that is sqrt|4*a5*k|, in range) and s the
+    power of two with max(|b|, g)/s in [1, 2), the discriminant over s^2 is
+    (b/s)^2 - sign(a5*k) (g/s)^2, below 8, and h = b/s + sign(b) r is the
+    Citardauq q over -s, with |h| in [1, 4] where roots exist: the roots
+    are -(h/(2*a5)) s and -(k/h)/(s/2).  The snap to a double root and its
+    tolerance are y_roots', over s^2."""
+    a = c.a5
+    g = 2 * math.sqrt(abs(a)) * np.sqrt(np.abs(k))
+    s = np.ldexp(1.0, np.frexp(np.maximum(np.abs(b), g))[1] - 1)
+    bs, gs = b / s, g / s
+    disc = bs * bs - np.copysign(gs * gs, a * k)
+    rounding = (abs(c.c0) / s + np.abs(c.a1 * x) / s + np.abs(c.a4 * x * x) / s) * (4 * abs(a)) / s
+    none = disc < -TOL_DISC * np.maximum(bs * bs, rounding)
+    r = np.sqrt(np.maximum(disc, 0.0))
+    h = np.where(bs >= 0, bs + r, bs - r)
+    t1 = -(h / (2 * a)) * s
+    t2 = -(k / h) / (s / 2)
+    double = np.where(none, np.nan, -(bs / (2 * a)) * s)
+    zero = r == 0.0
+    return (np.where(zero, double, np.minimum(t1, t2)),
+            np.where(zero, double, np.maximum(t1, t2)))
 
 
 def _solve(c: ConicCoeffs, at: float, given: str, solved: str) -> list[float]:

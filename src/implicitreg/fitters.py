@@ -16,16 +16,18 @@ triangular factor R by a two-level tree: one batched QR of its TILE-row
 tiles, whose leaves stay in cache, then one small QR of [R; the rows
 left over; the tile R's], so memory stays flat in n (the TSQR reduction
 of Demmel, Grigori, Hoemmen & Langou, arXiv:0808.2664): the one pass over
-the data.  The column scales are read off R.  A Factor holds that pass,
-and every fit is a read-off of it: the small problem R[:, S] b ~ R[:, j],
-where the QR of R[:, S + [j]] gives its coefficients, Gram inverse, rank
-and every sum of squares, as the residual norm is the tail of Q'b (Golub
-& Van Loan, Matrix Computations, 5.3; Goodnight 1979).  All fits of one
-factor are read off in one stacked pass (Factor.solve, which alone
-refuses fewer rows than columns): one stacked QR of their R[:, S + [j]],
-a rank test on each diagonal and one stacked solve.  Neither Q nor W'W is
-formed, a fit's n-length rows are made only when read, and each public
-fit runs in one scope of one BLAS thread (_blas.one_thread).
+the data.  Every QR runs in the memory it is given (_qr_r), with no copy,
+so a fit maps no fresh pages.  The column scales are read off R.  A
+Factor holds that pass, and every fit is a read-off of it: the small
+problem R[:, S] b ~ R[:, j], where the QR of R[:, S + [j]] gives its
+coefficients, Gram inverse, rank and every sum of squares, as the
+residual norm is the tail of Q'b (Golub & Van Loan, Matrix Computations,
+5.3; Goodnight 1979).  All fits of one factor are read off in one stacked
+pass (Factor.solve, which alone refuses fewer rows than columns): one
+stacked QR of their R[:, S + [j]], a rank test on each diagonal and one
+stacked solve.  Neither Q nor W'W is formed, a fit's n-length rows are
+made only when read, and each public fit runs in one scope of one BLAS
+thread (_blas.one_thread).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ._blas import one_thread
 from .errors import (
@@ -109,20 +112,39 @@ class FitResult:
         return self.target - self.fitted
 
 
+Slot = Union[FitResult, DegenerateError, SumOfSquaresOverflow]     # one fit of Factor.results
+
+
+def _qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def _qr_r(a: np.ndarray) -> np.ndarray:
+    """The R of the float matrix a, or of each in a stack, as numpy's qr
+    gives it in mode "r", bit for bit: the same LAPACK call under the same
+    error rules, but run on a itself, which it overwrites, where numpy's qr
+    first copies a whole."""
+    with np.errstate(call=_qr_error, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        _umath_linalg.qr_r_raw(a, signature="d->d")
+    return np.triu(a[..., :a.shape[-1], :])
+
+
 def _factor(fill: Fill, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Column norms of the n x k design Z and the R factor of Z scaled to
     unit columns.
 
     Z is never materialised: fill writes each ROW_BLOCK rows into one reused
     term-major buffer, and a two-level TSQR tree reduces the block into R.
-    The block's whole TILE-row tiles are factored in one batched QR: the
-    buffer's first t * TILE columns, reshaped to (k, t, TILE) and
-    transposed, are that stack of t tiles, with no copy.  Then the running
-    R, the fewer than TILE rows left over and the t tile R's are merged in
-    one small QR.  Householder QR is column-scale invariant, so the columns
-    go in unscaled and their norms are read off the small R by np.hypot,
-    which neither overflows nor underflows; R divided by them is the
-    unit-column factor.  A zero column keeps scale 1 and stays zero.
+    The block's whole TILE-row tiles are factored in one batched QR, in
+    place: the buffer's first t * TILE columns, reshaped to (k, t, TILE)
+    and transposed, are that stack of t tiles, with no copy.  Then the
+    running R, the fewer than TILE rows left over, which the tile QR does
+    not touch, and the t tile R's are merged in one small QR.  Householder
+    QR is column-scale invariant, so the columns go in unscaled and their
+    norms are read off the small R by np.hypot, which neither overflows nor
+    underflows; R divided by them is the unit-column factor.  A zero column
+    keeps scale 1 and stays zero.
     """
     buf = np.empty((k, min(ROW_BLOCK, n)))
     R = np.empty((0, k))
@@ -133,8 +155,8 @@ def _factor(fill: Fill, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         leaves = [R, buf[:, t * TILE:b - a].T]      # frees the last block's tile R's first
         if t:
             tiles = buf[:, :t * TILE].reshape(k, t, TILE).transpose(1, 2, 0)
-            leaves.append(np.linalg.qr(tiles, mode="r").reshape(-1, k))
-        R = np.linalg.qr(np.concatenate(leaves), mode="r")
+            leaves.append(_qr_r(tiles).reshape(-1, k))
+        R = _qr_r(np.concatenate(leaves))
     if not np.isfinite(R).all():
         raise DomainViolation("a column of the design has a norm beyond the float range; "
                               "rescale the data")
@@ -212,7 +234,7 @@ class Factor:
         m = cols.shape[1] - 1
         if self.n < m:
             raise Underdetermined(f"{self.n} observations for {m} columns")
-        r = np.linalg.qr(self.R[:, cols].transpose(1, 0, 2), mode="r")
+        r = _qr_r(self.R[:, cols].transpose(1, 0, 2))
         t = r[:, :, -1]
         low = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, :m]) < RANK_TOL
         out: list = [int(np.argmax(row)) for row in low]
@@ -243,15 +265,19 @@ class Factor:
                 raise _singular(names[s])
         return [s[0] for s in solved]
 
-    def results(self, fits: Fits) -> list[Union[FitResult, DegenerateError]]:
+    def results(self, fits: Fits) -> list[Slot]:
         """The fits (spec, j, S), all of one width, from one solve; a
-        singular fit or a constant target keeps its exception in its slot."""
-        out: list[Union[FitResult, DegenerateError]] = []
+        singular fit, a constant target or sums of squares out of the float
+        range keep the exception in the fit's slot.  When every fit's sums
+        are out of range, the data are, and the first fit's exception raises."""
+        out: list[Slot] = []
         for fit, solved in zip(fits, self.solve([(j, S) for _, j, S in fits])):
             try:
                 out.append(self._result(*fit, solved))
-            except (SingularSystem, ZeroVariance) as exc:
+            except (SingularSystem, ZeroVariance, SumOfSquaresOverflow) as exc:
                 out.append(exc)
+        if all(isinstance(r, SumOfSquaresOverflow) for r in out):
+            raise out[0]
         return out
 
     def result(self, spec: ModelSpec, j: int, S: Sequence[int]) -> FitResult:
@@ -281,7 +307,7 @@ class Factor:
             r2, tag = float(t[:m] @ t[:m]), R2_NONRESPONSE
         else:
             if not spec.intercept:
-                r = np.linalg.qr(self.R[:, [self.unit, *S, j]], mode="r")
+                r = _qr_r(self.R[:, [self.unit, *S, j]])
                 t = r[:, -1]
             bound = (MEAN_ROUNDING * math.log2(n + 1) + FACTOR_ROUNDING * math.sqrt(n)) * EPS
             if math.hypot(*t[1:].tolist()) <= bound * abs(t[0]):
@@ -362,14 +388,16 @@ def fit_rotation(d: Dataset, terms: Sequence[Term], pivot: int) -> FitResult:
 
 
 @one_thread
-def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Union[FitResult, DegenerateError]]:
+def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Slot]:
     """One rotation fit per pivot, in term order, all read off one factor of
     Z = [T_1..T_m, 1].
 
-    A degenerate pivot (singular design, constant target) is recorded in its
-    slot as the exception instance rather than aborting the remaining
-    rotations; global errors (domain violations) still propagate.  Too few
-    observations fill every slot.
+    A degenerate pivot (singular design, constant target) or one whose sums
+    of squares leave the float range (SumOfSquaresOverflow) is recorded in
+    its slot as the exception instance rather than aborting the remaining
+    rotations.  Global errors still propagate: an undefined term, a column
+    or coefficients beyond the float range, and sums out of range on every
+    pivot.  Too few observations fill every slot.
     """
     # Pivot 0 of no terms is refused as that of one term is.
     fits = [_rotation(terms, pivot) for pivot in range(max(len(terms), 1))]

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -542,12 +543,17 @@ def _y_roots_before(c, x):
     return lower, upper, np.zeros(x.shape, dtype=bool)
 
 
-def _linear_overflow(c, x):
-    """Rows of the linear branch (a5 = 0) where k = a1*x + a4*x^2 - c0 or
-    b = a2 + a3*x overflows at a finite x."""
+def _overflow(c, x):
+    """Rows where the expression overflows at a finite x: in the linear
+    branch (a5 = 0) where k = a1*x + a4*x^2 - c0 or b = a2 + a3*x does, in
+    the quadratic one where b and k do not but b*b - 4*a5*k does."""
     with np.errstate(over="ignore", invalid="ignore"):
         k, b = c.a1 * x + c.a4 * x * x - c.c0, c.a2 + c.a3 * x
-    return (c.a5 == 0.0) & np.isfinite(x) & ~(np.isfinite(k) & np.isfinite(b))
+        disc = b * b - 4 * c.a5 * k
+    finite = np.isfinite(k) & np.isfinite(b)
+    if c.a5 == 0.0:
+        return np.isfinite(x) & ~finite
+    return finite & ~np.isfinite(disc)
 
 
 def _exact_linear_root(c, x):
@@ -558,6 +564,21 @@ def _exact_linear_root(c, x):
         return float(root)
     except OverflowError:
         return math.inf if root > 0 else -math.inf
+
+
+def _exact_quadratic_roots(c, x):
+    """The real roots y of a5*y^2 + (a2 + a3*x)*y + (a1*x + a4*x^2 - c0) = 0,
+    a5 != 0, by the textbook formula on the floats in 1500-digit decimal
+    arithmetic (the cancellation in -b + sqrt(disc) costs a few hundred
+    digits on the rows tested), each rounded once: (lower, upper), or two
+    NaNs where none is real."""
+    with decimal.localcontext(decimal.Context(prec=1500, Emax=10 ** 6, Emin=-10 ** 6)):
+        a1, a2, a3, a4, a5, c0, t = map(decimal.Decimal, (*c.as_array().tolist(), c.c0, x))
+        b, k = a2 + a3 * t, a1 * t + a4 * t * t - c0
+        disc = b * b - 4 * a5 * k
+        if disc < 0:
+            return math.nan, math.nan
+        return tuple(sorted(float((-b + sign * disc.sqrt()) / (2 * a5)) for sign in (-1, 1)))
 
 
 class TestYRoots:
@@ -580,20 +601,20 @@ class TestYRoots:
     @pytest.mark.parametrize("c0_zero", [True, False])
     def test_bitwise_the_expression_but_where_it_overflows(self, a5_zero, c0_zero):
         # The steps run in place in the expression's order, so every root is
-        # the expression's float, NaN and signed zero alike; the linear
-        # branch's overflow rows are the one exception.
+        # the expression's float, NaN and signed zero alike; the overflow
+        # rows of either branch are the one exception.
         rng = np.random.default_rng(2301 + 2 * a5_zero + c0_zero)
         overflows = 0
         for c in self._conics(rng, a5_zero, c0_zero):
             x = np.array([*self.SPECIAL, *(rng.choice([-1, 1], 2000)
                                            * 10.0 ** rng.uniform(-310, 308.2, 2000))])
-            over = _linear_overflow(c, x)
+            over = _overflow(c, x)
             for want, got in zip(_y_roots_before(c, x), y_roots(c, x)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert (got.view(np.uint8).reshape(len(x), -1)[~over]
                         == want.view(np.uint8).reshape(len(x), -1)[~over]).all(), c
             overflows += over.sum()
-        assert (overflows > 0) == a5_zero
+        assert overflows > 0
 
     def test_linear_overflow_matches_exact_arithmetic(self):
         rng = np.random.default_rng(2305)
@@ -601,11 +622,34 @@ class TestYRoots:
         for c in self._conics(rng, a5_zero=True, c0_zero=False, count=200):
             x = rng.choice([-1, 1], 50) * 10.0 ** rng.uniform(296, 308.2, 50)
             lower, upper, free = y_roots(c, x)
-            over = _linear_overflow(c, x) & ~free
+            over = _overflow(c, x) & ~free
             for xi, got in zip(x[over], lower[over]):
                 assert got == pytest.approx(_exact_linear_root(c, xi), rel=1e-14, abs=0), (c, xi)
                 rows += 1
         assert rows > 1000
+
+    @pytest.mark.parametrize("c, x", [
+        (ConicCoeffs(0.0, 0.0, 1.0, 0.0, 1e-3), 1e160),        # 1 = xy + 1e-3*y^2: b*b overflows
+        (ConicCoeffs(1.0, 0.0, 0.0, 0.0, -1.0, 0.0), 1e308),   # 0 = x - y^2: 4*a5*k overflows
+    ], ids=["b_squared", "four_a_k"])
+    def test_quadratic_overflow_point_matches_exact_arithmetic(self, c, x):
+        assert _overflow(c, np.array([x])).all()
+        lower, upper, free = y_roots(c, np.array([x]))
+        want = _exact_quadratic_roots(c, x)
+        assert [lower[0], upper[0]] == pytest.approx(want, rel=1e-15, abs=0) and not free[0]
+
+    def test_quadratic_overflow_matches_exact_arithmetic(self):
+        rng = np.random.default_rng(2307)
+        rows = 0
+        for c in self._conics(rng, a5_zero=False, c0_zero=False, count=200):
+            x = rng.choice([-1, 1], 50) * 10.0 ** rng.uniform(145, 160, 50)
+            lower, upper, _ = y_roots(c, x)
+            over = _overflow(c, x)
+            for xi, got in zip(x[over], zip(lower[over], upper[over])):
+                assert got == pytest.approx(_exact_quadratic_roots(c, xi), rel=1e-14, abs=0,
+                                            nan_ok=True), (c, xi)
+                rows += 1
+        assert rows > 500
 
     def test_the_rotation_of_a_noisy_line(self):
         # y = 1.0235 + 1.9884x + 3.98e-4*xy: a1*x overflows from x = 1e308 on,

@@ -392,8 +392,8 @@ class TestRowsOnRequest:
 
     @pytest.mark.parametrize("fit", [fit_nonresponse, fit_all_rotations])
     def test_peak_is_the_merge_buffer(self, fit):
-        # The factor's k x ROW_BLOCK block buffer and numpy's copy of its
-        # tile stack in the batched QR; nothing grows with n.
+        # The factor's k x ROW_BLOCK block buffer, in which the batched tile
+        # QR runs; nothing grows with n.
         d = four_block_dataset()
         fit(d, CUBIC_TERMS)                 # first-call allocations stay out of the count
         tracemalloc.start()
@@ -403,7 +403,7 @@ class TestRowsOnRequest:
         finally:
             tracemalloc.stop()
         k = len(CUBIC_TERMS) + 1
-        assert peak < 2 * fitters.ROW_BLOCK * k * 8 + 32 * k * k * 8
+        assert peak <= fitters.ROW_BLOCK * k * 8 + 128 * 1024
 
     @pytest.mark.parametrize("fit", [
         lambda d: [fit_nonresponse(d, CUBIC_TERMS)],
@@ -440,19 +440,19 @@ class TestRowsOnRequest:
         # Each of the three whole row blocks factors its tiles in one batched
         # QR, and the four row blocks merge into R; the fits are then read off
         # it in one stacked QR of their R[:, S + [j]], one small R each.
-        # Every call is in mode "r": no Q is formed.
+        # Every QR is _qr_r's, in place and without Q; numpy's qr is not called.
         calls = []
-        qr = np.linalg.qr
+        qr = fitters._qr_r
 
-        def counting(a, mode="reduced"):
-            merge = a.ndim == 2 and len(a) > k
-            calls.append(("merge" if merge else a.shape, mode))
-            return qr(a, mode)
-        monkeypatch.setattr(np.linalg, "qr", counting)
+        def counting(a):
+            calls.append("merge" if a.ndim == 2 and len(a) > k else a.shape)
+            return qr(a)
+        monkeypatch.setattr(fitters, "_qr_r", counting)
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: pytest.fail("numpy's qr called"))
         k = len(CUBIC_TERMS) + 1
         fit(four_block_dataset(), CUBIC_TERMS)
         tiles = (fitters.ROW_BLOCK // fitters.TILE, fitters.TILE, k)
-        assert Counter(calls) == {(tiles, "r"): 3, ("merge", "r"): 4, ((small, k, k), "r"): 1}
+        assert Counter(calls) == {tiles: 3, "merge": 4, (small, k, k): 1}
 
     def test_constant_pivot_reads_the_data_once(self, monkeypatch):
         d = four_block_dataset()
@@ -540,6 +540,41 @@ class TestTiledFactor:
         gram = Z @ Z.T
         assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram)
         np.testing.assert_allclose(scale, np.linalg.norm(Z, axis=1), rtol=1e-12)
+
+    def test_peak_is_the_block_buffer(self):
+        # The tile QR runs in the block buffer itself; a copy of the tile
+        # stack would double the peak.
+        n, k = 20000, 10
+        fill = terms._source(list(np.random.default_rng(101).standard_normal((k, n))))
+        fitters._factor(fill, k, n)         # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            fitters._factor(fill, k, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fitters.ROW_BLOCK * k * 8 + 128 * 1024
+
+    @pytest.mark.parametrize("shape", ["tile_stack", "tall", "wide", "small_stack"])
+    def test_in_place_r_is_numpys_bitwise(self, shape):
+        # _qr_r overwrites its input with the Householder factors, and its R
+        # is numpy's mode "r" R to the bit: on the strided tile stack of a
+        # term-major buffer (its rows left over untouched), on one matrix
+        # taller or wider than it is long, and on a stack of small ones.
+        rng = np.random.default_rng(103)
+        buf = rng.standard_normal((10, 5 * 64 + 17)) * 10.0 ** rng.uniform(-2, 2, (10, 1))
+        left = buf[:, 5 * 64:].copy()
+        a = {"tile_stack": buf[:, :5 * 64].reshape(10, 5, 64).transpose(1, 2, 0),
+             "tall": buf[:, :300].T.copy(),
+             "wide": buf[:3].copy(),
+             "small_stack": buf[:, [[0, 3, 5], [1, 2, 4]]].transpose(1, 0, 2)}[shape]
+        want = np.linalg.qr(a, mode="r")
+        before = a.copy()
+        got = fitters._qr_r(a)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(bits(got), bits(want))
+        assert not np.array_equal(a, before)
+        np.testing.assert_array_equal(buf[:, 5 * 64:], left)
 
     def test_domain_error_in_a_later_tile(self):
         # The first undefined entry is x^-1 on the third tile of the second

@@ -188,6 +188,39 @@ class TestUnderflow:
             separation_univariate(y, y * 1.5)
 
 
+class TestOutOfRangePivot:
+    """On the bench ellipse far from unit scale the squares of xy, x^2 and
+    y^2 leave the float range while x and y still fit: each pivot keeps its
+    own refusal."""
+
+    @pytest.mark.parametrize("scale, message", [(1e-100, UNDERFLOW), (1e100, OVERFLOW)],
+                             ids=["1e-100", "1e100"])
+    def test_all_rotations_keep_it_in_its_slot(self, scale, message):
+        d = Dataset(BENCH.x * scale, BENCH.y * scale)
+        terms = parse_terms(CONIC)
+        slots = fit_all_rotations(d, terms)
+        for pivot, slot in enumerate(slots):
+            if pivot < 2:
+                np.testing.assert_array_equal(slot.coeffs, fit_rotation(d, terms, pivot).coeffs)
+                continue
+            assert isinstance(slot, SumOfSquaresOverflow)
+            assert f"error: {slot}\n" == message
+            with pytest.raises(SumOfSquaresOverflow, match=str(slot)):
+                fit_rotation(d, terms, pivot)
+
+    def test_rotate_all_warns_for_it_and_exits_0(self, tmp_path, capsys):
+        p = tmp_path / "big.csv"
+        p.write_text("x,y\n" + "".join(f"{x * 1e100!r},{y * 1e100!r}\n"
+                                        for x, y in zip(BENCH.x.tolist(), BENCH.y.tolist())))
+        code = main(["rotate-all", "--input", str(p), "--terms", CONIC, "--output", "json"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK and err == ""
+        reports = json.loads(out)
+        assert [bool(r["coefficients"]) for r in reports] == [True, True, False, False, False]
+        assert [r["warnings"] for r in reports[2:]] == [
+            ["SumOfSquaresOverflow: " + OVERFLOW[len("error: "):-1]]] * 3
+
+
 # The bench ellipse scaled by 10^k: every k in the bands where some result
 # starts to leave the float range, and every fifth k between.
 EDGES = [(-323, -300), (-165, -145), (-80, -70), (5, 15), (70, 80), (145, 160), (295, 306)]
