@@ -26,7 +26,7 @@ _EXPORTS = {
     "simulate": ("Circle", "ConstantNormal", "Ellipse", "GeneratorSpec", "Line", "Uniform",
                  "generate"),
     "terms": ("CONIC_TERMS", "Dataset", "LhsKind", "ModelSpec", "MultiDataset", "Term",
-              "design_matrix", "load_csv", "load_multi_csv", "parse_terms"),
+              "load_csv", "load_multi_csv", "parse_terms"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

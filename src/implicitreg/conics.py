@@ -7,6 +7,7 @@ a5*y^2 + (a2 + a3*x)*y + (a1*x + a4*x^2 - c0) = 0 and symmetrically for x.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -86,9 +87,9 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the rounding scale of k, |c0| + |a1*x| + |a4*x^2|, so the test is free of
     the data's units and a rounded tangent snaps.  Distinct roots take the
     cancellation-free Citardauq pair (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 1.8).  Where b^2 or 4*a5*k leaves the float
-    range though b and k do not, the roots come from b and k scaled by a
-    power of two (_wide_roots).
+    Numerical Algorithms, section 1.8).  Where a step leaves the float range
+    at a finite x (b or k; in the quadratic case b^2, 4*a5*k, the snap's
+    scale or 2k), the roots come from _scaled_roots.
     """
     x = np.asarray(x, dtype=float)
     a = c.a5
@@ -104,23 +105,11 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         k -= c.c0
         if a == 0.0:
             free = np.abs(b) < TOL_DENOM
-            # Where k or b overflows at a finite x, -k/b is inf, NaN or 0
-            # though the root may be finite: divide both by x first, so with
-            # d = b/x = a2/x + a3 the root is -(a1 - c0/x)/d - (a4/d)*x.
-            # Where both terms overflow, opposite in sign, the root overflows
-            # too: it is x*u for u = y/x = (c0/x/x - a1/x - a4)/d.  Where
-            # that is NaN as well, -k/b stands.
             over = ~(np.isfinite(k) & np.isfinite(b)) & np.isfinite(x)
             root = np.negative(k, out=k)
             root /= b
             if over.any():
-                xs = x[over]
-                d = c.a2 / xs + c.a3
-                scaled = -(c.a1 - c.c0 / xs) / d - c.a4 / d * xs
-                both = np.isnan(scaled)
-                xb = xs[both]
-                scaled[both] = xb * ((c.c0 / xb / xb - c.a1 / xb - c.a4) / d[both])
-                root[over] = np.where(np.isnan(scaled), root[over], scaled)
+                root[over] = _scaled_roots(c, x[over])[0]
             root[free] = np.nan
             return root, root, free
         scale = np.abs(lin, out=lin)
@@ -131,10 +120,8 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.maximum(bb, scale, out=scale)
         disc = k * (4 * a)
         np.subtract(bb, disc, out=disc)
-        wide = None if np.isfinite(disc).all() else (
-            ~np.isfinite(disc) & np.isfinite(b) & np.isfinite(k))
-        if wide is not None:
-            wide_roots = _wide_roots(c, x[wide], b[wide], k[wide])
+        t2 = np.multiply(k, 2, out=k)
+        over = ~(np.isfinite(disc) & np.isfinite(scale) & np.isfinite(t2)) & np.isfinite(x)
         scale *= -TOL_DISC
         none = disc < scale
         np.maximum(disc, 0.0, out=disc)
@@ -144,7 +131,6 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         nb = np.negative(b, out=b)
         q = np.subtract(nb, r, out=r, where=pos)     # -b - r where b >= 0, else -b + r
         np.add(nb, r, out=q, where=~pos)
-        t2 = np.multiply(k, 2, out=k)
         t2 /= q
         t1 = np.divide(q, 2 * a, out=q)
         double = np.divide(nb, 2 * a, out=nb)
@@ -153,34 +139,44 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         upper = np.maximum(t1, t2, out=t2)
         np.copyto(lower, double, where=zero)
         np.copyto(upper, double, where=zero)
-        if wide is not None:
-            lower[wide], upper[wide] = wide_roots
+        if over.any():
+            lower[over], upper[over] = _scaled_roots(c, x[over])
     return lower, upper, np.zeros(x.shape, dtype=bool)
 
 
-def _wide_roots(c: ConicCoeffs, x: np.ndarray, b: np.ndarray, k: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """y_roots' (lower, upper) of a5*y^2 + b*y + k = 0 at rows where b^2 or
-    4*a5*k leaves the float range though b and k do not.
+def _split(*terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sum of terms m*2^e as (S, M, E): S*2^E is the sum and M*2^E the
+    sum of the magnitudes, with E the largest exponent of a nonzero term, so
+    each term scales exactly unless it falls below the normal range."""
+    exps = [np.where(m == 0, -1 << 20, e + np.frexp(m)[1]) for m, e in terms]
+    E = functools.reduce(np.maximum, exps)
+    parts = [np.ldexp(m, e - E) for m, e in terms]
+    return functools.reduce(np.add, parts), functools.reduce(np.add, map(np.abs, parts)), E
 
-    With g = 2 sqrt|a5| sqrt|k| (that is sqrt|4*a5*k|, in range) and s the
-    power of two with max(|b|, g)/s in [1, 2), the discriminant over s^2 is
-    (b/s)^2 - sign(a5*k) (g/s)^2, below 8, and h = b/s + sign(b) r is the
-    Citardauq q over -s, with |h| in [1, 4] where roots exist: the roots
-    are -(h/(2*a5)) s and -(k/h)/(s/2).  The snap to a double root and its
-    tolerance are y_roots', over s^2."""
-    a = c.a5
-    g = 2 * math.sqrt(abs(a)) * np.sqrt(np.abs(k))
-    s = np.ldexp(1.0, np.frexp(np.maximum(np.abs(b), g))[1] - 1)
-    bs, gs = b / s, g / s
-    disc = bs * bs - np.copysign(gs * gs, a * k)
-    rounding = (abs(c.c0) / s + np.abs(c.a1 * x) / s + np.abs(c.a4 * x * x) / s) * (4 * abs(a)) / s
-    none = disc < -TOL_DISC * np.maximum(bs * bs, rounding)
+
+def _scaled_roots(c: ConicCoeffs, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y_roots' (lower, upper) at finite x, by its own steps with b, k and the
+    discriminant each held as a float and a power of two (_split), so only a
+    root that itself lies beyond the float range overflows.  The
+    discriminant is over 2^F, F even, so its square root is over 2^(F/2)."""
+    m, e = np.frexp(x)
+    B, _, Eb = _split((c.a2, 0), (c.a3 * m, e))
+    K, Kmag, Ek = _split((c.a1 * m, e), (c.a4 * m * m, 2 * e), (-c.c0, 0))
+    if c.a5 == 0.0:
+        root = np.ldexp(-K / B, Ek - Eb)
+        return root, root
+    A, Ea = math.frexp(c.a5)
+    F = np.maximum(2 * Eb, Ek + Ea + 2)
+    F += F & 1
+    bb = np.ldexp(B * B, 2 * Eb - F)
+    disc = bb - np.ldexp(K * (4 * A), Ek + Ea - F)
+    none = disc < -TOL_DISC * np.maximum(bb, np.ldexp(Kmag * (4 * abs(A)), Ek + Ea - F))
     r = np.sqrt(np.maximum(disc, 0.0))
-    h = np.where(bs >= 0, bs + r, bs - r)
-    t1 = -(h / (2 * a)) * s
-    t2 = -(k / h) / (s / 2)
-    double = np.where(none, np.nan, -(bs / (2 * a)) * s)
+    h = np.ldexp(B, Eb - F // 2)
+    q = np.where(B >= 0, -h - r, -h + r)
+    t1 = np.ldexp(q / (2 * A), F // 2 - Ea)
+    t2 = np.ldexp(K * 2 / q, Ek - F // 2)
+    double = np.where(none, np.nan, np.ldexp(-B / (2 * A), Eb - Ea))
     zero = r == 0.0
     return (np.where(zero, double, np.minimum(t1, t2)),
             np.where(zero, double, np.maximum(t1, t2)))
@@ -222,7 +218,7 @@ def invert_rotation_linear(fit: FitResult, at: float, which: str) -> float:
         roots = solve(ConicCoeffs.from_fit(fit), at)
     except NoSolutionAtPoint:
         raise PoleAtPoint(f"pole at {given} = {at}") from None
-    return roots[0] if roots else math.nan      # NaN: the root overflows to inf/inf
+    return roots[0]
 
 
 def classify_conic(c: ConicCoeffs) -> ConicClass:

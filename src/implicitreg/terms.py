@@ -1,11 +1,11 @@
-"""Term algebra, term evaluation, dataset ingestion, and design-matrix
-construction.
+"""Term algebra, term evaluation, dataset ingestion, and the design columns
+of a term model.
 
 A Term is the monomial x^a * y^b.  Model columns are terms evaluated
 row-wise over a two-variable dataset; the target column is either the
 unity vector, one pivot term, or an external response column.  Every term
-is evaluated by one block source, _source: Term.evaluate, design_matrix,
-every fit and the pinwheel lines fill their columns through it.
+is evaluated by one block source, _source: Term.evaluate, every fit and
+the pinwheel lines fill their columns through it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     NamedColumnMissing,
     ParseError,
     TermSyntaxError,
-    Underdetermined,
 )
 
 
@@ -465,7 +464,7 @@ def save_csv(path, d: Dataset, x_col: str = "x", y_col: str = "y") -> None:
         fh.writelines(_csv_blocks([x_col, y_col], [d.x, d.y]))
 
 
-# --- design matrix --------------------------------------------------------
+# --- design columns -------------------------------------------------------
 
 def _design_columns(spec: ModelSpec) -> list[Column]:
     """The design columns of a term model: [1 if intercept, rhs terms,
@@ -474,20 +473,3 @@ def _design_columns(spec: ModelSpec) -> list[Column]:
         raise InvalidSpec("fit_implicit fits term models; fit_standard fits the response kind")
     target = 1.0 if spec.lhs is LhsKind.UNITY else spec.lhs_term
     return [1.0] * spec.intercept + list(spec.rhs_terms) + [target]
-
-
-def design_matrix(d: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the model columns and the target of a term model.
-
-    Column k of W is the k-th rhs term evaluated row-wise, with a leading
-    column of ones when the spec carries an intercept.  W and the target
-    are one whole-array fill of _design_columns, term-major: W is the
-    transpose of its leading rows, one contiguous row per column.
-    """
-    columns = _design_columns(spec)
-    k = len(columns) - 1
-    Z = np.empty((k + 1, d.n))
-    _source(columns, d.x, d.y)(Z, 0, d.n)
-    if d.n < k:
-        raise Underdetermined(f"{d.n} observations for {k} columns")
-    return Z[:k].T, Z[k]

@@ -33,7 +33,7 @@ from implicitreg import (
     solve_for_x,
     solve_for_y,
 )
-from implicitreg.conics import TOL_DENOM, TOL_DISC, ellipse_points, y_roots
+from implicitreg.conics import TOL_DENOM, TOL_DISC, _scaled_roots, ellipse_points, y_roots
 from implicitreg.errors import InvalidSpec, NoSolutionAtPoint, NotAnEllipse, PoleAtPoint
 
 UNIT_CIRCLE = ConicCoeffs(0, 0, 0, 1, 1)
@@ -491,6 +491,7 @@ class TestRotationParity:
                         got = _outcome(invert_rotation_linear, f, at, which)
                         assert got == _outcome(_rational, f, at, which), (
                             f.column_labels, at, which)
+                        assert got != "nan", (f.column_labels, at, which)
                     cases += 1
         assert cases > 5000 and overflows > 0
 
@@ -546,14 +547,15 @@ def _y_roots_before(c, x):
 def _overflow(c, x):
     """Rows where the expression overflows at a finite x: in the linear
     branch (a5 = 0) where k = a1*x + a4*x^2 - c0 or b = a2 + a3*x does, in
-    the quadratic one where b and k do not but b*b - 4*a5*k does."""
+    the quadratic one where the discriminant b*b - 4*a5*k, the snap's scale
+    or 2*k does."""
     with np.errstate(over="ignore", invalid="ignore"):
-        k, b = c.a1 * x + c.a4 * x * x - c.c0, c.a2 + c.a3 * x
+        lin, quad = c.a1 * x, c.a4 * x * x
+        k, b = lin + quad - c.c0, c.a2 + c.a3 * x
         disc = b * b - 4 * c.a5 * k
-    finite = np.isfinite(k) & np.isfinite(b)
-    if c.a5 == 0.0:
-        return np.isfinite(x) & ~finite
-    return finite & ~np.isfinite(disc)
+        scale = np.maximum(b * b, 4 * abs(c.a5) * (abs(c.c0) + np.abs(lin) + np.abs(quad)))
+        steps = (k, b) if c.a5 == 0.0 else (disc, scale, 2 * k)
+    return np.isfinite(x) & ~np.logical_and.reduce([np.isfinite(v) for v in steps])
 
 
 def _exact_linear_root(c, x):
@@ -631,12 +633,18 @@ class TestYRoots:
     @pytest.mark.parametrize("c, x", [
         (ConicCoeffs(0.0, 0.0, 1.0, 0.0, 1e-3), 1e160),        # 1 = xy + 1e-3*y^2: b*b overflows
         (ConicCoeffs(1.0, 0.0, 0.0, 0.0, -1.0, 0.0), 1e308),   # 0 = x - y^2: 4*a5*k overflows
-    ], ids=["b_squared", "four_a_k"])
+        (ConicCoeffs(0.0, 0.0, 0.0, 1.0, -1.0, 0.0), 1e200),   # 0 = x^2 - y^2: k overflows
+        (ConicCoeffs(0.0, 1.0, 0.0, 1.0, 1e-3), 1e160),        # 1 = y + x^2 + 1e-3*y^2: no root
+        (ConicCoeffs(0.0, 0.0, 1.0, 1.5, 1e-3), 1e154),        # 1 = xy + 1.5x^2 + 1e-3*y^2: 2*k
+        # 0 = -x + 0.999e-298*x^2 - 1e10*y^2: the snap's scale overflows, no root
+        (ConicCoeffs(-1.0, 0.0, 0.0, 0.999e-298, -1e10, 0.0), 1e298),
+    ], ids=["b_squared", "four_a_k", "k", "k_no_root", "two_k", "scale_no_root"])
     def test_quadratic_overflow_point_matches_exact_arithmetic(self, c, x):
         assert _overflow(c, np.array([x])).all()
         lower, upper, free = y_roots(c, np.array([x]))
         want = _exact_quadratic_roots(c, x)
-        assert [lower[0], upper[0]] == pytest.approx(want, rel=1e-15, abs=0) and not free[0]
+        assert [lower[0], upper[0]] == pytest.approx(want, rel=1e-15, abs=0, nan_ok=True)
+        assert not free[0]
 
     def test_quadratic_overflow_matches_exact_arithmetic(self):
         rng = np.random.default_rng(2307)
@@ -650,6 +658,33 @@ class TestYRoots:
                                             nan_ok=True), (c, xi)
                 rows += 1
         assert rows > 500
+
+    def test_quadratic_overflow_up_to_the_float_maximum_matches_exact_arithmetic(self):
+        rng = np.random.default_rng(2707)
+        rows = 0
+        for c in self._conics(rng, a5_zero=False, c0_zero=False, count=30):
+            x = np.array([1.7e308, -1.7e308,
+                          *(rng.choice([-1, 1], 30) * 10.0 ** rng.uniform(160, 308.23, 30))])
+            lower, upper, _ = y_roots(c, x)
+            over = _overflow(c, x)
+            for xi, got in zip(x[over], zip(lower[over], upper[over])):
+                assert got == pytest.approx(_exact_quadratic_roots(c, xi), rel=1e-14, abs=0,
+                                            nan_ok=True), (c, xi)
+                rows += 1
+        assert rows > 900
+
+    @pytest.mark.parametrize("a5_zero", [True, False])
+    @pytest.mark.parametrize("c0_zero", [True, False])
+    def test_scaled_roots_are_the_expression_on_rows_in_range(self, a5_zero, c0_zero):
+        # On rows that stay in range the split steps are y_roots' own, each
+        # scaled by a power of two, so the roots are its floats bit for bit.
+        rng = np.random.default_rng(2711 + 2 * a5_zero + c0_zero)
+        for c in self._conics(rng, a5_zero, c0_zero):
+            x = rng.choice([-1, 1], 2000) * 10.0 ** rng.uniform(-100, 100, 2000)
+            lower, upper, free = y_roots(c, x)
+            assert not _overflow(c, x).any()
+            for want, got in zip((lower, upper), _scaled_roots(c, x)):
+                assert (got.view(np.uint64)[~free] == want.view(np.uint64)[~free]).all(), c
 
     def test_the_rotation_of_a_noisy_line(self):
         # y = 1.0235 + 1.9884x + 3.98e-4*xy: a1*x overflows from x = 1e308 on,

@@ -47,7 +47,7 @@ from implicitreg.errors import (
     ZeroVariance,
 )
 from implicitreg import fitters, terms
-from implicitreg.terms import LhsKind, ModelSpec, design_matrix
+from implicitreg.terms import LhsKind, ModelSpec
 
 
 class TestFitImplicit:
@@ -105,8 +105,24 @@ class TestFitNonresponse:
 
     def test_residual_identity(self, tri_dataset):
         f = fit_nonresponse(tri_dataset, parse_terms("x,y"))
-        W, t = design_matrix(tri_dataset, f.spec)
-        np.testing.assert_array_equal(f.residuals, t - W @ f.coeffs)
+        W = np.column_stack([t.evaluate(tri_dataset.x, tri_dataset.y) for t in f.spec.rhs_terms])
+        np.testing.assert_array_equal(f.residuals, 1.0 - W @ f.coeffs)
+
+    def test_three_term_gram_matches_printed_sums(self):
+        # The fit of {x, y, xy} with unity target solves the 3-equation
+        # system written in raw sums: its inverse Gram matrix inverts them
+        # and its coefficients solve them.
+        d = random_dataset(np.random.default_rng(11))
+        x, y = d.x, d.y
+        f = fit_nonresponse(d, parse_terms("x,y,xy"))
+        G = np.array([
+            [np.sum(x**2), np.sum(x*y), np.sum(x**2*y)],
+            [np.sum(x*y), np.sum(y**2), np.sum(x*y**2)],
+            [np.sum(x**2*y), np.sum(x*y**2), np.sum(x**2*y**2)],
+        ])
+        rhs = [np.sum(x), np.sum(y), np.sum(x*y)]
+        np.testing.assert_allclose(f.gram_inverse @ G, np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(f.coeffs, np.linalg.solve(G, rhs), rtol=1e-10)
 
     def test_cov_is_sigma2_gram_inverse(self):
         rng = np.random.default_rng(3)
@@ -182,7 +198,7 @@ class TestSolver:
 
     def test_hand_solved_system(self, tri_dataset):
         f = fit_implicit(tri_dataset, ModelSpec.nonresponse(parse_terms("x,y")))
-        W, _ = design_matrix(tri_dataset, f.spec)
+        W = np.column_stack([t.evaluate(tri_dataset.x, tri_dataset.y) for t in f.spec.rhs_terms])
         np.testing.assert_allclose(f.coeffs, [1, 1], atol=1e-14)
         np.testing.assert_allclose(f.gram_inverse @ (W.T @ W), np.eye(2), atol=1e-8)
 

@@ -25,7 +25,7 @@ PUBLIC = [
     "Dataset", "Ellipse", "FitResult", "GeneratorSpec", "LhsKind", "Line", "ModelSpec",
     "MultiDataset", "OrthogonalityCheck", "PinwheelLine", "SeparationDiagnostics", "Term",
     "Uniform", "UnivariateResult", "alias_matrix", "alpha_from_beta", "beta_from_alpha",
-    "classify_conic", "conic_geometry", "conics", "design_matrix", "diagnostics", "errors",
+    "classify_conic", "conic_geometry", "conics", "diagnostics", "errors",
     "fit_all_rotations", "fit_implicit", "fit_nonresponse", "fit_rotation", "fit_standard",
     "fitters", "generate", "invert_rotation_linear", "load_csv", "load_multi_csv",
     "nra2_closed", "ols_orthogonality_check", "parse_terms", "pinwheel_data",

@@ -16,7 +16,6 @@ from implicitreg import (
     LhsKind,
     ModelSpec,
     Term,
-    design_matrix,
     load_csv,
     load_multi_csv,
     parse_terms,
@@ -32,7 +31,6 @@ from implicitreg.errors import (
     NamedColumnMissing,
     ParseError,
     TermSyntaxError,
-    Underdetermined,
 )
 
 
@@ -538,53 +536,6 @@ class TestModelSpec:
         with pytest.raises(DuplicateTerm) as exc:       # the first term seen twice
             ModelSpec.nonresponse([Term(1, 0), Term(0, 1), Term(0, 1), Term(1, 0)])
         assert exc.value.term == Term(0, 1)
-
-
-class TestDesignMatrix:
-    def test_unity_target(self, tri_dataset):
-        W, t = design_matrix(tri_dataset, ModelSpec.nonresponse(parse_terms("x,y")))
-        np.testing.assert_array_equal(W, [[1, 0], [0, 1], [0.5, 0.5]])
-        np.testing.assert_array_equal(t, [1, 1, 1])
-
-    def test_slr_layout(self):
-        d = Dataset([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
-        W, t = design_matrix(d, ModelSpec.rotation(parse_terms("x,y"), pivot=1))
-        np.testing.assert_array_equal(W[:, 0], [1, 1, 1])
-        np.testing.assert_array_equal(W[:, 1], d.x)
-        np.testing.assert_array_equal(t, d.y)
-
-    def test_domain_error_propagates(self):
-        d = Dataset([-1.0, 1.0], [1.0, 1.0])
-        with pytest.raises(DomainError):
-            design_matrix(d, ModelSpec.nonresponse([Term(0.5, 0)]))
-
-    def test_underdetermined(self):
-        d = Dataset([1.0, 2.0], [3.0, 4.0])
-        with pytest.raises(Underdetermined):
-            design_matrix(d, ModelSpec.nonresponse(parse_terms("x,y,xy")))
-
-    def test_response_kind_refused(self, tri_dataset):
-        # Its rhs names MultiDataset columns, which are not terms to evaluate.
-        spec = ModelSpec(LhsKind.RESPONSE, ("x",), intercept=True)
-        with pytest.raises(InvalidSpec, match="^fit_implicit fits term models; "
-                                              "fit_standard fits the response kind$"):
-            design_matrix(tri_dataset, spec)
-
-    def test_three_term_gram_matches_printed_sums(self, tri_dataset):
-        # W'W and W'1 for {x, y, xy} with unity target must consist of the
-        # raw sums the 3-equation system is written in.
-        d = tri_dataset
-        x, y = d.x, d.y
-        W, t = design_matrix(d, ModelSpec.nonresponse(parse_terms("x,y,xy")))
-        G = W.T @ W
-        rhs = W.T @ t
-        expect_G = np.array([
-            [np.sum(x**2), np.sum(x*y), np.sum(x**2*y)],
-            [np.sum(x*y), np.sum(y**2), np.sum(x*y**2)],
-            [np.sum(x**2*y), np.sum(x*y**2), np.sum(x**2*y**2)],
-        ])
-        np.testing.assert_allclose(G, expect_G, rtol=0, atol=0)
-        np.testing.assert_allclose(rhs, [np.sum(x), np.sum(y), np.sum(x*y)], atol=0)
 
 
 class TestSaveCsv:
