@@ -121,7 +121,9 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         disc = k * (4 * a)
         np.subtract(bb, disc, out=disc)
         t2 = np.multiply(k, 2, out=k)
-        over = ~(np.isfinite(disc) & np.isfinite(scale) & np.isfinite(t2)) & np.isfinite(x)
+        # Out-of-range rows are rare; a sum is finite only if each term is.
+        over = None if math.isfinite(disc.sum() + scale.sum() + t2.sum()) else (
+            ~(np.isfinite(disc) & np.isfinite(scale) & np.isfinite(t2)) & np.isfinite(x))
         scale *= -TOL_DISC
         none = disc < scale
         np.maximum(disc, 0.0, out=disc)
@@ -139,7 +141,7 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         upper = np.maximum(t1, t2, out=t2)
         np.copyto(lower, double, where=zero)
         np.copyto(upper, double, where=zero)
-        if over.any():
+        if over is not None and over.any():
             lower[over], upper[over] = _scaled_roots(c, x[over])
     return lower, upper, np.zeros(x.shape, dtype=bool)
 

@@ -618,6 +618,17 @@ class TestYRoots:
             overflows += over.sum()
         assert overflows > 0
 
+    def test_rows_in_range_whose_sum_overflows_keep_their_bits(self):
+        # Each row's discriminant is in range but their sum is not, so the
+        # row mask is built: it marks no row.
+        c = ConicCoeffs(0.0, 0.0, 1.0, 0.0, 1e-3)
+        x = np.array([1e154, 1.2e154, 5.0])
+        with np.errstate(over="ignore"):
+            assert math.isinf(np.sum(x * x))
+        assert not _overflow(c, x).any()
+        for want, got in zip(_y_roots_before(c, x), y_roots(c, x)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_linear_overflow_matches_exact_arithmetic(self):
         rng = np.random.default_rng(2305)
         rows = 0
