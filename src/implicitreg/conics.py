@@ -105,10 +105,12 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         k -= c.c0
         if a == 0.0:
             free = np.abs(b) < TOL_DENOM
-            over = ~(np.isfinite(k) & np.isfinite(b)) & np.isfinite(x)
+            # Out-of-range rows are rare; a sum is finite only if each term is.
+            over = None if math.isfinite(k.sum() + b.sum()) else (
+                ~(np.isfinite(k) & np.isfinite(b)) & np.isfinite(x))
             root = np.negative(k, out=k)
             root /= b
-            if over.any():
+            if over is not None and over.any():
                 root[over] = _scaled_roots(c, x[over])[0]
             root[free] = np.nan
             return root, root, free
@@ -121,7 +123,6 @@ def y_roots(c: ConicCoeffs, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         disc = k * (4 * a)
         np.subtract(bb, disc, out=disc)
         t2 = np.multiply(k, 2, out=k)
-        # Out-of-range rows are rare; a sum is finite only if each term is.
         over = None if math.isfinite(disc.sum() + scale.sum() + t2.sum()) else (
             ~(np.isfinite(disc) & np.isfinite(scale) & np.isfinite(t2)) & np.isfinite(x))
         scale *= -TOL_DISC

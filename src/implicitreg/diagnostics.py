@@ -156,11 +156,13 @@ def _separation(obs: Sequence[np.ndarray], estimates: Estimates) -> SeparationDi
 
 def _paired(observed: Sequence, estimates: Sequence = ()) -> list[np.ndarray]:
     """The observed columns, then the estimates, as float vectors of one
-    length, at least two.  An observation must be finite; a non-finite
-    estimate marks its row unreconstructed."""
+    length (else InvalidSpec), at least two (else ZeroVariance).  An observation
+    must be finite; a non-finite estimate marks its row unreconstructed."""
     columns = [np.asarray(v, dtype=float) for v in (*observed, *estimates)]
     shape = columns[0].shape
-    if len(shape) != 1 or shape[0] < 2 or any(v.shape != shape for v in columns):
+    if len(shape) != 1 or any(v.shape != shape for v in columns):
+        raise InvalidSpec("the observations and estimates must be equal-length vectors")
+    if shape[0] < 2:
         raise ZeroVariance("need at least two paired observations")
     if not all(np.isfinite(v).all() for v in columns[:len(observed)]):
         raise InvalidSpec("observed entries must be finite")

@@ -53,7 +53,7 @@ from .errors import (
     ZeroVariance,
 )
 from .terms import (ROW_BLOCK, Column, Dataset, Fill, LhsKind, ModelSpec, MultiDataset, Term,
-                    _design_columns, _observations, _source)
+                    _observations, _source)
 
 R2_NONRESPONSE = "Eq12-nonresponse"
 R2_CENTERED = "Eq8-centered"
@@ -356,16 +356,18 @@ class Factor:
 
 @one_thread
 def fit_implicit(d: Dataset, spec: ModelSpec) -> FitResult:
-    """Least-squares fit of the implicit model given by spec.
-
-    Z = terms._design_columns(spec), evaluated block by block from d: the
-    design is never held whole.  A term fit without an intercept gets a
-    leading unit column, which centres its sums and is not among its columns.
-    """
-    lead = spec.lhs is LhsKind.TERM and not spec.intercept
-    columns = [1.0] * lead + _design_columns(spec)
-    m = len(columns) - 1
-    return Factor(columns, d.n, d.x, d.y).result(spec, m, range(lead, m))
+    """Least-squares fit of the implicit model given by spec, read off
+    Z = [rhs terms, the target term of a term fit, 1] as every term fit is,
+    evaluated block by block from d.  The target, column m, is fitted on
+    [1, rhs] in a rotation and on the rhs alone otherwise, where in a term
+    fit the unit column still centres the sums."""
+    if spec.lhs is LhsKind.RESPONSE:
+        raise InvalidSpec("fit_implicit fits term models; fit_standard fits the response kind")
+    m = len(spec.rhs_terms)
+    target = [] if spec.lhs_term is None else [spec.lhs_term]
+    columns = [*spec.rhs_terms, *target, 1.0]
+    S = [len(columns) - 1] * spec.intercept + list(range(m))
+    return Factor(columns, d.n, d.x, d.y).result(spec, m, S)
 
 
 def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:

@@ -1,5 +1,4 @@
-"""Term algebra, term evaluation, dataset ingestion, and the design columns
-of a term model.
+"""Term algebra, term evaluation and dataset ingestion.
 
 A Term is the monomial x^a * y^b.  Model columns are terms evaluated
 row-wise over a two-variable dataset; the target column is either the
@@ -325,6 +324,8 @@ def _parse_token(token: str) -> Term:
             x_exp += exp
         else:
             y_exp += exp
+    if not (math.isfinite(x_exp) and math.isfinite(y_exp)):    # x^1e400, x^1e308*x^1e308
+        raise TermSyntaxError(token)
     return Term(x_exp, y_exp)
 
 
@@ -462,14 +463,3 @@ def save_csv(path, d: Dataset, x_col: str = "x", y_col: str = "y") -> None:
     """Write the dataset as csv.writer would, streamed in row blocks."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(_csv_blocks([x_col, y_col], [d.x, d.y]))
-
-
-# --- design columns -------------------------------------------------------
-
-def _design_columns(spec: ModelSpec) -> list[Column]:
-    """The design columns of a term model: [1 if intercept, rhs terms,
-    target], the target being the unity vector or the pivot term."""
-    if spec.lhs is LhsKind.RESPONSE:
-        raise InvalidSpec("fit_implicit fits term models; fit_standard fits the response kind")
-    target = 1.0 if spec.lhs is LhsKind.UNITY else spec.lhs_term
-    return [1.0] * spec.intercept + list(spec.rhs_terms) + [target]

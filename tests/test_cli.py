@@ -193,9 +193,12 @@ class TestRequestErrors:
          "the unity-regressand model carries no intercept, so no term 1"),
         (["diagnose", "--model", "nonresponse", "--terms", "1,x"],
          "the unity-regressand model carries no intercept, so no term 1"),
+        (["fit", "--model", "nonresponse", "--terms", "x^1e400,y"], "cannot parse term 'x^1e400'"),
+        (["fit", "--model", "rotation:x^1e308*x^1e308", "--terms", "x,y"],
+         "cannot parse term 'x^1e308*x^1e308'"),
     ], ids=["diagnose-univariate", "diagnose-non-conic-terms", "unparsable-pivot", "empty-pivot",
             "two-term-pivot", "rotate-all-one-term", "rotate-all-empty-term", "fit-unit-term",
-            "diagnose-unit-term"])
+            "diagnose-unit-term", "infinite-exponent", "infinite-pivot-exponent"])
     def test_refused_before_the_input_is_read(self, tmp_path, capsys, monkeypatch, argv,
                                                message):
         def no_read(*args):

@@ -1,5 +1,4 @@
 import dataclasses
-import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -558,29 +557,39 @@ def _overflow(c, x):
     return np.isfinite(x) & ~np.logical_and.reduce([np.isfinite(v) for v in steps])
 
 
+def _rounded(v):
+    """The float nearest the rational v, or the signed infinity beyond the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _exact_linear_root(c, x):
     """-k/b in exact rational arithmetic on the floats, rounded once."""
     a1, a2, a3, a4, c0, t = map(Fraction, (c.a1, c.a2, c.a3, c.a4, c.c0, x))
-    root = -(a1 * t + a4 * t * t - c0) / (a2 + a3 * t)
-    try:
-        return float(root)
-    except OverflowError:
-        return math.inf if root > 0 else -math.inf
+    return _rounded(-(a1 * t + a4 * t * t - c0) / (a2 + a3 * t))
+
+
+SQRT_BITS = 5000    # fractional bits of the oracle's square root; 1500 digits are 4983
 
 
 def _exact_quadratic_roots(c, x):
     """The real roots y of a5*y^2 + (a2 + a3*x)*y + (a1*x + a4*x^2 - c0) = 0,
-    a5 != 0, by the textbook formula on the floats in 1500-digit decimal
-    arithmetic (the cancellation in -b + sqrt(disc) costs a few hundred
-    digits on the rows tested), each rounded once: (lower, upper), or two
-    NaNs where none is real."""
-    with decimal.localcontext(decimal.Context(prec=1500, Emax=10 ** 6, Emin=-10 ** 6)):
-        a1, a2, a3, a4, a5, c0, t = map(decimal.Decimal, (*c.as_array().tolist(), c.c0, x))
-        b, k = a2 + a3 * t, a1 * t + a4 * t * t - c0
-        disc = b * b - 4 * a5 * k
-        if disc < 0:
-            return math.nan, math.nan
-        return tuple(sorted(float((-b + sign * disc.sqrt()) / (2 * a5)) for sign in (-1, 1)))
+    a5 != 0, by the textbook formula on the floats in exact rational
+    arithmetic, but for the square root of the discriminant, which is
+    truncated to SQRT_BITS fractional bits (the cancellation in
+    -b + sqrt(disc) costs a few hundred digits on the rows tested); each root
+    rounded once: (lower, upper), or two NaNs where none is real."""
+    a1, a2, a3, a4, a5, c0, t = map(Fraction, (*c.as_array().tolist(), c.c0, x))
+    b, k = a2 + a3 * t, a1 * t + a4 * t * t - c0
+    disc = b * b - 4 * a5 * k
+    if disc < 0:
+        return math.nan, math.nan
+    # sqrt(p/q) = sqrt(p*q)/q, and isqrt's floor is within 1 of sqrt(p*q) * 2^SQRT_BITS.
+    p, q = disc.numerator, disc.denominator
+    r = Fraction(math.isqrt(p * q << 2 * SQRT_BITS), q << SQRT_BITS)
+    return tuple(sorted(_rounded((-b + sign * r) / (2 * a5)) for sign in (-1, 1)))
 
 
 class TestYRoots:
@@ -619,15 +628,18 @@ class TestYRoots:
         assert overflows > 0
 
     def test_rows_in_range_whose_sum_overflows_keep_their_bits(self):
-        # Each row's discriminant is in range but their sum is not, so the
-        # row mask is built: it marks no row.
-        c = ConicCoeffs(0.0, 0.0, 1.0, 0.0, 1e-3)
-        x = np.array([1e154, 1.2e154, 5.0])
-        with np.errstate(over="ignore"):
-            assert math.isinf(np.sum(x * x))
-        assert not _overflow(c, x).any()
-        for want, got in zip(_y_roots_before(c, x), y_roots(c, x)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # Each row's discriminant (quadratic) or b (linear, a5 = 0) is in
+        # range but their sum is not, so the row mask is built: it marks no row.
+        for c, x, step in [
+            (ConicCoeffs(0.0, 0.0, 1.0, 0.0, 1e-3), np.array([1e154, 1.2e154, 5.0]),
+             lambda x: x * x),
+            (ConicCoeffs(0.0, 0.0, 1.0), np.array([1e308, 1.5e308, 5.0]), lambda x: x),
+        ]:
+            with np.errstate(over="ignore"):
+                assert math.isinf(np.sum(step(x)))
+            assert not _overflow(c, x).any()
+            for want, got in zip(_y_roots_before(c, x), y_roots(c, x)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_linear_overflow_matches_exact_arithmetic(self):
         rng = np.random.default_rng(2305)

@@ -161,6 +161,20 @@ class TestObservedEntries:
             else:
                 separation_bivariate(x, self.X + 0.1, y, self.Y + 0.1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: separation_univariate([1.0, 2.0, 3.0], [1.0, 2.0]),
+        lambda: separation_univariate([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]),
+        lambda: separation_bivariate([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0], [1.0, 2.0]),
+        lambda: separation_bivariate([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0],
+                                     [1.0, 2.0]),
+        lambda: separation_bivariate(*[[[1.0, 2.0], [3.0, 4.0]]] * 4),
+        lambda: separation_univariate(1.0, 1.0),
+    ], ids=["univariate-lengths", "univariate-2d", "bivariate-observed-lengths",
+            "bivariate-estimate-length", "bivariate-2d", "scalar"])
+    def test_unpaired_input_is_bad_input(self, call):
+        with pytest.raises(InvalidSpec, match="must be equal-length vectors"):
+            call()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_estimate_is_unreconstructed(self, bad):
         x_hat, y_hat = self.X + 0.1, self.Y + 0.1

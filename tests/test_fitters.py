@@ -71,6 +71,18 @@ class TestFitImplicit:
         with pytest.raises(Underdetermined):
             fit_implicit(d, ModelSpec.nonresponse(parse_terms("x,y,xy")))
 
+    @pytest.mark.parametrize("pivot", range(5))
+    def test_rotation_spec_is_bitwise_fit_rotation(self, pivot):
+        # Both read the rotation off one design, Z = [rhs terms, target, 1].
+        d = generate(GeneratorSpec(Ellipse(3, -2, 2, 1, 0.5), n=3000, noise_sigma=0.05, seed=1))
+        spec = ModelSpec.rotation(CONIC_TERMS, pivot)
+        got = fit_implicit(d, spec)
+        want = fit_rotation(d, [*spec.rhs_terms, spec.lhs_term], len(spec.rhs_terms))
+        assert got.spec == want.spec
+        for name in ("coeffs", "stderr", "r_squared", "sigma2_hat", "target", "fitted"):
+            assert np.asarray(getattr(got, name)).tobytes() == \
+                np.asarray(getattr(want, name)).tobytes(), name
+
     @pytest.mark.parametrize("kind, rhs, lhs, message", [
         (LhsKind.RESPONSE, ("a",), None, "fit_standard fits the response kind"),
         (LhsKind.UNITY, ("a",), None, "must be Terms"),

@@ -402,6 +402,14 @@ class TestParseTerms:
         with pytest.raises(TermSyntaxError):
             parse_terms("x,z^2")
 
+    @pytest.mark.parametrize("token", ["x^1e400", "x^1e308*x^1e308", "y^-1e400*x",
+                                       "x^1e400*x^-1e400"])
+    def test_non_finite_exponent_is_refused(self, token):
+        # Term(inf, 0) would be labelled x^inf, which does not parse back.
+        with pytest.raises(TermSyntaxError) as exc:
+            parse_terms(f"y,{token}")
+        assert str(exc.value) == f"cannot parse term {token!r}"
+
     @pytest.mark.parametrize("spec, term", [
         ("x^1e-05,y", Term(1e-05, 0)), ("y^2.5e-07", Term(0, 2.5e-07)),
         ("x^-1e-05*y", Term(-1e-05, 1)),
