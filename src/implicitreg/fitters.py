@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -65,7 +65,8 @@ RANK_TOL = math.sqrt(EPS)   # on the diagonal of a unit-column factor
 MEAN_ROUNDING = 4           # times log2(n + 1) * eps * |mean|: bound on a pairwise mean's error
 FACTOR_ROUNDING = 4         # times sqrt(n) * eps * |mean|: a constant's spread off R (2.9 seen)
 TOL_SINGULAR_FACTOR = 1e-12
-TILE = 1024                 # rows per leaf of a row block's QR tree (_factor), set by timing
+TILE = 512                  # rows per leaf of a row block's QR tree (_factor): of 256-2048,
+                            # the fastest on 10 columns; on 6, 1024 was up to 7% faster
 
 Fits = Sequence[tuple[ModelSpec, int, Sequence[int]]]   # (spec, j, S): column j on columns S
 
@@ -119,15 +120,31 @@ def _qr_error(err, flag):
     raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
+def _solve_error(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@lru_cache(maxsize=64)
+def _below(rows: int, cols: int) -> np.ndarray:
+    """The read-only mask of the entries below the diagonal of a rows x
+    cols matrix."""
+    mask = np.tri(rows, cols, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _qr_r(a: np.ndarray) -> np.ndarray:
     """The R of the float matrix a, or of each in a stack, as numpy's qr
     gives it in mode "r", bit for bit: the same LAPACK call under the same
-    error rules, but run on a itself, which it overwrites, where numpy's qr
-    first copies a whole."""
+    error rules, but run on a itself, which it overwrites, and R is a view
+    of a with the entries below its diagonal zeroed in place, where numpy's
+    qr first copies a whole and then copies R out."""
     with np.errstate(call=_qr_error, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
         _umath_linalg.qr_r_raw(a, signature="d->d")
-    return np.triu(a[..., :a.shape[-1], :])
+    r = a[..., :a.shape[-1], :]
+    np.copyto(r, 0.0, where=_below(*r.shape[-2:]))
+    return r
 
 
 def _factor(fill: Fill, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,44 +232,50 @@ class Factor:
         self.unit = next((i for i, c in enumerate(columns) if isinstance(c, float)), None)
 
     def solve(self, fits: Sequence[tuple[int, Sequence[int]]]
-              ) -> list[Union[tuple[np.ndarray, np.ndarray, np.ndarray], int]]:
+              ) -> list[Union[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]]:
         """Fits (j, S) of column j on columns S, all of one width m = |S|,
         in one stacked pass: one QR r of each R[:, S + [j]], a rank test on
         each diagonal and one solve over the fits that pass; n < m is Underdetermined.
 
-        A fit's slot holds its coefficients, in original units; a root L of
-        the Gram inverse of its columns (the inverse is L L'); and
+        A fit's slot holds its coefficients, in original units; the Gram
+        inverse L L' of its columns and the row norms of its root L; and
         t = r[:, -1], column j over scale[j] in the basis of the fit's
         columns.  L is r[:m, :m]^-1 with each row divided by its column's
-        scale, so it stays in range for data whose squares would not.  A
-        singular fit's slot holds instead the index in S of its first column
-        whose unit-scale distance from the span of those before it, on r's
-        diagonal, is below RANK_TOL.  Coefficients or a root beyond the float
-        range raise DomainViolation.
+        scale, so it and its row norms stay in range for data whose squares
+        would not.  A singular fit's slot holds instead the index in S of its
+        first column whose unit-scale distance from the span of those before
+        it, on r's diagonal, is below RANK_TOL.  Coefficients or a root
+        beyond the float range raise DomainViolation.
         """
         cols = np.array([[*S, j] for j, S in fits])
         m = cols.shape[1] - 1
         if self.n < m:
             raise Underdetermined(f"{self.n} observations for {m} columns")
-        r = _qr_r(self.R[:, cols].transpose(1, 0, 2))
+        # Gathered in C order, the layout of numpy's R, which the sums below
+        # read: a BLAS product sums in an order that follows the strides.
+        r = _qr_r(np.ascontiguousarray(self.R[:, cols].transpose(1, 0, 2)))
         t = r[:, :, -1]
         low = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, :m]) < RANK_TOL
-        out: list = [int(np.argmax(row)) for row in low]
+        out: list = np.argmax(low, axis=1).tolist()
         ok = np.flatnonzero(~low.any(axis=1))
         if ok.size:
             rhs = np.empty((ok.size, m, m + 1))
             rhs[:, :, 0] = t[ok, :m]
             rhs[:, :, 1:] = np.eye(m)
-            sol = np.linalg.solve(r[ok, :m, :m], rhs)
+            with np.errstate(call=_solve_error, invalid="call", over="ignore",
+                             divide="ignore", under="ignore"):
+                sol = _umath_linalg.solve(r[ok, :m, :m], rhs, signature="dd->d")
             s = self.scale[cols[ok, :m]]
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 coeffs = sol[:, :, 0] * self.scale[cols[ok, m]][:, None] / s
                 roots = sol[:, :, 1:] / s[:, :, None]
+                grams = roots @ roots.transpose(0, 2, 1)
+                norms = np.hypot.reduce(roots, axis=2)
             if not (np.isfinite(coeffs).all() and np.isfinite(roots).all()):
                 raise DomainViolation("the fit's coefficients or their standard errors are "
                                       "beyond the float range; rescale the data")
-            for i, c, L in zip(ok.tolist(), coeffs, roots):
-                out[i] = (c, L, t[i])
+            for i, c, g, h in zip(ok.tolist(), coeffs, grams, norms):
+                out[i] = (c, g, h, t[i])
         return out
 
     def coefficients(self, fits: Sequence[tuple[int, Sequence[int]]],
@@ -299,7 +322,7 @@ class Factor:
         where the covariance does not."""
         if isinstance(solved, int):
             raise _singular(spec.column_labels()[solved], spec.lhs is LhsKind.UNITY)
-        coeffs, root, t = solved
+        coeffs, gram_inverse, norms, t = solved
         n, m, s = self.n, len(S), self.scale[j]
 
         if spec.lhs is LhsKind.UNITY:
@@ -307,12 +330,14 @@ class Factor:
             r2, tag = float(t[:m] @ t[:m]), R2_NONRESPONSE
         else:
             if not spec.intercept:
-                r = _qr_r(self.R[:, [self.unit, *S, j]])
+                r = _qr_r(np.ascontiguousarray(self.R[:, [self.unit, *S, j]]))
                 t = r[:, -1]
             bound = (MEAN_ROUNDING * math.log2(n + 1) + FACTOR_ROUNDING * math.sqrt(n)) * EPS
-            if math.hypot(*t[1:].tolist()) <= bound * abs(t[0]):
+            spread = math.hypot(*t[1:].tolist())
+            if spread <= bound * abs(t[0]):
                 raise ZeroVariance("target has zero centered variation")
-            sst = _squares(t[1:], s)
+            h = spread * float(s)
+            sst = _in_range(h * h, t[1:])
             if spec.intercept:
                 sse = _squares(t[m:], s)
                 ssr = _squares(t[1:m], s)
@@ -329,9 +354,8 @@ class Factor:
         has_f = spec.lhs is not LhsKind.UNITY and spec.intercept and m > 1 and sigma2 > 0
         f_stat = (ssr / (m - 1)) / sigma2 if has_f else None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            gram_inverse = root @ root.T
             cov = sigma2 * gram_inverse
-            stderr = math.sqrt(sigma2) * np.hypot.reduce(root, axis=1)
+            stderr = math.sqrt(sigma2) * norms
             t_stats = np.where(stderr > 0, coeffs / stderr, np.nan)
         return FitResult(spec=spec, coeffs=coeffs, r_squared=r2, r2_formula=tag, sigma2_hat=sigma2,
                          cov=cov, stderr=stderr, t_stats=t_stats, f_stat=f_stat, n=n, sse=sse,
@@ -375,11 +399,19 @@ def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:
     return fit_implicit(d, ModelSpec.nonresponse(terms))
 
 
-def _rotation(terms: Sequence[Term], pivot: int) -> tuple[ModelSpec, int, list[int]]:
+def _rotation(terms: Sequence[Term], pivot: int) -> tuple[ModelSpec, int, tuple[int, ...]]:
     """The rotation on pivot as a fit of Z = [T_1..T_m, 1]: the pivot term
     on the unit column and the other terms."""
     m = len(terms)
-    return ModelSpec.rotation(terms, pivot), pivot, [m] + [k for k in range(m) if k != pivot]
+    return ModelSpec.rotation(terms, pivot), pivot, (m, *(k for k in range(m) if k != pivot))
+
+
+@lru_cache(maxsize=16)
+def _rotations(terms: tuple[Term, ...]) -> tuple[tuple[ModelSpec, int, tuple[int, ...]], ...]:
+    """The rotation of every pivot of terms, made and validated once per
+    term set; each is immutable.  Pivot 0 of no terms is refused as that
+    of one term is."""
+    return tuple(_rotation(terms, pivot) for pivot in range(max(len(terms), 1)))
 
 
 @one_thread
@@ -401,8 +433,11 @@ def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Slot]:
     or coefficients beyond the float range, and sums out of range on every
     pivot.  Too few observations fill every slot.
     """
-    # Pivot 0 of no terms is refused as that of one term is.
-    fits = [_rotation(terms, pivot) for pivot in range(max(len(terms), 1))]
+    terms = tuple(terms)
+    try:
+        fits = _rotations(terms)
+    except TypeError:       # an unhashable entry, which is no Term
+        raise InvalidSpec("the rhs_terms of a term model must be Terms") from None
     try:
         return Factor([*terms, 1.0], d.n, d.x, d.y).results(fits)
     except Underdetermined as exc:

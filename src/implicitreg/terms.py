@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import math
+import numbers
 import os
 import re
 from dataclasses import dataclass, field
@@ -39,6 +40,11 @@ class Term:
 
     x_exp: float
     y_exp: float
+
+    def __post_init__(self):
+        for e in (self.x_exp, self.y_exp):
+            if not (isinstance(e, numbers.Real) and math.isfinite(e)):
+                raise InvalidSpec(f"a term's exponents must be finite real numbers, not {e!r}")
 
     def evaluate(self, x, y) -> np.ndarray:
         """x^x_exp * y^y_exp entrywise, in float: one fill of the block

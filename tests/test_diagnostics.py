@@ -11,12 +11,15 @@ from conftest import offset_line, unit_condition
 from implicitreg import (
     ConicCoeffs,
     Dataset,
+    Ellipse,
+    GeneratorSpec,
     MultiDataset,
     diagnostics,
     fit_all_rotations,
     fit_nonresponse,
     FitResult,
     fit_standard,
+    generate,
     load_csv,
     load_multi_csv,
     nra2_closed,
@@ -443,13 +446,19 @@ class TestPinwheel:
         tol = 10 * unit_condition(x, y) * eps
         np.testing.assert_allclose(lines[2].raw_coeffs, ref, rtol=tol)
 
-    @pytest.mark.parametrize("n", [50, 3 * ROW_BLOCK + 5], ids=["1-block", "4-blocks"])
+    @pytest.mark.parametrize("n", [50, 3 * ROW_BLOCK + 5, 20_000],
+                             ids=["1-block", "4-blocks", "bench-ellipse"])
     def test_lines_are_the_fits_bitwise(self, n):
         # The rotations (pivot y, then x) and the unit-constant fit of
-        # {x, y} read off their own factors give the pinwheel's coefficients.
-        rng = np.random.default_rng(n)
-        x = rng.uniform(1, 5, n)
-        d = Dataset(x, 1.0 + 0.8 * x + rng.normal(scale=0.05, size=n))
+        # {x, y} read off their own factors give the pinwheel's coefficients,
+        # through every level of the factor's tile tree: on a noisy line and
+        # on the benchmark's ellipse, whose last block ends in a partial tile.
+        if n == 20_000:
+            d = generate(GeneratorSpec(Ellipse(3.0, -2.0, 2.0, 1.0, 0.5), n, 0.05, seed=1))
+        else:
+            rng = np.random.default_rng(n)
+            x = rng.uniform(1, 5, n)
+            d = Dataset(x, 1.0 + 0.8 * x + rng.normal(scale=0.05, size=n))
         xy = parse_terms("x,y")
         x_on_y, y_on_x = fit_all_rotations(d, xy)
         fits = [y_on_x, x_on_y, fit_nonresponse(d, xy)]

@@ -231,8 +231,15 @@ class TestSolver:
          "X2 has no columns"),
         (lambda: fit_all_rotations(Dataset([1.0, 0.0, 0.5], [0.0, 1.0, 0.5]), []),
          "a rotation needs at least two terms"),
+        (lambda: fit_all_rotations(Dataset([1.0, 0.0, 0.5], [0.0, 1.0, 0.5]),
+                                   [Term(1, 0), [0, 1]]),
+         "the rhs_terms of a term model must be Terms"),
+        (lambda: fit_all_rotations(Dataset([1.0, 0.0, 0.5], [0.0, 1.0, 0.5]),
+                                   [Term(1, 0), "y"]),
+         "the rhs_terms of a term model must be Terms"),
     ], ids=["nan-in-X1", "inf-in-X2", "4-rows-against-3", "0-rows", "X1-0-columns",
-            "X2-0-columns", "rotations-of-no-terms"])
+            "X2-0-columns", "rotations-of-no-terms", "rotations-of-a-list",
+            "rotations-of-a-name"])
     def test_bad_input_named_before_the_factor(self, fit, message, monkeypatch):
         def no_factor(*args):
             raise AssertionError("factored bad input")
@@ -468,7 +475,9 @@ class TestRowsOnRequest:
         # Each of the three whole row blocks factors its tiles in one batched
         # QR, and the four row blocks merge into R; the fits are then read off
         # it in one stacked QR of their R[:, S + [j]], one small R each.
-        # Every QR is _qr_r's, in place and without Q; numpy's qr is not called.
+        # Every QR is _qr_r's, in place and without Q, its triangle zeroed in
+        # place, and the solve is numpy's gufunc: numpy's qr, triu and solve,
+        # which copy their inputs or outputs, are not called.
         calls = []
         qr = fitters._qr_r
 
@@ -476,7 +485,9 @@ class TestRowsOnRequest:
             calls.append("merge" if a.ndim == 2 and len(a) > k else a.shape)
             return qr(a)
         monkeypatch.setattr(fitters, "_qr_r", counting)
-        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: pytest.fail("numpy's qr called"))
+        for module, name in ((np.linalg, "qr"), (np, "triu"), (np.linalg, "solve")):
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name, **kw: pytest.fail(f"numpy's {name} called"))
         k = len(CUBIC_TERMS) + 1
         fit(four_block_dataset(), CUBIC_TERMS)
         tiles = (fitters.ROW_BLOCK // fitters.TILE, fitters.TILE, k)

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from implicitreg import (
     CONIC_TERMS,
     Dataset,
+    Ellipse,
+    GeneratorSpec,
     Term,
     alpha_from_beta,
     beta_from_alpha,
     fit_all_rotations,
     fit_nonresponse,
     fit_rotation,
+    generate,
     nra2_closed,
     parse_terms,
 )
@@ -146,3 +149,30 @@ def test_all_rotations_match_single_rotations_and_oracle(d):
             assert np.linalg.norm(batched.coeffs - want) <= 1e-8 * np.linalg.norm(want)
             sst = float(np.sum((Z[:, pivot] - Z[:, pivot].mean()) ** 2))
             assert batched.r_squared == pytest.approx(1 - batched.sse / sst, abs=1e-8)
+
+
+@pytest.mark.parametrize("s, t", [(3, -2), (-7, 5), (40, 40), (-100, 60), (1, 0)])
+def test_power_of_two_scaling_is_exact(s, t):
+    # Scaling x by 2^s and y by 2^t scales the column of x^a*y^b by exactly
+    # 2^(a*s + b*t), and Householder QR, the column norms and the read-off
+    # carry such a scaling through without rounding: each coefficient and
+    # standard error scales by its power of two, bit for bit, and R^2 keeps
+    # its bits.  Conic terms only: libm's pow(|x|, 3) is not scale-exact.
+    d = generate(GeneratorSpec(Ellipse(3.0, -2.0, 2.0, 1.0, 0.5), 20_000, 0.05, seed=1))
+    scaled = Dataset(d.x * 2.0 ** s, d.y * 2.0 ** t)
+    terms = list(CONIC_TERMS)
+    e = np.array([tm.x_exp * s + tm.y_exp * t for tm in terms])
+
+    def same(got, want, power):
+        np.testing.assert_array_equal(got.view(np.uint64), (want * 2.0 ** power).view(np.uint64))
+
+    base, fit = fit_nonresponse(d, terms), fit_nonresponse(scaled, terms)
+    same(fit.coeffs, base.coeffs, -e)
+    same(fit.stderr, base.stderr, -e)
+    assert fit.r_squared == base.r_squared
+    rotations = zip(fit_all_rotations(d, terms), fit_all_rotations(scaled, terms), strict=True)
+    for pivot, (base_rot, rot) in enumerate(rotations):
+        power = e[pivot] - np.concatenate(([0.0], np.delete(e, pivot)))    # const, then the rhs
+        same(rot.coeffs, base_rot.coeffs, power)
+        same(rot.stderr, base_rot.stderr, power)
+        assert rot.r_squared == base_rot.r_squared

@@ -16,6 +16,7 @@ from implicitreg import (
     LhsKind,
     ModelSpec,
     Term,
+    fit_nonresponse,
     load_csv,
     load_multi_csv,
     parse_terms,
@@ -423,6 +424,28 @@ class TestParseTerms:
     def test_every_label_parses_back(self, x_exp, y_exp):
         t = Term(x_exp, y_exp)
         assert parse_terms(t.label()) == [t]
+
+
+class TestTermExponents:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("slot", ["x", "y"])
+    def test_non_finite_exponent_is_a_bad_spec(self, bad, slot):
+        # Term(inf, 0) would be labelled x^inf, which does not parse back.
+        with pytest.raises(InvalidSpec, match="finite real numbers"):
+            Term(bad, 0) if slot == "x" else Term(0, bad)
+
+    @pytest.mark.parametrize("bad", ["2", 1j, None])
+    def test_non_real_exponent_is_a_bad_spec(self, bad):
+        with pytest.raises(InvalidSpec):
+            Term(bad, 1)
+
+    def test_fit_on_a_non_finite_term_is_refused_before_the_data(self):
+        # Once x^inf was built, the fit raised DomainError at data row 2.
+        with pytest.raises(InvalidSpec):
+            fit_nonresponse(Dataset([1, 2, 3], [1, 3, 2]), [Term(math.inf, 0), Term(0, 1)])
+
+    def test_finite_exponents_of_any_real_type(self):
+        assert Term(np.float64(2.0), np.int64(1)) == Term(2, 1)
 
 
 class TestTermEvaluate:
