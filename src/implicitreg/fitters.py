@@ -66,7 +66,9 @@ MEAN_ROUNDING = 4           # times log2(n + 1) * eps * |mean|: bound on a pairw
 FACTOR_ROUNDING = 4         # times sqrt(n) * eps * |mean|: a constant's spread off R (2.9 seen)
 TOL_SINGULAR_FACTOR = 1e-12
 TILE = 512                  # rows per leaf of a row block's QR tree (_factor): of 256-2048,
-                            # the fastest on 10 columns; on 6, 1024 was up to 7% faster
+                            # the fastest on 10 columns.  An accepted cost on 6: there 1024
+                            # was up to 7% faster per fit, and cli_diagnose_200k's
+                            # op_vs_ref.p50 read +0.9% (BENCH_29.json)
 
 Fits = Sequence[tuple[ModelSpec, int, Sequence[int]]]   # (spec, j, S): column j on columns S
 
@@ -399,19 +401,11 @@ def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:
     return fit_implicit(d, ModelSpec.nonresponse(terms))
 
 
-def _rotation(terms: Sequence[Term], pivot: int) -> tuple[ModelSpec, int, tuple[int, ...]]:
+def _rotation(terms: Sequence[Term], pivot: int) -> tuple[ModelSpec, int, list[int]]:
     """The rotation on pivot as a fit of Z = [T_1..T_m, 1]: the pivot term
     on the unit column and the other terms."""
     m = len(terms)
-    return ModelSpec.rotation(terms, pivot), pivot, (m, *(k for k in range(m) if k != pivot))
-
-
-@lru_cache(maxsize=16)
-def _rotations(terms: tuple[Term, ...]) -> tuple[tuple[ModelSpec, int, tuple[int, ...]], ...]:
-    """The rotation of every pivot of terms, made and validated once per
-    term set; each is immutable.  Pivot 0 of no terms is refused as that
-    of one term is."""
-    return tuple(_rotation(terms, pivot) for pivot in range(max(len(terms), 1)))
+    return ModelSpec.rotation(terms, pivot), pivot, [m] + [k for k in range(m) if k != pivot]
 
 
 @one_thread
@@ -433,11 +427,8 @@ def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Slot]:
     or coefficients beyond the float range, and sums out of range on every
     pivot.  Too few observations fill every slot.
     """
-    terms = tuple(terms)
-    try:
-        fits = _rotations(terms)
-    except TypeError:       # an unhashable entry, which is no Term
-        raise InvalidSpec("the rhs_terms of a term model must be Terms") from None
+    # Pivot 0 of no terms is refused as that of one term is.
+    fits = [_rotation(terms, pivot) for pivot in range(max(len(terms), 1))]
     try:
         return Factor([*terms, 1.0], d.n, d.x, d.y).results(fits)
     except Underdetermined as exc:

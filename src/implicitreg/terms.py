@@ -42,9 +42,17 @@ class Term:
     y_exp: float
 
     def __post_init__(self):
-        for e in (self.x_exp, self.y_exp):
-            if not (isinstance(e, numbers.Real) and math.isfinite(e)):
+        # Each exponent is kept as a Python float, so that a label, which
+        # prints it, parses back whatever real type it was given as.
+        for name in ("x_exp", "y_exp"):
+            e = getattr(self, name)
+            try:
+                f = float(e) if isinstance(e, numbers.Real) else math.nan
+            except OverflowError:       # an int beyond the float range
+                f = math.inf
+            if not math.isfinite(f):
                 raise InvalidSpec(f"a term's exponents must be finite real numbers, not {e!r}")
+            object.__setattr__(self, name, f)
 
     def evaluate(self, x, y) -> np.ndarray:
         """x^x_exp * y^y_exp entrywise, in float: one fill of the block

@@ -434,7 +434,7 @@ class TestTermExponents:
         with pytest.raises(InvalidSpec, match="finite real numbers"):
             Term(bad, 0) if slot == "x" else Term(0, bad)
 
-    @pytest.mark.parametrize("bad", ["2", 1j, None])
+    @pytest.mark.parametrize("bad", ["2", 1j, None, 10**400])
     def test_non_real_exponent_is_a_bad_spec(self, bad):
         with pytest.raises(InvalidSpec):
             Term(bad, 1)
@@ -446,6 +446,13 @@ class TestTermExponents:
 
     def test_finite_exponents_of_any_real_type(self):
         assert Term(np.float64(2.0), np.int64(1)) == Term(2, 1)
+
+    @pytest.mark.parametrize("t", [Term(np.float64(0.5), 0), Term(np.float32(0.25), np.int64(3)),
+                                   Term(Fraction(3, 2), True)])
+    def test_a_label_parses_back_whatever_the_exponents_type(self, t):
+        # Term(np.float64(0.5), 0) was labelled x^np.float64(0.5).
+        assert type(t.x_exp) is float and type(t.y_exp) is float
+        assert parse_terms(t.label()) == [t]
 
 
 class TestTermEvaluate:
