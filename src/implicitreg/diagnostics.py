@@ -53,7 +53,7 @@ class SeparationDiagnostics:
         when SSM does; None when the angles exist."""
         if self.theta_t is not None:
             return None
-        if _negligible(self.sse, self.sst):
+        if self.perfect_fit:
             return "PerfectFit"
         lost = self.unreconstructed
         return ("the model explains no variation (SSM = 0), so the separation angles are "
@@ -83,8 +83,6 @@ def _from_sums(sst: float, ssm: float, sse: float, n: int,
     angles are null.  Only SSE = 0 is a perfect fit; SSM = 0 is a model that
     explains nothing, whether every row is estimated at the means or rows
     were not reconstructed.  `warning` names the case."""
-    if _negligible(sst, ssm + sse):
-        raise ZeroVariance("no total variation")
     e_hat = math.sqrt(sse / n)
     if _negligible(sse, sst) or _negligible(ssm, sst):
         return SeparationDiagnostics(sst, ssm, sse, None, None, None, e_hat, None, None,

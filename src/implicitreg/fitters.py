@@ -291,12 +291,16 @@ class Factor:
         return [s[0] for s in solved]
 
     def results(self, fits: Fits) -> list[Slot]:
-        """The fits (spec, j, S), all of one width, from one solve; a
-        singular fit, a constant target or sums of squares out of the float
-        range keep the exception in the fit's slot.  When every fit's sums
+        """The fits (spec, j, S), all of one width, from one solve; too few
+        rows, a singular fit, a constant target or sums of squares out of the
+        float range keep the exception in the slot.  When every fit's sums
         are out of range, the data are, and the first fit's exception raises."""
+        try:
+            solutions = self.solve([(j, S) for _, j, S in fits])
+        except Underdetermined as exc:
+            return [exc] * len(fits)
         out: list[Slot] = []
-        for fit, solved in zip(fits, self.solve([(j, S) for _, j, S in fits])):
+        for fit, solved in zip(fits, solutions):
             try:
                 out.append(self._result(*fit, solved))
             except (SingularSystem, ZeroVariance, SumOfSquaresOverflow) as exc:
@@ -429,10 +433,7 @@ def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Slot]:
     """
     # Pivot 0 of no terms is refused as that of one term is.
     fits = [_rotation(terms, pivot) for pivot in range(max(len(terms), 1))]
-    try:
-        return Factor([*terms, 1.0], d.n, d.x, d.y).results(fits)
-    except Underdetermined as exc:
-        return [exc] * len(terms)
+    return Factor([*terms, 1.0], d.n, d.x, d.y).results(fits)
 
 
 @one_thread

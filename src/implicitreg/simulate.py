@@ -73,6 +73,8 @@ class GeneratorSpec:
         if self.seed < 0:
             raise InvalidSpec("seed must be >= 0")
         k = self.kind
+        if not isinstance(k, Kind):
+            raise InvalidSpec(f"unknown generator kind {k!r}")
         if not all(math.isfinite(v) for v in (self.noise_sigma, *astuple(k))):
             raise InvalidSpec("generator parameters must be finite")
         if self.noise_sigma < 0:
@@ -124,9 +126,7 @@ def _sample(spec: GeneratorSpec, rng: np.random.Generator) -> tuple[np.ndarray, 
         if k.sigma == 0:
             return (np.full(spec.n, float(k.mu)),)
         return (rng.normal(k.mu, k.sigma, size=spec.n),)
-    if isinstance(k, Uniform):
-        return (rng.uniform(k.a, k.b, size=spec.n),)
-    raise InvalidSpec(f"unknown generator kind {k!r}")
+    return (rng.uniform(k.a, k.b, size=spec.n),)
 
 
 def _with_noise(x: np.ndarray, y: np.ndarray, spec: GeneratorSpec,

@@ -338,9 +338,10 @@ def _parse_token(token: str) -> Term:
             x_exp += exp
         else:
             y_exp += exp
-    if not (math.isfinite(x_exp) and math.isfinite(y_exp)):    # x^1e400, x^1e308*x^1e308
-        raise TermSyntaxError(token)
-    return Term(x_exp, y_exp)
+    try:
+        return Term(x_exp, y_exp)
+    except InvalidSpec:         # x^1e400, x^1e308*x^1e308
+        raise TermSyntaxError(token) from None
 
 
 # --- CSV ingestion --------------------------------------------------------
