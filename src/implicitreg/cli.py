@@ -176,6 +176,8 @@ def _report(args, diagnose: bool = False) -> Report:
     rotation = args.model.startswith("rotation:")
     if not rotation and args.model not in ("nonresponse", "standard", "univariate"):
         raise InvalidSpec(f"unknown model {args.model!r}")
+    if args.model in ("standard", "univariate") and args.terms is not None:
+        raise InvalidSpec(f"the {args.model} model takes no --terms")
     if args.model == "univariate":
         if diagnose:
             raise InvalidSpec("diagnose supports nonresponse, rotation, and standard models")
@@ -194,7 +196,7 @@ def _report(args, diagnose: bool = False) -> Report:
         model = {"kind": "standard", "lhs": args.response_col,
                  "terms": list(md.column_names), "intercept": True}
     else:
-        term_list = terms.parse_terms(args.terms)
+        term_list = terms.parse_terms("x,y" if args.terms is None else args.terms)
         if rotation:
             pivot_txt = args.model.split(":", 1)[1]
             pivot_term, *more = terms.parse_terms(pivot_txt)
@@ -321,16 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True)
         p.add_argument("--x-col", default="x")
         p.add_argument("--y-col", default="y")
-        p.add_argument("--response-col", default="y")
         p.add_argument("--output", choices=("text", "json"), default="text")
         p.add_argument("--out-file", default=None)
+
+    def model(p):
+        p.add_argument("--response-col", default="y")
+        p.add_argument("--terms", default=None, help="default x,y; standard and univariate "
+                       "take none")
+        p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("fit", help="fit one model")
     common(p)
     p.add_argument("--model", required=True,
                    help="nonresponse | rotation:<term> | standard | univariate")
-    p.add_argument("--terms", default="x,y")
-    p.set_defaults(func=cmd_fit)
+    model(p)
 
     p = sub.add_parser("rotate-all", help="fit every rotation of a term set")
     common(p)
@@ -340,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="fit plus separation diagnostics")
     common(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--terms", default="x,y")
-    p.set_defaults(func=cmd_fit)
+    model(p)
 
     p = sub.add_parser("simulate", help="emit a seeded synthetic dataset as CSV")
     p.add_argument("--kind", choices=sorted(_SIM_KINDS), required=True)

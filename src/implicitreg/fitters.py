@@ -220,11 +220,20 @@ def _constant(v: np.ndarray, mean: float, total: float) -> bool:
     return spread <= MEAN_ROUNDING * math.log2(n + 1) * EPS * abs(mean)
 
 
+def _underflows(term: Term, x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether some row is nonzero in every base of term, so that a zero
+    column of it is the float range's doing, not the data's."""
+    bases = [v for v, e in ((x, term.x_exp), (y, term.y_exp)) if e != 0]
+    return bool(np.logical_and.reduce([v != 0 for v in bases]).any())
+
+
 class Factor:
     """The factored design Z = [columns] of n rows, the one pass over the
     data: the block source fill, the unit column (the constant one, if any),
-    and the column scales and unit-column R of _factor.  Every fit of Z is a
-    read-off: solve, result(s), coefficients and a result's lazy rows."""
+    and the column scales and unit-column R of _factor.  A term column that
+    is zero only because its values underflow raises DomainViolation.  Every
+    fit of Z is a read-off: solve, result(s), coefficients and a result's
+    lazy rows."""
 
     def __init__(self, columns: Sequence[Column], n: int, x: Optional[np.ndarray] = None,
                  y: Optional[np.ndarray] = None):
@@ -232,6 +241,10 @@ class Factor:
         self.n, self.k = n, len(columns)
         self.scale, self.R = _factor(self.fill, self.k, n)
         self.unit = next((i for i, c in enumerate(columns) if isinstance(c, float)), None)
+        for col, zero in zip(columns, ~self.R.any(axis=0)):
+            if zero and isinstance(col, Term) and _underflows(col, x, y):
+                raise DomainViolation(f"term {col} underflows to 0 at every data row; "
+                                      "rescale the data")
 
     def solve(self, fits: Sequence[tuple[int, Sequence[int]]]
               ) -> list[Union[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import offset_line, unit_condition
-from implicitreg import cli, fitters, simulate, terms
+from implicitreg import cli, conics, fitters, simulate, terms
 from implicitreg.cli import (EXIT_DEGENERATE, EXIT_DOMAIN, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK,
                             main)
 
@@ -157,8 +157,8 @@ class TestFit:
             x, y = offset_line(offset)
             p = tmp_path / f"line_{offset:g}.csv"
             p.write_text("x,y\n" + "\n".join(f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist())))
-            code, rep = run_json(capsys, ["fit", "--input", str(p), "--model", model,
-                                          "--terms", "x,y"])
+            terms = [] if model == "standard" else ["--terms", "x,y"]   # standard takes none
+            code, rep = run_json(capsys, ["fit", "--input", str(p), "--model", model, *terms])
             assert code == EXIT_OK
             slopes.append(rep["coefficients"][1]["value"])
         tol = 10 * unit_condition(np.ones_like(x), x) * np.finfo(float).eps
@@ -196,9 +196,15 @@ class TestRequestErrors:
         (["fit", "--model", "nonresponse", "--terms", "x^1e400,y"], "cannot parse term 'x^1e400'"),
         (["fit", "--model", "rotation:x^1e308*x^1e308", "--terms", "x,y"],
          "cannot parse term 'x^1e308*x^1e308'"),
+        (["fit", "--model", "standard", "--terms", "x,y,xy,x2,y2"],
+         "the standard model takes no --terms"),
+        (["diagnose", "--model", "standard", "--terms", "x,y"],
+         "the standard model takes no --terms"),
+        (["fit", "--model", "univariate", "--terms", "y"], "the univariate model takes no --terms"),
     ], ids=["diagnose-univariate", "diagnose-non-conic-terms", "unparsable-pivot", "empty-pivot",
             "two-term-pivot", "rotate-all-one-term", "rotate-all-empty-term", "fit-unit-term",
-            "diagnose-unit-term", "infinite-exponent", "infinite-pivot-exponent"])
+            "diagnose-unit-term", "infinite-exponent", "infinite-pivot-exponent",
+            "fit-standard-terms", "diagnose-standard-terms", "fit-univariate-terms"])
     def test_refused_before_the_input_is_read(self, tmp_path, capsys, monkeypatch, argv,
                                                message):
         def no_read(*args):
@@ -236,7 +242,10 @@ class TestArgumentRefusals:
         (["convert", "--direction", "beta-from-alpha", "--values", "1", "--bogus"],
          "unrecognized arguments: --bogus"),
         ([], "the following arguments are required: command"),
-    ], ids=["no-input", "bad-kind", "dash-value", "unknown-flag", "no-command"])
+        (["rotate-all", "--input", "d.csv", "--terms", "x,y", "--response-col", "nope"],
+         "unrecognized arguments: --response-col nope"),
+    ], ids=["no-input", "bad-kind", "dash-value", "unknown-flag", "no-command",
+            "rotate-all-response-col"])
     def test_one_error_line_exit_2(self, capsys, argv, message):
         assert main(argv) == EXIT_INPUT
         out = capsys.readouterr()
@@ -286,6 +295,24 @@ class TestFailures:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and "not UTF-8" in err and len(err.splitlines()) == 1
+
+    def test_non_utf8_past_the_first_buffer_exits_2(self, tmp_path, capsys):
+        # At data row 70001 the byte is met by np.loadtxt on a file, and by
+        # the read of the whole body on a pipe.
+        p = tmp_path / "late.csv"
+        p.write_bytes(b"x,y\n" + b"1,2\n" * 70000 + b"5,\xe96\n")
+        argv = ["fit", "--model", "nonresponse", "--input"]
+        assert main(argv + [str(p)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err and len(err.splitlines()) == 1
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "implicitreg.cli", *argv, "/dev/stdin"],
+                              input=p.read_bytes(), capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (EXIT_INPUT, b"")
+        assert proc.stderr.startswith(b"error: /dev/stdin: not UTF-8")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_cell_over_csv_field_limit_exits_2(self, tmp_path, capsys):
         p = tmp_path / "long.csv"
@@ -419,6 +446,19 @@ class TestRotateAll:
         assert code == EXIT_OK
         reports = json.loads(capsys.readouterr().out)
         assert any("SingularSystem" in w for r in reports for w in r.get("warnings", []))
+
+
+class TestConicGeometryRefusals:
+    @pytest.mark.parametrize("coeffs, message", [
+        ((0, 0, 0, -1, -1), "quadratic form is not definite against the constant"),
+        ((0, 0, 0, 1, 1, 0), "centered constant vanishes; no unit-constant form"),
+    ], ids=["no-real-points", "not-representable"])
+    def test_become_a_warning(self, coeffs, message):
+        # The class is reported; the geometry is not, and the warning says why.
+        warnings = []
+        out = cli._conic_dict(conics.ConicCoeffs(*coeffs), warnings)
+        assert warnings == [message]
+        assert out == {"class": "Circle", "coeffs": [float(v) for v in coeffs[:5]]}
 
 
 class TestDiagnose:

@@ -33,7 +33,8 @@ from implicitreg import (
     solve_for_y,
 )
 from implicitreg.conics import TOL_DENOM, TOL_DISC, _scaled_roots, ellipse_points, y_roots
-from implicitreg.errors import InvalidSpec, NoSolutionAtPoint, NotAnEllipse, PoleAtPoint
+from implicitreg.errors import (InvalidSpec, NoSolutionAtPoint, NotAnEllipse, NotRepresentable,
+                               PoleAtPoint)
 
 UNIT_CIRCLE = ConicCoeffs(0, 0, 0, 1, 1)
 
@@ -212,6 +213,17 @@ class TestGeometry:
     def test_not_an_ellipse(self):
         with pytest.raises(NotAnEllipse):
             conic_geometry(ConicCoeffs(0, 0, 1, 0, 0))
+
+    def test_circle_class_without_real_points(self):
+        # 1 = -x^2 - y^2 classifies as a circle, but no point satisfies it.
+        with pytest.raises(NotAnEllipse, match="^quadratic form is not definite against the "
+                                               "constant$"):
+            conic_geometry(ConicCoeffs(0, 0, 0, -1, -1))
+
+    def test_zero_centred_constant_is_not_representable(self):
+        # 0 = x^2 + y^2, the point at the origin: no unit-constant form.
+        with pytest.raises(NotRepresentable, match="^centered constant vanishes"):
+            conic_geometry(ConicCoeffs(0, 0, 0, 1, 1, 0))
 
     def test_parametric_round_trip(self):
         rng = np.random.default_rng(67)

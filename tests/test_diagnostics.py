@@ -77,6 +77,12 @@ class TestSeparationUnivariate:
         with pytest.raises(ZeroVariance):
             separation_univariate(np.full(3, 2.0), np.array([1.0, 2.0, 3.0]))
 
+    def test_varying_data_with_far_estimates(self):
+        # SST is tiny beside SSM and SSE, but y varies: the angles exist.
+        d = separation_univariate([0, 1e-3, 2e-3, 3e-3], [1e6, -1e6, 1e6, -1e6])
+        assert d.sst == pytest.approx(5e-6, rel=1e-12)
+        assert d.theta_t == 0.0 and not d.perfect_fit and d.warning is None
+
     def test_law_of_cosines_closure(self):
         rng = np.random.default_rng(71)
         for _ in range(50):

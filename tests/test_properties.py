@@ -12,12 +12,15 @@ from implicitreg import (
     Dataset,
     Ellipse,
     GeneratorSpec,
+    Line,
+    MultiDataset,
     Term,
     alpha_from_beta,
     beta_from_alpha,
     fit_all_rotations,
     fit_nonresponse,
     fit_rotation,
+    fit_standard,
     generate,
     nra2_closed,
     parse_terms,
@@ -176,3 +179,36 @@ def test_power_of_two_scaling_is_exact(s, t):
         same(rot.coeffs, base_rot.coeffs, power)
         same(rot.stderr, base_rot.stderr, power)
         assert rot.r_squared == base_rot.r_squared
+
+
+OFFSET_LINE = generate(GeneratorSpec(Line(1.0, 2.0), 2000, 0.1, seed=5))
+XY = parse_terms("x,y")
+
+
+def _slopes(d: Dataset) -> list[float]:
+    """y on x by standard OLS and by its rotation, then x on y by the other."""
+    return [fit_standard(MultiDataset(d.y, d.x, ("x",))).coeffs[1],
+            fit_rotation(d, XY, 1).coeffs[1], fit_rotation(d, XY, 0).coeffs[1]]
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_slopes_are_free_of_an_offset(k):
+    # Adding t to x and y rounds each value once, by up to eps*t, which moves
+    # a slope by about eps*t/sd(x) relative; the fits themselves add only a
+    # few eps, as the QR of the factor never forms t^2.  Measured at 8:
+    # 1.8e-10 against eps*t/sd(x) = 7.7e-9.
+    t = 10.0 ** k
+    d = OFFSET_LINE
+    shifted = Dataset(d.x + t, d.y + t)
+    tol = 8 * np.finfo(float).eps * (1 + t / np.std(d.x))
+    for got, want in zip(_slopes(shifted), _slopes(d), strict=True):
+        assert got == pytest.approx(want, rel=tol, abs=0)
+
+
+@pytest.mark.parametrize("pivot", [0, 1])
+def test_offset_beyond_the_rank_tolerance_is_singular(pivot):
+    # At t = 1e9 the spread of x is 3e-9 of its mean, below RANK_TOL on the
+    # unit columns: x is the constant column as far as the factor can tell.
+    d = Dataset(OFFSET_LINE.x + 1e9, OFFSET_LINE.y + 1e9)
+    with pytest.raises(SingularSystem):
+        fit_rotation(d, XY, pivot)

@@ -221,11 +221,52 @@ class TestOutOfRangePivot:
             ["SumOfSquaresOverflow: " + OVERFLOW[len("error: "):-1]]] * 3
 
 
+class TestUnderflowedTerm:
+    """At 1e-163 every value of xy, x^2 and y^2 on the bench ellipse
+    underflows to 0 while x and y do not: the float range is the cause, so
+    the fits exit 4 naming the first such term, not 3 for a collinear one."""
+
+    MESSAGE = "error: term xy underflows to 0 at every data row; rescale the data\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--model", "nonresponse", "--terms", CONIC],
+        ["fit", "--model", "rotation:y", "--terms", CONIC],
+        ["diagnose", "--model", "nonresponse", "--terms", CONIC],
+        ["rotate-all", "--terms", CONIC],
+    ], ids=["nonresponse", "rotation", "diagnose", "rotate-all"])
+    def test_exits_4(self, tmp_path, capsys, argv):
+        p = tmp_path / "tiny.csv"
+        p.write_text("x,y\n" + "".join(f"{x * 1e-163!r},{y * 1e-163!r}\n"
+                                        for x, y in zip(BENCH.x.tolist(), BENCH.y.tolist())))
+        assert main(argv + ["--input", str(p)]) == EXIT_DOMAIN
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", self.MESSAGE)
+
+    def test_term_the_data_make_zero_is_singular(self):
+        # y = 0 on every row makes xy zero in exact arithmetic too.
+        d = Dataset([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(SingularSystem, match="'xy' is collinear"):
+            fit_nonresponse(d, parse_terms("x,xy"))
+
+    def test_one_row_off_zero_is_enough(self):
+        # A single row where x and y are both nonzero shows xy underflowed.
+        d = Dataset([1e-200, 2e-200, 3e-200], [0.0, 0.0, 1e-200])
+        with pytest.raises(DomainViolation, match="^term xy underflows"):
+            fit_nonresponse(d, parse_terms("x,y,xy"))
+
+
 # The bench ellipse scaled by 10^k: every k in the bands where some result
 # starts to leave the float range, and every fifth k between.
 EDGES = [(-323, -300), (-165, -145), (-80, -70), (5, 15), (70, 80), (145, 160), (295, 306)]
 POWERS = sorted({*range(-323, 307, 5), *(k for lo, hi in EDGES for k in range(lo, hi + 1))})
 OUT_OF_RANGE = (DomainError, DomainViolation, SumOfSquaresOverflow, SingularSystem)
+UNDERFLOWED = -163      # from here down xy, x^2 and y^2 underflow to 0 at every row
+
+
+def _refusals(k: int) -> tuple:
+    """The refusals a result at 10^k may give: where a term's values all
+    underflow, the float range is the cause, so not SingularSystem."""
+    return OUT_OF_RANGE[:-1] if k <= UNDERFLOWED else OUT_OF_RANGE
 XY = "x,y"
 
 
@@ -273,7 +314,7 @@ SCANNED = {
 
 
 def _same(got, want, k):
-    if isinstance(got, OUT_OF_RANGE) or got is None:
+    if isinstance(got, _refusals(k)) or got is None:
         return
     if isinstance(got, list):
         assert len(got) == len(want), k
@@ -288,13 +329,14 @@ def _same(got, want, k):
 def test_results_across_the_float_range(name):
     # At every scale a result either holds, finite and equal to the unscaled
     # unitless statistics and angles, or is refused as out of range; no
-    # other exception and no RuntimeWarning.
+    # other exception, no RuntimeWarning, and no SingularSystem where the
+    # terms underflow.
     check = SCANNED[name]
     want = check(BENCH)
     for k in POWERS:
         d = Dataset(BENCH.x * 10.0 ** k, BENCH.y * 10.0 ** k)
         try:
             got = check(d)
-        except OUT_OF_RANGE:
+        except _refusals(k):
             continue
         _same(got, want, k)

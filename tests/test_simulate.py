@@ -72,6 +72,15 @@ class TestInvalidSpecs:
             GeneratorSpec(**spec_kwargs)
 
 
+class TestUnknownKind:
+    @pytest.mark.parametrize("kind", ["circle", (0.0, 0.0, 1.0), None],
+                             ids=["name", "tuple", "none"])
+    def test_refused_as_a_spec(self, kind):
+        with pytest.raises(InvalidSpec) as exc:
+            GeneratorSpec(kind=kind, n=3)
+        assert str(exc.value) == f"unknown generator kind {kind!r}"
+
+
 class TestSamplesBeyondFloatRange:
     """Parameters whose samples leave the float range are refused, without a
     numpy warning, for the vector kinds as for the Dataset kinds."""

@@ -90,6 +90,26 @@ class TestLoadCsv:
             with pytest.raises(InputError, match="not UTF-8"):
                 load(p)
 
+    def test_not_utf8_past_the_first_text_buffer(self, tmp_path, monkeypatch):
+        # The header's text handle reads one buffer; a bad byte at data row
+        # 70001 is past it, so np.loadtxt is the reader that meets it.
+        p = tmp_path / "late.csv"
+        p.write_bytes(b"x,y\n" + b"1,2\n" * 70000 + b"5,\xe96\n" + b"4,5\n" * 10)
+        met = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            try:
+                return loadtxt(*args, **kwargs)
+            except UnicodeDecodeError:
+                met.append("loadtxt")
+                raise
+        monkeypatch.setattr(terms.np, "loadtxt", spy)
+        for load in (load_csv, lambda path: load_multi_csv(path, "y")):
+            with pytest.raises(InputError, match="not UTF-8"):
+                load(p)
+        assert met == ["loadtxt", "loadtxt"]
+
     def test_repeats_among_unread_columns(self, tmp_path):
         p = write(tmp_path, "x,y,,\n1,2,,\n3,4\n")
         np.testing.assert_array_equal(load_csv(p).y, [2, 4])
@@ -567,6 +587,10 @@ class TestModelSpec:
     def test_rotation_pivot_out_of_range(self, pivot):
         with pytest.raises(InvalidSpec, match=f"^pivot {pivot} out of range$"):
             ModelSpec.rotation([Term(1, 0), Term(0, 1)], pivot)
+
+    def test_no_terms(self):
+        with pytest.raises(InvalidSpec, match="^rhs_terms must be non-empty$"):
+            ModelSpec.nonresponse([])
 
     def test_duplicate_rhs(self):
         with pytest.raises(DuplicateTerm):
