@@ -439,8 +439,9 @@ def fit_all_rotations(d: Dataset, terms: Sequence[Term]) -> list[Slot]:
     of squares leave the float range (SumOfSquaresOverflow) is recorded in
     its slot as the exception instance rather than aborting the remaining
     rotations.  Global errors still propagate: an undefined term, a column
-    or coefficients beyond the float range, and sums out of range on every
-    pivot.  Too few observations fill every slot.
+    or coefficients beyond the float range, a term column that underflows
+    to 0, and sums out of range on every pivot.  Too few observations fill
+    every slot.
     """
     # Pivot 0 of no terms is refused as that of one term is.
     fits = [_rotation(terms, pivot) for pivot in range(max(len(terms), 1))]
