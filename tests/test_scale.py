@@ -267,6 +267,8 @@ def _refusals(k: int) -> tuple:
     """The refusals a result at 10^k may give: where a term's values all
     underflow, the float range is the cause, so not SingularSystem."""
     return OUT_OF_RANGE[:-1] if k <= UNDERFLOWED else OUT_OF_RANGE
+
+
 XY = "x,y"
 
 
