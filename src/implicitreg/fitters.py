@@ -66,7 +66,7 @@ MEAN_ROUNDING = 4           # times log2(n + 1) * eps * |mean|: bound on a pairw
 FACTOR_ROUNDING = 4         # times sqrt(n) * eps * |mean|: a constant's spread off R (2.9 seen)
 TOL_SINGULAR_FACTOR = 1e-12
 TILE = 512                  # rows per leaf of a row block's QR tree (_factor): of 256-2048,
-                            # within 1.1% of the fastest on 3, 6 and 10 columns
+                            # within 1.1% of the fastest on 3, 6 and 10 columns (2-core x86-64)
 
 Fits = Sequence[tuple[ModelSpec, int, Sequence[int]]]   # (spec, j, S): column j on columns S
 
