@@ -176,11 +176,11 @@ def _report(args, diagnose: bool = False) -> Report:
     rotation = args.model.startswith("rotation:")
     if not rotation and args.model not in ("nonresponse", "standard", "univariate"):
         raise InvalidSpec(f"unknown model {args.model!r}")
+    if args.model == "univariate" and diagnose:
+        raise InvalidSpec("diagnose supports nonresponse, rotation, and standard models")
     if args.model in ("standard", "univariate") and args.terms is not None:
         raise InvalidSpec(f"the {args.model} model takes no --terms")
     if args.model == "univariate":
-        if diagnose:
-            raise InvalidSpec("diagnose supports nonresponse, rotation, and standard models")
         (y,) = terms._read_columns(args.input, lambda header: (args.y_col,))[1].T
         res = fitters.univariate_nra(y)
         return Report(
@@ -327,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-file", default=None)
 
     def model(p):
+        p.add_argument("--model", required=True,
+                       help="nonresponse | rotation:<term> | standard | univariate")
         p.add_argument("--response-col", default="y")
         p.add_argument("--terms", default=None, help="default x,y; standard and univariate "
                        "take none")
@@ -334,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one model")
     common(p)
-    p.add_argument("--model", required=True,
-                   help="nonresponse | rotation:<term> | standard | univariate")
     model(p)
 
     p = sub.add_parser("rotate-all", help="fit every rotation of a term set")
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="fit plus separation diagnostics")
     common(p)
-    p.add_argument("--model", required=True)
     model(p)
 
     p = sub.add_parser("simulate", help="emit a seeded synthetic dataset as CSV")

@@ -66,7 +66,8 @@ MEAN_ROUNDING = 4           # times log2(n + 1) * eps * |mean|: bound on a pairw
 FACTOR_ROUNDING = 4         # times sqrt(n) * eps * |mean|: a constant's spread off R (2.9 seen)
 TOL_SINGULAR_FACTOR = 1e-12
 TILE = 512                  # rows per leaf of a row block's QR tree (_factor): of 256-2048,
-                            # within 1.1% of the fastest on 3, 6 and 10 columns (2-core x86-64)
+                            # the fastest on 10 columns.  An accepted cost on 6: there 1024
+                            # was 2-5% faster per fit at 2e5 rows (2-core x86-64)
 
 Fits = Sequence[tuple[ModelSpec, int, Sequence[int]]]   # (spec, j, S): column j on columns S
 

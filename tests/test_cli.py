@@ -201,10 +201,13 @@ class TestRequestErrors:
         (["diagnose", "--model", "standard", "--terms", "x,y"],
          "the standard model takes no --terms"),
         (["fit", "--model", "univariate", "--terms", "y"], "the univariate model takes no --terms"),
+        (["diagnose", "--model", "univariate", "--terms", "x,y"],
+         "diagnose supports nonresponse, rotation, and standard models"),
     ], ids=["diagnose-univariate", "diagnose-non-conic-terms", "unparsable-pivot", "empty-pivot",
             "two-term-pivot", "rotate-all-one-term", "rotate-all-empty-term", "fit-unit-term",
             "diagnose-unit-term", "infinite-exponent", "infinite-pivot-exponent",
-            "fit-standard-terms", "diagnose-standard-terms", "fit-univariate-terms"])
+            "fit-standard-terms", "diagnose-standard-terms", "fit-univariate-terms",
+            "diagnose-univariate-terms"])
     def test_refused_before_the_input_is_read(self, tmp_path, capsys, monkeypatch, argv,
                                                message):
         def no_read(*args):

@@ -81,7 +81,8 @@ class TestSeparationUnivariate:
         # SST is tiny beside SSM and SSE, but y varies: the angles exist.
         d = separation_univariate([0, 1e-3, 2e-3, 3e-3], [1e6, -1e6, 1e6, -1e6])
         assert d.sst == pytest.approx(5e-6, rel=1e-12)
-        assert d.theta_t == 0.0 and not d.perfect_fit and d.warning is None
+        assert d.theta_t == pytest.approx(0, abs=1e-5)
+        assert not d.perfect_fit and d.warning is None
 
     def test_law_of_cosines_closure(self):
         rng = np.random.default_rng(71)
