@@ -9,7 +9,10 @@ serialized at full precision and only the text renderer rounds.
 
 BLAS runs on one thread in a CLI process (see implicitreg._blas): numpy is
 loaded here with OPENBLAS_NUM_THREADS=1, unless the user set a thread
-variable or numpy was loaded before this module.
+variable or numpy was loaded before this module.  Once its imports are done,
+it moves every object they made into the garbage collector's permanent
+generation (gc.freeze), so that a CLI process does not traverse and free
+them at exit; importing implicitreg or a library module freezes nothing.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ _blas.pin_numpy_import()
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,6 +40,13 @@ from .errors import (
     NotAnEllipse,
     NotRepresentable,
 )
+
+# Every object the imports above made (numpy's and this package's modules,
+# types and functions) lives until the process ends.  Moved to the permanent
+# generation, no later collection walks them, the one at interpreter exit
+# included, and the OS takes their memory back; objects made after this
+# point are collected as before.
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -168,6 +179,20 @@ def _conic_dict(c: conics.ConicCoeffs, warnings: list[str]) -> dict:
 
 # --- model dispatch -------------------------------------------------------
 
+# The flags of a model request that each model never reads.  Given, they are
+# refused rather than ignored: standard's explanatory columns are every
+# column but --response-col, and univariate reads the --y-col column alone.
+_UNREAD = {"nonresponse": ("response_col",), "rotation": ("response_col",),
+           "standard": ("terms", "x_col", "y_col"),
+           "univariate": ("terms", "x_col", "response_col")}
+
+
+def _columns(args) -> tuple[str, str]:
+    """The x and y column names: --x-col and --y-col, default x and y."""
+    return ("x" if args.x_col is None else args.x_col,
+            "y" if args.y_col is None else args.y_col)
+
+
 def _report(args, diagnose: bool = False) -> Report:
     """The fit report of args.model; with diagnose, also its separation
     diagnostics (and the pinwheel lines of the two-term unit-constant fit).
@@ -178,22 +203,26 @@ def _report(args, diagnose: bool = False) -> Report:
         raise InvalidSpec(f"unknown model {args.model!r}")
     if args.model == "univariate" and diagnose:
         raise InvalidSpec("diagnose supports nonresponse, rotation, and standard models")
-    if args.model in ("standard", "univariate") and args.terms is not None:
-        raise InvalidSpec(f"the {args.model} model takes no --terms")
+    kind = "rotation" if rotation else args.model
+    for flag in _UNREAD[kind]:
+        if getattr(args, flag) is not None:
+            raise InvalidSpec(f"the {kind} model takes no --{flag.replace('_', '-')}")
+    x_col, y_col = _columns(args)
     if args.model == "univariate":
-        (y,) = terms._read_columns(args.input, lambda header: (args.y_col,))[1].T
+        (y,) = terms._read_columns(args.input, lambda header: (y_col,))[1].T
         res = fitters.univariate_nra(y)
         return Report(
-            model={"kind": "univariate", "lhs": "unity", "terms": [args.y_col],
+            model={"kind": "univariate", "lhs": "unity", "terms": [y_col],
                    "intercept": False},
-            coefficients=[{"term": args.y_col, "value": res.alpha,
+            coefficients=[{"term": y_col, "value": res.alpha,
                            "stderr": None, "t_stat": None}],
             r_squared=res.r2, r2_formula=fitters.R2_UNIVARIATE,
             univariate=dataclasses.asdict(res))
     if args.model == "standard":
-        md = terms.load_multi_csv(args.input, args.response_col)
+        response = "y" if args.response_col is None else args.response_col
+        md = terms.load_multi_csv(args.input, response)
         fit = fitters.fit_standard(md)
-        model = {"kind": "standard", "lhs": args.response_col,
+        model = {"kind": "standard", "lhs": response,
                  "terms": list(md.column_names), "intercept": True}
     else:
         term_list = terms.parse_terms("x,y" if args.terms is None else args.terms)
@@ -213,7 +242,7 @@ def _report(args, diagnose: bool = False) -> Report:
                 raise InvalidSpec("diagnosis needs terms drawn from {x, y, xy, x2, y2}")
             model = {"kind": "nonresponse", "lhs": "unity",
                      "terms": [t.label() for t in term_list], "intercept": False}
-        d = terms.load_csv(args.input, args.x_col, args.y_col)
+        d = terms.load_csv(args.input, x_col, y_col)
         fit = (fitters.fit_rotation(d, term_list, pivot) if rotation
                else fitters.fit_nonresponse(d, term_list))
     report = Report(model, **_fit_fields(fit))
@@ -249,7 +278,7 @@ def cmd_fit(args) -> str:
 def cmd_rotate_all(args) -> str:
     term_list = terms.parse_terms(args.terms)
     terms.ModelSpec.rotation(term_list, 0)      # at least two terms
-    d = terms.load_csv(args.input, args.x_col, args.y_col)
+    d = terms.load_csv(args.input, *_columns(args))
     reports = []
     for term, result in zip(term_list, fitters.fit_all_rotations(d, term_list)):
         model = _rotation_model(term, term_list)
@@ -321,15 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--input", required=True)
-        p.add_argument("--x-col", default="x")
-        p.add_argument("--y-col", default="y")
+        p.add_argument("--x-col", default=None, help="default x")
+        p.add_argument("--y-col", default=None, help="default y")
         p.add_argument("--output", choices=("text", "json"), default="text")
         p.add_argument("--out-file", default=None)
 
     def model(p):
         p.add_argument("--model", required=True,
                        help="nonresponse | rotation:<term> | standard | univariate")
-        p.add_argument("--response-col", default="y")
+        p.add_argument("--response-col", default=None, help="standard only; default y")
         p.add_argument("--terms", default=None, help="default x,y; standard and univariate "
                        "take none")
         p.set_defaults(func=cmd_fit)

@@ -10,7 +10,8 @@ only relies on distribution-level tolerances, not bit equality).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -68,15 +69,25 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # Types first, so that no comparison below can raise TypeError.
+        for name in ("n", "seed"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise InvalidSpec(f"{name} must be an integer, got {v!r}")
+        k = self.kind
+        if not isinstance(k, Kind):
+            raise InvalidSpec(f"unknown generator kind {k!r}")
+        params = {"noise_sigma": self.noise_sigma,
+                  **{f"{type(k).__name__}.{f.name}": getattr(k, f.name) for f in fields(k)}}
+        for name, v in params.items():
+            if not isinstance(v, numbers.Real):
+                raise InvalidSpec(f"{name} must be a real number, got {v!r}")
+        if not all(map(math.isfinite, params.values())):
+            raise InvalidSpec("generator parameters must be finite")
         if self.n < 1:
             raise InvalidSpec("n must be >= 1")
         if self.seed < 0:
             raise InvalidSpec("seed must be >= 0")
-        k = self.kind
-        if not isinstance(k, Kind):
-            raise InvalidSpec(f"unknown generator kind {k!r}")
-        if not all(math.isfinite(v) for v in (self.noise_sigma, *astuple(k))):
-            raise InvalidSpec("generator parameters must be finite")
         if self.noise_sigma < 0:
             raise InvalidSpec("noise_sigma must be >= 0")
         if isinstance(k, Circle) and k.r <= 0:

@@ -203,11 +203,30 @@ class TestRequestErrors:
         (["fit", "--model", "univariate", "--terms", "y"], "the univariate model takes no --terms"),
         (["diagnose", "--model", "univariate", "--terms", "x,y"],
          "diagnose supports nonresponse, rotation, and standard models"),
+        # A column flag the model never reads, even at its default value.
+        (["fit", "--model", "nonresponse", "--response-col", "y"],
+         "the nonresponse model takes no --response-col"),
+        (["diagnose", "--model", "nonresponse", "--terms", "x,y,xy,x2,y2",
+          "--response-col", "nope"], "the nonresponse model takes no --response-col"),
+        (["fit", "--model", "rotation:y", "--terms", "x,y", "--response-col", "y"],
+         "the rotation model takes no --response-col"),
+        (["diagnose", "--model", "rotation:x", "--response-col", "x"],
+         "the rotation model takes no --response-col"),
+        (["fit", "--model", "standard", "--x-col", "x"], "the standard model takes no --x-col"),
+        (["diagnose", "--model", "standard", "--response-col", "y", "--y-col", "y"],
+         "the standard model takes no --y-col"),
+        (["fit", "--model", "univariate", "--x-col", "nope"],
+         "the univariate model takes no --x-col"),
+        (["fit", "--model", "univariate", "--y-col", "y", "--response-col", "y"],
+         "the univariate model takes no --response-col"),
     ], ids=["diagnose-univariate", "diagnose-non-conic-terms", "unparsable-pivot", "empty-pivot",
             "two-term-pivot", "rotate-all-one-term", "rotate-all-empty-term", "fit-unit-term",
             "diagnose-unit-term", "infinite-exponent", "infinite-pivot-exponent",
             "fit-standard-terms", "diagnose-standard-terms", "fit-univariate-terms",
-            "diagnose-univariate-terms"])
+            "diagnose-univariate-terms", "fit-nonresponse-response-col",
+            "diagnose-nonresponse-response-col", "fit-rotation-response-col",
+            "diagnose-rotation-response-col", "fit-standard-x-col", "diagnose-standard-y-col",
+            "fit-univariate-x-col", "fit-univariate-response-col"])
     def test_refused_before_the_input_is_read(self, tmp_path, capsys, monkeypatch, argv,
                                                message):
         def no_read(*args):

@@ -98,14 +98,16 @@ def argvs(draw):
     else:
         argv = [command, "--input", "{dir}/in.csv", "--output", output]
         model = None if command == "rotate-all" else draw(MODELS)
-        # A term model sometimes goes without --terms (and reads x,y).
-        # standard and univariate refuse --terms, a request error tested
-        # apart, so they get none and reach their fits.
+        # A term model sometimes goes without --terms (and reads x,y).  A
+        # model refuses a flag it does not read, a request error tested
+        # apart, so each gets only its own flags and reaches its fit:
+        # standard reads --response-col, the others --y-col.
         if model is None or model not in ("standard", "univariate") and draw(st.integers(0, 4)):
             argv.append(f"--terms={draw(term_lists())}")
         if model is not None:
             argv.append(f"--model={model}")
-        argv.append(f"--y-col={draw(st.sampled_from(['y'] * 4 + ['z', 'x']))}")
+        column = "--response-col" if model == "standard" else "--y-col"
+        argv.append(f"{column}={draw(st.sampled_from(['y'] * 4 + ['z', 'x']))}")
     to_file = draw(st.booleans())
     return argv, draw(csv_bodies()), output, to_file
 

@@ -75,6 +75,26 @@ class TestInvalidSpecs:
             GeneratorSpec(**spec_kwargs)
 
 
+    @pytest.mark.parametrize("spec_kwargs, field", [
+        (dict(kind=Circle("a", 0, 1), n=3), "Circle.cx"),
+        (dict(kind=Ellipse(0, 0, 1, 1, rot=None), n=3), "Ellipse.rot"),
+        (dict(kind=Line(0, 1), n="5"), "n"),
+        (dict(kind=Line(0, 1), n=2.5), "n"),
+        (dict(kind=Line(0, 1), n=True), "n"),
+        (dict(kind=Line(0, 1), n=5, seed=1.0), "seed"),
+        (dict(kind=Line(0, 1), n=5, noise_sigma="0.1"), "noise_sigma"),
+    ])
+    def test_wrong_type_names_its_field(self, spec_kwargs, field):
+        # Refused before any comparison, so no TypeError leaks.
+        with pytest.raises(InvalidSpec, match=rf"^{field} must be an? (integer|real number), "):
+            GeneratorSpec(**spec_kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        spec = GeneratorSpec(Line(np.float64(1), np.float32(2)), n=np.int64(5),
+                             noise_sigma=np.float64(0.1), seed=np.uint8(3))
+        assert generate(spec).x.shape == (5,)
+
+
 class TestSamplesBeyondFloatRange:
     """Parameters whose samples leave the float range are refused, without a
     numpy warning, for the vector kinds as for the Dataset kinds."""

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import implicitreg
-from implicitreg.cli import EXIT_OK, main
+from implicitreg.cli import EXIT_INPUT, EXIT_OK, main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(implicitreg.__file__)))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -61,15 +61,20 @@ needs_openblas = pytest.mark.skipif(not _has_scipy_openblas(),
                                     reason="numpy is not linked to scipy-openblas")
 
 
-def run(args, **env_vars) -> str:
-    """Stdout of a fresh interpreter with no thread variable but env_vars."""
+def fresh(args, **env_vars) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with no thread variable but env_vars; its
+    output is bytes."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.update(env_vars)
-    proc = subprocess.run([sys.executable] + args, env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return subprocess.run([sys.executable] + args, env=env, capture_output=True, timeout=120)
+
+
+def run(args, **env_vars) -> str:
+    """Stdout of a fresh interpreter with no thread variable but env_vars."""
+    proc = fresh(args, **env_vars)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode()
 
 
 def probe(prelude: str, **env_vars) -> dict:
@@ -159,3 +164,40 @@ def test_cli_import_leaves_simulate_unloaded(tmp_path):
     d = implicitreg.load_csv(csv)
     np.testing.assert_array_equal(d.x, expected.x)
     np.testing.assert_array_equal(d.y, expected.y)
+
+
+def test_cli_import_freezes_its_imports():
+    assert int(run(["-c", "import gc, implicitreg.cli\nprint(gc.get_freeze_count())"])) > 0
+
+
+def test_library_imports_freeze_nothing():
+    out = run(["-c", "import gc, implicitreg\n"
+                     "for name in ('fitters', 'terms', 'conics', 'diagnostics', 'simulate'):\n"
+                     "    getattr(implicitreg, name)\n"
+                     "print(gc.get_freeze_count())"])
+    assert int(out) == 0
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_cli_process_writes_what_main_writes(tmp_path, capsys, output):
+    # The frozen heap is not torn down at exit: stdout and --out-file are
+    # flushed and closed before that, byte for byte what main writes in process.
+    csv = tmp_path / "ellipse.csv"
+    assert main(["simulate", "--kind", "ellipse", "--params", "3,-2,2,1,0.5", "--n", "2000",
+                 "--noise", "0.05", "--seed", "11", "--out-file", str(csv)]) == EXIT_OK
+    argv = ["diagnose", "--input", str(csv), "--model", "nonresponse", "--terms",
+            "x,y,xy,x2,y2", "--output", output]
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr().out.encode()
+    stdout = fresh(["-m", "implicitreg.cli"] + argv)
+    to_file = fresh(["-m", "implicitreg.cli"] + argv + ["--out-file", str(tmp_path / "out")])
+    assert (stdout.returncode, stdout.stdout, stdout.stderr) == (EXIT_OK, expected, b"")
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (EXIT_OK, b"", b"")
+    assert (tmp_path / "out").read_bytes() == expected
+
+
+def test_cli_process_refusal_is_one_error_line(tmp_path):
+    proc = fresh(["-m", "implicitreg.cli", "fit", "--model", "univariate", "--x-col", "x",
+                  "--input", str(tmp_path / "absent.csv")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_INPUT, b"", b"error: the univariate model takes no --x-col\n")
