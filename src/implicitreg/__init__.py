@@ -15,7 +15,7 @@ import importlib
 
 _EXPORTS = {
     "conics": ("ConicClass", "ConicCoeffs", "ConicGeometry", "classify_conic",
-               "conic_geometry", "invert_rotation_linear", "solve_for_x", "solve_for_y"),
+               "conic_geometry", "solve_for_y"),
     "diagnostics": ("OrthogonalityCheck", "PinwheelLine", "SeparationDiagnostics",
                     "ols_orthogonality_check", "pinwheel_data", "reconstruct_from_conic",
                     "separation_bivariate", "separation_from_conic", "separation_univariate"),

@@ -9,17 +9,25 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidSpec, NoSolutionAtPoint, NotAnEllipse, NotRepresentable, PoleAtPoint
+from .errors import InvalidSpec, NoSolutionAtPoint, NotAnEllipse, NotRepresentable
 from .fitters import FitResult
-from .terms import CONIC_TERMS, LhsKind, Term
+from .terms import CONIC_TERMS, LhsKind
 
 TOL_DISC = 1e-10
 TOL_DENOM = 1e-12
+
+
+def _require_finite_real(v, what: str) -> None:
+    """Refuse v, naming it, unless it is a real number within the float range."""
+    if not (isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max):     # NaN fails too
+        raise InvalidSpec(f"{what}, not {v!r}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +44,8 @@ class ConicCoeffs:
     c0: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.as_array()).all() and math.isfinite(self.c0)):
-            raise InvalidSpec("the coefficients must be finite")
+        for v in (self.a1, self.a2, self.a3, self.a4, self.a5, self.c0):
+            _require_finite_real(v, "the coefficients must be finite real numbers")
         if not any((self.a1, self.a2, self.a3, self.a4, self.a5)):
             raise InvalidSpec("at least one coefficient must be nonzero")
 
@@ -185,43 +193,14 @@ def _scaled_roots(c: ConicCoeffs, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
             np.where(zero, double, np.maximum(t1, t2)))
 
 
-def _solve(c: ConicCoeffs, at: float, given: str, solved: str) -> list[float]:
-    """Real roots in c's second variable (solved) at its first (given) = at, ascending."""
-    if not math.isfinite(at):
-        raise InvalidSpec(f"the point must be finite, not {at}")
-    (lower,), (upper,), (free,) = y_roots(c, [at])
-    if free:
-        raise NoSolutionAtPoint(f"no {solved} solves the relation at {given} = {at}")
-    return [] if math.isnan(lower) else sorted({float(lower), float(upper)})
-
-
 def solve_for_y(c: ConicCoeffs, x: float) -> list[float]:
-    """Real y with (x, y) on the fitted curve, ascending; 0, 1, or 2 roots; x finite."""
-    return _solve(c, x, "x", "y")
-
-
-def solve_for_x(c: ConicCoeffs, y: float) -> list[float]:
-    """Mirror image of solve_for_y with the roles of x and y exchanged."""
-    return _solve(c.swapped(), y, "y", "x")
-
-
-def invert_rotation_linear(fit: FitResult, at: float, which: str) -> float:
-    """Invert the rotation y = a0 + a1*x + a2*xy; refuse any other fit.
-
-    which = "for_y": y at x = at; "for_x": x at y = at.  Either is the root of
-    the relation a0 = -a1*x + y - a2*xy (ConicCoeffs.from_fit); at must be finite.
-    """
-    if fit.spec.lhs_term != Term(0, 1) or set(fit.column_labels) != {"const", "x", "xy"}:
-        raise InvalidSpec("expected the rotation of y on an intercept, x and xy")
-    solvers = {"for_y": (solve_for_y, "x"), "for_x": (solve_for_x, "y")}
-    if which not in solvers:
-        raise InvalidSpec("which must be 'for_y' or 'for_x'")
-    solve, given = solvers[which]
-    try:
-        roots = solve(ConicCoeffs.from_fit(fit), at)
-    except NoSolutionAtPoint:
-        raise PoleAtPoint(f"pole at {given} = {at}") from None
-    return roots[0]
+    """Real y with (x, y) on the fitted curve, ascending; 0, 1, or 2 roots.  The x
+    at a given y is solve_for_y(c.swapped(), y), whose refusals name x as y."""
+    _require_finite_real(x, "the point must be a finite real number")
+    (lower,), (upper,), (free,) = y_roots(c, [x])
+    if free:
+        raise NoSolutionAtPoint(f"no y solves the relation at x = {x}")
+    return [] if math.isnan(lower) else sorted({float(lower), float(upper)})
 
 
 def classify_conic(c: ConicCoeffs) -> ConicClass:
@@ -289,14 +268,3 @@ def conic_geometry(c: ConicCoeffs) -> ConicGeometry:
         rotation = 0.0
     return ConicGeometry(center=(cx, cy), semi_axes=(float(axes[0]), float(axes[1])),
                          rotation=rotation)
-
-
-def ellipse_points(g: ConicGeometry, n: int = 64) -> np.ndarray:
-    """Sample the parametric ellipse; rows are (x, y)."""
-    theta = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    u = g.semi_axes[0] * np.cos(theta)
-    v = g.semi_axes[1] * np.sin(theta)
-    cr, sr = math.cos(g.rotation), math.sin(g.rotation)
-    x = g.center[0] + cr * u - sr * v
-    y = g.center[1] + sr * u + cr * v
-    return np.column_stack([x, y])

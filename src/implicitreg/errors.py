@@ -126,10 +126,6 @@ class NoSolutionAtPoint(DomainViolation):
     pass
 
 
-class PoleAtPoint(DomainViolation):
-    pass
-
-
 class TriangleViolation(DomainViolation):
     def __init__(self, argument):
         self.argument = argument

@@ -16,7 +16,7 @@ import math
 import numbers
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -444,6 +444,8 @@ def load_csv(path, x_col: str = "x", y_col: str = "y") -> Dataset:
     Columns are found by name; data rows are numbered from 1 in error reports.
     x and y are views of the one (n, 2) parse, so each value is held once.
     """
+    if x_col == y_col:      # refused before the file is opened
+        raise InvalidSpec(f"the x and y columns are both {x_col!r}")
     _, values = _read_columns(path, lambda header: (x_col, y_col))
     return Dataset(values[:, 0], values[:, 1])
 
@@ -472,9 +474,3 @@ def _csv_blocks(names: Sequence[str], columns: Sequence[np.ndarray],
     row = ",".join(["{!r}"] * len(columns)) + lineterminator
     for a in range(0, len(columns[0]), ROW_BLOCK):
         yield "".join(map(row.format, *(c[a:a + ROW_BLOCK].tolist() for c in columns)))
-
-
-def save_csv(path, d: Dataset, x_col: str = "x", y_col: str = "y") -> None:
-    """Write the dataset as csv.writer would, streamed in row blocks."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(_csv_blocks([x_col, y_col], [d.x, d.y]))

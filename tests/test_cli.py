@@ -84,6 +84,18 @@ class TestFit:
                 reports.append(capsys.readouterr())
             assert reports[0] == reports[1] and reports[0].err == ""
 
+    def test_univariate_may_read_the_x_column(self, tmp_path, capsys):
+        # It reads one column, so --y-col x is no column read twice.
+        (tmp_path / "x.csv").write_text("x\n1\n2\n3\n")
+        (tmp_path / "xy.csv").write_text("x,y\n1,0\n2,0\n3,0\n")
+        reports = []
+        for name in ("x.csv", "xy.csv"):
+            assert main(["fit", "--input", str(tmp_path / name), "--model", "univariate",
+                         "--y-col", "x", "--output", "json"]) == EXIT_OK
+            reports.append(capsys.readouterr())
+        assert reports[0] == reports[1] and reports[0].err == ""
+        assert json.loads(reports[0].out)["model"]["terms"] == ["x"]
+
     def test_parse_error_exit_code(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x,y\n1,abc\n")
@@ -219,6 +231,12 @@ class TestRequestErrors:
          "the univariate model takes no --x-col"),
         (["fit", "--model", "univariate", "--y-col", "y", "--response-col", "y"],
          "the univariate model takes no --response-col"),
+        # One column read as both x and y.
+        (["fit", "--model", "nonresponse", "--y-col", "x"], "the x and y columns are both 'x'"),
+        (["diagnose", "--model", "rotation:x", "--x-col", "y"],
+         "the x and y columns are both 'y'"),
+        (["rotate-all", "--terms", "x,y", "--x-col", "z", "--y-col", "z"],
+         "the x and y columns are both 'z'"),
     ], ids=["diagnose-univariate", "diagnose-non-conic-terms", "unparsable-pivot", "empty-pivot",
             "two-term-pivot", "rotate-all-one-term", "rotate-all-empty-term", "fit-unit-term",
             "diagnose-unit-term", "infinite-exponent", "infinite-pivot-exponent",
@@ -226,7 +244,8 @@ class TestRequestErrors:
             "diagnose-univariate-terms", "fit-nonresponse-response-col",
             "diagnose-nonresponse-response-col", "fit-rotation-response-col",
             "diagnose-rotation-response-col", "fit-standard-x-col", "diagnose-standard-y-col",
-            "fit-univariate-x-col", "fit-univariate-response-col"])
+            "fit-univariate-x-col", "fit-univariate-response-col", "fit-same-column",
+            "diagnose-same-column", "rotate-all-same-column"])
     def test_refused_before_the_input_is_read(self, tmp_path, capsys, monkeypatch, argv,
                                                message):
         def no_read(*args):
@@ -515,10 +534,9 @@ class TestDiagnose:
 
     def test_noisy_circle_finite_angles(self, tmp_path, capsys):
         from implicitreg import Circle, GeneratorSpec, generate
-        from implicitreg.terms import save_csv
         d = generate(GeneratorSpec(Circle(0, 0, 2), n=100, noise_sigma=0.05, seed=17))
         p = tmp_path / "noisy.csv"
-        save_csv(p, d)
+        p.write_text("".join(terms._csv_blocks(["x", "y"], [d.x, d.y])), newline="")
         code, rep = run_json(capsys, [
             "diagnose", "--input", str(p),
             "--model", "nonresponse", "--terms", "x,y,xy,x2,y2"])

@@ -24,13 +24,14 @@ def mix(plain, odd):
     return st.sampled_from(plain * 3 + odd)
 
 
+PLAIN_TOKENS = ["x", "y", "xy", "x2", "y2"]
+PLAIN_CELLS = ["0", "1", "-1", "2.5", "-3.75", "4", "0.125", "7"]
 MODELS = mix(["nonresponse", "standard", "univariate", "rotation:x", "rotation:y"],
              ["rotation:xy", "rotation:", "rotation:1", "bogus"])
-TOKENS = mix(["x", "y", "xy", "x2", "y2"], ["1", "x^0.5", "y^-1", "x^99999", "", "x^3", "x*y^2"])
+TOKENS = mix(PLAIN_TOKENS, ["1", "x^0.5", "y^-1", "x^99999", "", "x^3", "x*y^2"])
 NUMBERS = mix(["0", "1", "-2.5", "3", "0.5", "2"],
               ["nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "1e-320", ""])
-CELLS = mix(["0", "1", "-1", "2.5", "-3.75", "4", "0.125", "7"],
-            ["1e200", "-1e200", "1e-200", "nan", "inf", "", "abc"])
+CELLS = mix(PLAIN_CELLS, ["1e200", "-1e200", "1e-200", "nan", "inf", "", "abc"])
 HEADERS = mix(["x,y", "y,x", "x,y,z"], ["x", "a,b", "x,x"])
 
 
@@ -80,10 +81,34 @@ def csv_bodies(draw):
 
 
 @st.composite
+def clean_requests(draw, command):
+    """(request flags, CSV body) of a request that reaches its fit: a model
+    with its own flags, distinct plain terms with a rotation's pivot among
+    them, and an x,y file of plain cells, at least two rows more than terms."""
+    models = {"fit": ["nonresponse", "rotation", "standard", "univariate"],
+              "diagnose": ["nonresponse", "rotation", "standard"], "rotate-all": [None]}
+    model = draw(st.sampled_from(models[command]))
+    term_list = draw(st.lists(st.sampled_from(PLAIN_TOKENS), min_size=2, max_size=5,
+                              unique=True))
+    if model in ("standard", "univariate"):
+        flags = [f"--model={model}"]
+    else:
+        flags = [f"--terms={','.join(term_list)}"]
+        if model is not None:
+            pivot = draw(st.sampled_from(term_list))
+            flags.append(f"--model={model}" + (f":{pivot}" if model == "rotation" else ""))
+    n = len(term_list) + draw(st.integers(2, 6))
+    rows = [",".join(draw(st.lists(st.sampled_from(PLAIN_CELLS), min_size=2, max_size=2)))
+            for _ in range(n)]
+    return flags, ("x,y\n" + "\n".join(rows) + "\n").encode()
+
+
+@st.composite
 def argvs(draw):
     """(argv, CSV body, output format, whether the report goes to --out-file)."""
     command = draw(st.sampled_from(["fit", "diagnose", "rotate-all", "simulate", "convert"]))
     output = draw(st.sampled_from(["text", "json"]))
+    body = None
     if command == "simulate":
         kind = draw(st.sampled_from(sorted(SIM_KINDS)))
         argv = ["simulate", "--kind", kind, f"--params={draw(number_lists(SIM_KINDS[kind]))}",
@@ -95,6 +120,9 @@ def argvs(draw):
         argv = ["convert", "--direction",
                 draw(st.sampled_from(["beta-from-alpha", "alpha-from-beta"])),
                 f"--values={draw(number_lists())}", "--output", output]
+    elif draw(st.booleans()):
+        flags, body = draw(clean_requests(command))
+        argv = [command, "--input", "{dir}/in.csv", "--output", output, *flags]
     else:
         argv = [command, "--input", "{dir}/in.csv", "--output", output]
         model = None if command == "rotate-all" else draw(MODELS)
@@ -109,7 +137,7 @@ def argvs(draw):
         column = "--response-col" if model == "standard" else "--y-col"
         argv.append(f"{column}={draw(st.sampled_from(['y'] * 4 + ['z', 'x']))}")
     to_file = draw(st.booleans())
-    return argv, draw(csv_bodies()), output, to_file
+    return argv, body if body is not None else draw(csv_bodies()), output, to_file
 
 
 def strict(text):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -27,16 +28,20 @@ from implicitreg import (
     fit_rotation,
     fit_standard,
     generate,
-    invert_rotation_linear,
     parse_terms,
-    solve_for_x,
     solve_for_y,
 )
-from implicitreg.conics import TOL_DENOM, TOL_DISC, _scaled_roots, ellipse_points, y_roots
-from implicitreg.errors import (InvalidSpec, NoSolutionAtPoint, NotAnEllipse, NotRepresentable,
-                               PoleAtPoint)
+from implicitreg.conics import TOL_DENOM, TOL_DISC, _scaled_roots, y_roots
+from implicitreg.errors import InvalidSpec, NoSolutionAtPoint, NotAnEllipse, NotRepresentable
 
 UNIT_CIRCLE = ConicCoeffs(0, 0, 0, 1, 1)
+
+
+def _solve_rotation(fit, at, which):
+    """The roots of a rotation's relation (ConicCoeffs.from_fit): its y at
+    x = at ("for_y"), or its x at y = at ("for_x") on the swapped relation."""
+    c = ConicCoeffs.from_fit(fit)
+    return solve_for_y(c if which == "for_y" else c.swapped(), at)
 
 
 class TestSolveForY:
@@ -86,14 +91,16 @@ class TestSolveForY:
 
 
 class TestSolveForX:
+    """The x at a given y is solve_for_y on the swapped relation."""
+
     def test_circle_symmetry(self):
-        assert solve_for_x(UNIT_CIRCLE, 0.0) == [-1.0, 1.0]
+        assert solve_for_y(UNIT_CIRCLE.swapped(), 0.0) == [-1.0, 1.0]
 
     def test_line(self):
-        assert solve_for_x(ConicCoeffs(1, 1, 0, 0, 0), 0.25) == [0.75]
+        assert solve_for_y(ConicCoeffs(1, 1, 0, 0, 0).swapped(), 0.25) == [0.75]
 
     def test_outside(self):
-        assert solve_for_x(UNIT_CIRCLE, 3.0) == []
+        assert solve_for_y(UNIT_CIRCLE.swapped(), 3.0) == []
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(59)
@@ -101,7 +108,7 @@ class TestSolveForX:
             c = ConicCoeffs(*rng.uniform(-1, 1, size=5))
             v = float(rng.uniform(-2, 2))
             try:
-                a = solve_for_x(c.swapped(), v)
+                a = solve_for_y(c.swapped().swapped(), v)
                 b = solve_for_y(c, v)
             except NoSolutionAtPoint:
                 continue
@@ -109,6 +116,8 @@ class TestSolveForX:
 
 
 class TestInvertRotationLinear:
+    """The rotation y = a0 + a1*x + a2*xy, inverted by solving its relation."""
+
     def _fit(self, a0, a1, a2):
         # Build exact data consistent with y = a0 + a1*x + a2*xy and fit it.
         x = np.array([0.1, 0.4, 0.7, 2.0, 3.0])
@@ -117,27 +126,21 @@ class TestInvertRotationLinear:
 
     def test_line_degenerate(self):
         f = self._fit(1.0, 2.0, 0.0)
-        assert invert_rotation_linear(f, 3.0, "for_y") == pytest.approx(7.0, abs=1e-9)
+        assert _solve_rotation(f, 3.0, "for_y") == [pytest.approx(7.0, abs=1e-9)]
 
     def test_pole(self):
         # data exactly on y*(1 - x) = 0, so the fit is (0, 0, 1)
         d = Dataset([0.0, 2.0, 1.0, 1.0, 3.0], [0.0, 0.0, 5.0, -3.0, 0.0])
         f = fit_rotation(d, parse_terms("x,y,xy"), pivot=1)
         np.testing.assert_allclose(f.coeffs, [0, 0, 1], atol=1e-10)
-        with pytest.raises(PoleAtPoint):
-            invert_rotation_linear(f, 1.0, "for_y")
+        with pytest.raises(NoSolutionAtPoint):
+            _solve_rotation(f, 1.0, "for_y")
 
     def test_round_trip(self):
         f = self._fit(1.0, 1.0, 1.0)
-        y = invert_rotation_linear(f, 0.5, "for_y")
+        (y,) = _solve_rotation(f, 0.5, "for_y")
         assert y == pytest.approx(3.0, abs=1e-8)
-        assert invert_rotation_linear(f, y, "for_x") == pytest.approx(0.5, abs=1e-8)
-
-    def test_wrong_shape(self):
-        x = np.array([0.0, 1.0, 2.0])
-        f = fit_rotation(Dataset(x, 2 * x + 1), parse_terms("x,y"), pivot=1)
-        with pytest.raises(InvalidSpec):
-            invert_rotation_linear(f, 1.0, "for_y")
+        assert _solve_rotation(f, y, "for_x") == [pytest.approx(0.5, abs=1e-8)]
 
 
 class TestNonFinite:
@@ -151,19 +154,38 @@ class TestNonFinite:
         with pytest.raises(InvalidSpec, match="coefficients must be finite"):
             ConicCoeffs(*a)
 
-    @pytest.mark.parametrize("solve", [solve_for_y, solve_for_x])
+    # The x-solve is solve_for_y on the swapped relation.
+    @pytest.mark.parametrize("c", [UNIT_CIRCLE, UNIT_CIRCLE.swapped()],
+                             ids=["solve_for_y", "solve_for_x"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_point_refused_by_the_solvers(self, solve, value):
-        with pytest.raises(InvalidSpec, match="point must be finite"):
-            solve(UNIT_CIRCLE, value)
+    def test_point_refused_by_the_solvers(self, c, value):
+        with pytest.raises(InvalidSpec, match=f"^the point must be a finite real number, "
+                                              f"not {value!r}$"):
+            solve_for_y(c, value)
 
     @pytest.mark.parametrize("which", ["for_y", "for_x"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_point_refused_by_the_rational_inversion(self, which, value):
         x = np.array([0.1, 0.4, 0.7, 2.0, 3.0])
         f = fit_rotation(Dataset(x, (1 + x) / (1 - 0.1 * x)), parse_terms("x,y,xy"), pivot=1)
-        with pytest.raises(InvalidSpec, match="point must be finite"):
-            invert_rotation_linear(f, value, which)
+        with pytest.raises(InvalidSpec, match="point must be a finite real number"):
+            _solve_rotation(f, value, which)
+
+    @pytest.mark.parametrize("a, bad", [(("a", 0, 0, 1, 1), "a"), ((None, 1), None),
+                                        ((1, 10**400), 10**400), ((0, 1, 1j), 1j)],
+                             ids=["str", "None", "int-beyond-float-range", "complex"])
+    def test_coefficient_of_the_wrong_type_is_named(self, a, bad):
+        # Refused before any arithmetic, so no TypeError or OverflowError leaks.
+        with pytest.raises(InvalidSpec, match=r"^the coefficients must be finite real numbers, "
+                                              rf"not {re.escape(repr(bad))}$"):
+            ConicCoeffs(*a)
+
+    @pytest.mark.parametrize("value", [None, 10**400, "1", 1j],
+                             ids=["None", "int-beyond-float-range", "str", "complex"])
+    def test_point_of_the_wrong_type_is_named(self, value):
+        with pytest.raises(InvalidSpec, match=r"^the point must be a finite real number, "
+                                              rf"not {re.escape(repr(value))}$"):
+            solve_for_y(UNIT_CIRCLE, value)
 
 
 class TestClassify:
@@ -235,7 +257,8 @@ class TestGeometry:
             if c is None:
                 continue
             g = conic_geometry(c)
-            for x, y in ellipse_points(g, 32):
+            d = generate(GeneratorSpec(Ellipse(*g.center, *g.semi_axes, g.rotation), n=32))
+            for x, y in zip(d.x, d.y):
                 assert abs(c.evaluate(x, y) - 1.0) <= 1e-9
 
 
@@ -316,40 +339,23 @@ class TestFromFit:
 
 
 class TestSolverNames:
-    def test_solve_for_x_names_x(self):
-        # 1 = y + y^2: at y = 2.0 every x and none is a root
-        with pytest.raises(NoSolutionAtPoint, match=r"^no x solves the relation at y = 2\.0$"):
-            solve_for_x(ConicCoeffs(0, 1, 0, 0, 1), 2.0)
-
     def test_solve_for_y_names_y(self):
         with pytest.raises(NoSolutionAtPoint, match=r"^no y solves the relation at x = 2\.0$"):
             solve_for_y(ConicCoeffs(1, 0, 0, 1, 0), 2.0)
 
 
 class TestRotationByLabel:
-    """invert_rotation_linear reads the rotation of y on const, x and xy by
-    label and refuses every other fit, also one with 3 coefficients."""
+    """ConicCoeffs.from_fit reads the rotation of y on const, x and xy by
+    label, so its relation has the same roots in any term order."""
 
     LINE = generate(GeneratorSpec(Line(1.0, 2.0), n=200, noise_sigma=0.1, seed=3))
-
-    @pytest.mark.parametrize("fit", [
-        lambda d: fit_nonresponse(d, parse_terms("x,y,xy")),
-        lambda d: fit_rotation(d, parse_terms("x,y,xy"), pivot=0),
-        lambda d: fit_rotation(d, parse_terms("x,y,x2"), pivot=1),
-    ], ids=["unit-constant", "rotation-of-x", "rotation-on-x2"])
-    @pytest.mark.parametrize("which", ["for_y", "for_x"])
-    def test_refuses_other_three_coefficient_fits(self, fit, which):
-        f = fit(self.LINE)
-        assert len(f.coeffs) == 3
-        with pytest.raises(InvalidSpec, match="rotation of y on an intercept, x and xy"):
-            invert_rotation_linear(f, 2.0, which)
 
     @pytest.mark.parametrize("which, at", [("for_y", 2.0), ("for_x", 5.0)])
     def test_term_order_does_not_matter(self, which, at):
         f = fit_rotation(self.LINE, parse_terms("x,y,xy"), pivot=1)
         g = fit_rotation(self.LINE, parse_terms("xy,x,y"), pivot=2)
-        assert invert_rotation_linear(g, at, which) == pytest.approx(
-            invert_rotation_linear(f, at, which), rel=1e-12)
+        assert _solve_rotation(g, at, which) == pytest.approx(
+            _solve_rotation(f, at, which), rel=1e-12)
 
 
 class TestRelation:
@@ -405,24 +411,25 @@ class TestRelation:
 
 
 def _rational(fit, at, which):
-    """The rational inversion of the rotation y = a0 + a1*x + a2*xy, as
-    invert_rotation_linear computed it before it went through the root
-    solver: the oracle of TestRotationParity."""
+    """The rational inversion of the rotation y = a0 + a1*x + a2*xy, as it
+    was computed before it went through the root solver: the oracle of
+    TestRotationParity.  A pole raises solve_for_y's refusal; for_x solves
+    the swapped relation, so its message names x as y."""
     a = dict(zip(fit.column_labels, map(float, fit.coeffs)))
     if fit.spec.lhs_term != Term(0, 1) or a.keys() != {"const", "x", "xy"}:
         raise InvalidSpec("expected the rotation of y on an intercept, x and xy")
     if not math.isfinite(at):
-        raise InvalidSpec(f"the point must be finite, not {at}")
+        raise InvalidSpec(f"the point must be a finite real number, not {at!r}")
     a0, a1, a2 = a["const"], a["x"], a["xy"]
     if which == "for_y":
         denom = 1.0 - a2 * at
         if abs(denom) < 1e-12:
-            raise PoleAtPoint(f"pole at x = {at}")
+            raise NoSolutionAtPoint(f"no y solves the relation at x = {at}")
         return (a0 + a1 * at) / denom
     if which == "for_x":
         denom = a1 + a2 * at
         if abs(denom) < 1e-12:
-            raise PoleAtPoint(f"pole at y = {at}")
+            raise NoSolutionAtPoint(f"no y solves the relation at x = {at}")
         return (at - a0) / denom
     raise InvalidSpec("which must be 'for_y' or 'for_x'")
 
@@ -436,18 +443,19 @@ def _exact_rotation_root(fit, at, which):
 
 
 def _outcome(f, *args):
-    """The float a call returns, as its bits (all NaNs alike), or the class
-    and message of the refusal it raises."""
+    """The floats a call returns (a root list or one float), as their bits
+    (all NaNs alike), or the class and message of the refusal it raises."""
     try:
         v = f(*args)
-    except (InvalidSpec, PoleAtPoint) as exc:
+    except (InvalidSpec, NoSolutionAtPoint) as exc:
         return type(exc), str(exc)
-    return "nan" if math.isnan(v) else np.float64(v).tobytes()
+    return ["nan" if math.isnan(r) else np.float64(r).tobytes() for r in np.atleast_1d(v)]
 
 
 class TestRotationParity:
-    """invert_rotation_linear solves the rotation's relation with y_roots and
-    gives the rational formula's float, bit for bit, or its exception."""
+    """solve_for_y on the rotation's relation, or on the swapped relation,
+    gives the rational formula's float as its one root, bit for bit, or its
+    exception."""
 
     @staticmethod
     def _fits():
@@ -493,40 +501,34 @@ class TestRotationParity:
             for at in self._points(f, rng):
                 for which in ("for_y", "for_x"):
                     if self._overflows(f, at, which):
-                        root = invert_rotation_linear(f, at, which)
+                        (root,) = _solve_rotation(f, at, which)
                         assert math.isfinite(root), (f.column_labels, at, which)
                         assert root == pytest.approx(_exact_rotation_root(f, at, which),
                                                      rel=1e-14, abs=0)
                         overflows += 1
                     else:
-                        got = _outcome(invert_rotation_linear, f, at, which)
+                        got = _outcome(_solve_rotation, f, at, which)
                         assert got == _outcome(_rational, f, at, which), (
                             f.column_labels, at, which)
-                        assert got != "nan", (f.column_labels, at, which)
+                        assert "nan" not in got, (f.column_labels, at, which)
                     cases += 1
         assert cases > 5000 and overflows > 0
 
     def test_the_pole_of_the_pole_fit(self):
         f = self._fits()[0]
         assert abs(f.coeffs[0]) < 1e-14         # a0 = 0 to rounding, so c0 = 0 too
-        for which, given, at in (("for_y", "x", 1.0), ("for_x", "y", -f.coeffs[1] / f.coeffs[2])):
-            assert _outcome(invert_rotation_linear, f, at, which) == (
-                PoleAtPoint, f"pole at {given} = {at}")
+        for which, at in (("for_y", 1.0), ("for_x", -f.coeffs[1] / f.coeffs[2])):
+            assert _outcome(_solve_rotation, f, at, which) == (
+                NoSolutionAtPoint, f"no y solves the relation at x = {at}")
 
     def test_an_exact_zero_keeps_its_value_not_its_sign(self):
         # Where a0 + a1*x cancels exactly, the root solver's -k/b is -0.0 and
         # the rational formula's quotient 0.0: equal values, not equal bits.
         f = self._fits()[3]
         at = -f.coeffs[0] / f.coeffs[1]
-        got, want = invert_rotation_linear(f, at, "for_y"), _rational(f, at, "for_y")
+        ((got,), want) = _solve_rotation(f, at, "for_y"), _rational(f, at, "for_y")
         assert (got, want) == (0.0, 0.0)
         assert math.copysign(1.0, got) == -math.copysign(1.0, want)
-
-    @pytest.mark.parametrize("at", [2.0, math.nan])
-    def test_bad_which_is_refused(self, at):
-        f = self._fits()[1]
-        with pytest.raises(InvalidSpec, match="^which must be 'for_y' or 'for_x'$"):
-            invert_rotation_linear(f, at, "for_z")
 
 
 def _y_roots_before(c, x):
@@ -727,6 +729,6 @@ class TestYRoots:
         d = generate(GeneratorSpec(Line(1.0, 2.0), n=300, noise_sigma=0.05, seed=1))
         f = fit_rotation(d, parse_terms("x,y,xy"), pivot=1)
         for at in (1e300, 1e308, 1.7e308, -1.7e308):
-            got = invert_rotation_linear(f, at, "for_y")
+            (got,) = solve_for_y(ConicCoeffs.from_fit(f), at)
             assert got == pytest.approx(_exact_rotation_root(f, at, "for_y"), rel=1e-14, abs=0)
             assert -5000 < got < -4990

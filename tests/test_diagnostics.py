@@ -31,7 +31,6 @@ from implicitreg import (
     separation_from_conic,
     separation_univariate,
     slr_closed,
-    solve_for_x,
     solve_for_y,
     univariate_nra,
 )
@@ -235,21 +234,23 @@ class TestBlockSums:
 
 
 def nearest_per_row(c, d):
-    """Reference reconstruction: a nearest pick per row over the scalar solvers
-    (memoised per distinct value, so large n stays cheap)."""
+    """Reference reconstruction: a nearest pick per row over the scalar solver,
+    solve_for_y on c for y and on c.swapped() for x (memoised per distinct
+    value, so large n stays cheap)."""
     memo = {}
+    relations = {"x": c.swapped(), "y": c}
 
-    def pick(solve, at, observed):
-        if (solve, at) not in memo:
+    def pick(solved, at, observed):
+        if (solved, at) not in memo:
             try:
-                memo[solve, at] = solve(c, at)
+                memo[solved, at] = solve_for_y(relations[solved], at)
             except NoSolutionAtPoint:
-                memo[solve, at] = []
-        roots = memo[solve, at]
+                memo[solved, at] = []
+        roots = memo[solved, at]
         return min(roots, key=lambda r: (abs(r - observed), r)) if roots else np.nan
 
-    x_hat = np.array([pick(solve_for_x, yi, xi) for xi, yi in zip(d.x, d.y)])
-    y_hat = np.array([pick(solve_for_y, xi, yi) for xi, yi in zip(d.x, d.y)])
+    x_hat = np.array([pick("x", yi, xi) for xi, yi in zip(d.x, d.y)])
+    y_hat = np.array([pick("y", xi, yi) for xi, yi in zip(d.x, d.y)])
     return x_hat, y_hat, int(np.sum(~(np.isfinite(x_hat) & np.isfinite(y_hat))))
 
 

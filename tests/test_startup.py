@@ -27,10 +27,10 @@ PUBLIC = [
     "Uniform", "UnivariateResult", "alias_matrix", "alpha_from_beta", "beta_from_alpha",
     "classify_conic", "conic_geometry", "conics", "diagnostics", "errors",
     "fit_all_rotations", "fit_implicit", "fit_nonresponse", "fit_rotation", "fit_standard",
-    "fitters", "generate", "invert_rotation_linear", "load_csv", "load_multi_csv",
+    "fitters", "generate", "load_csv", "load_multi_csv",
     "nra2_closed", "ols_orthogonality_check", "parse_terms", "pinwheel_data",
     "reconstruct_from_conic", "separation_bivariate", "separation_from_conic",
-    "separation_univariate", "simulate", "slr_closed", "solve_for_x", "solve_for_y", "terms",
+    "separation_univariate", "simulate", "slr_closed", "solve_for_y", "terms",
     "univariate_nra",
 ]
 

@@ -22,7 +22,6 @@ from implicitreg import (
     parse_terms,
 )
 from implicitreg import terms
-from implicitreg.terms import save_csv
 from implicitreg.errors import (
     DomainError,
     DuplicateTerm,
@@ -51,6 +50,12 @@ class TestLoadCsv:
     def test_header_only(self, tmp_path):
         with pytest.raises(EmptyDataset):
             load_csv(write(tmp_path, "x,y\n"))
+
+    @pytest.mark.parametrize("columns", [("x", "x"), ("y", "y"), ("a", "a")])
+    def test_one_column_for_both_refused_unopened(self, tmp_path, columns):
+        # x read as y too would fit x on itself; the file need not exist.
+        with pytest.raises(InvalidSpec, match=rf"^the x and y columns are both '{columns[0]}'$"):
+            load_csv(tmp_path / "absent.csv", *columns)
 
     def test_bad_cell_row_index(self, tmp_path):
         rows = "x,y\n" + "1,1\n" * 4 + "abc,1\n"
@@ -279,7 +284,7 @@ class TestLoadCsvByPath:
         rng = np.random.default_rng(5)
         d = Dataset(rng.normal(size=n), rng.normal(size=n))
         p = tmp_path / "big.csv"
-        save_csv(p, d)
+        p.write_text("".join(terms._csv_blocks(["x", "y"], [d.x, d.y])), newline="")
         paths = []
         loadtxt = np.loadtxt
 
@@ -601,6 +606,13 @@ class TestModelSpec:
 
 
 class TestSaveCsv:
+    """A CSV is written as terms._csv_blocks streams it, as the CLI does."""
+
+    @staticmethod
+    def _save(path, columns, names=("x", "y")):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(terms._csv_blocks(list(names), columns))
+
     @pytest.mark.parametrize("columns", [("x", "y"), ("a,b", 'say "y"')])
     def test_bytes_match_csv_writer(self, tmp_path, columns):
         x = np.array([-0.0, 5e-324, 1e300, -2.5e-310, 0.1, -1e-300, 123456789.0])
@@ -612,7 +624,7 @@ class TestSaveCsv:
             for xi, yi in zip(x, y):
                 writer.writerow([repr(float(xi)), repr(float(yi))])
         out = tmp_path / "out.csv"
-        save_csv(out, Dataset(x, y), *columns)
+        self._save(out, [x, y], columns)
         assert out.read_bytes() == ref.read_bytes()
 
     def test_memory_flat_in_rows(self, tmp_path):
@@ -622,10 +634,10 @@ class TestSaveCsv:
 
         def peak(n):
             d = Dataset(rng.normal(size=n), rng.normal(size=n))
-            save_csv(tmp_path / "warm.csv", d)      # first-call allocations stay out
+            self._save(tmp_path / "warm.csv", [d.x, d.y])      # first-call allocations stay out
             tracemalloc.start()
             try:
-                save_csv(tmp_path / "out.csv", d)
+                self._save(tmp_path / "out.csv", [d.x, d.y])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -637,6 +649,6 @@ class TestSaveCsv:
         x = np.array([-0.0, 5e-324, 1e300, 0.1])
         y = np.array([1e-300, -0.0, -5e-324, -1e300])
         out = tmp_path / "out.csv"
-        save_csv(out, Dataset(x, y))
+        self._save(out, [x, y])
         back = load_csv(out)
         assert back.x.tobytes() == x.tobytes() and back.y.tobytes() == y.tobytes()
