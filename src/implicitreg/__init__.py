@@ -21,8 +21,8 @@ _EXPORTS = {
                     "separation_bivariate", "separation_from_conic", "separation_univariate"),
     "errors": (),
     "fitters": ("FitResult", "UnivariateResult", "alias_matrix", "alpha_from_beta",
-                "beta_from_alpha", "fit_all_rotations", "fit_implicit", "fit_nonresponse",
-                "fit_rotation", "fit_standard", "nra2_closed", "slr_closed", "univariate_nra"),
+                "beta_from_alpha", "fit_all_rotations", "fit_nonresponse", "fit_rotation",
+                "fit_standard", "nra2_closed", "slr_closed", "univariate_nra"),
     "simulate": ("Circle", "ConstantNormal", "Ellipse", "GeneratorSpec", "Line", "Uniform",
                  "generate"),
     "terms": ("CONIC_TERMS", "Dataset", "LhsKind", "ModelSpec", "MultiDataset", "Term",

@@ -2,7 +2,7 @@
 
 Subcommands: fit, rotate-all, diagnose, simulate, convert.  CSV in,
 text or JSON out.  Exit codes: 0 success, 2 input/parse, 3 singular or
-degenerate, 4 domain error, 5 internal.
+degenerate, 4 domain error, 5 internal, 141 stdout closed by its reader.
 
 JSON field names are frozen in README.md (schema section); numbers are
 serialized at full precision and only the text renderer rounds.
@@ -28,6 +28,7 @@ import dataclasses
 import gc
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
@@ -53,6 +54,7 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_DOMAIN = 4
 EXIT_INTERNAL = 5
+EXIT_PIPE = 141         # 128 + SIGPIPE, as a shell reports a writer that SIGPIPE ended
 
 
 @dataclass
@@ -403,7 +405,10 @@ _EXITS = ((InputError, EXIT_INPUT), (OSError, EXIT_INPUT), (DegenerateError, EXI
 
 def main(argv=None) -> int:
     """Parse argv, run its command, then write its output: a report, or a
-    stream of text blocks.  A failure leaves --out-file unopened."""
+    stream of text blocks.  A failure leaves --out-file unopened.  A reader
+    that leaves stdout early ends the run with EXIT_PIPE and nothing on
+    stderr; stdout then points at os.devnull, so that the interpreter's
+    last flush stays quiet."""
     try:
         args = build_parser().parse_args(argv)
         output = args.func(args)
@@ -412,7 +417,12 @@ def main(argv=None) -> int:
             with open(args.out_file, "w", encoding="utf-8") as fh:
                 fh.writelines(blocks)
         else:
-            sys.stdout.writelines(blocks)
+            try:
+                sys.stdout.writelines(blocks)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return EXIT_PIPE
         return EXIT_OK
     except Exception as exc:    # the last kind in _EXITS: any other failure is a bug
         code = next(code for kind, code in _EXITS if isinstance(exc, kind))

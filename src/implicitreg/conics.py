@@ -58,7 +58,7 @@ class ConicCoeffs:
         if spec.lhs is LhsKind.UNITY:
             a, c0 = dict(zip(spec.rhs_terms, b)), 1.0
         else:
-            c0 = b.pop(0) if spec.intercept else 0.0
+            c0 = b.pop(0)
             a = {t: -v for t, v in zip(spec.rhs_terms, b)} | {spec.lhs_term: 1.0}
         if not set(a) <= set(CONIC_TERMS):     # and a response fit: its rhs are names
             raise InvalidSpec("a conic is a unit-constant fit or rotation over {x, y, xy, x2, y2}")

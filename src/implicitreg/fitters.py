@@ -1,9 +1,9 @@
 """Estimation procedures.
 
-Generic implicit fit, the unity-regressand (non-response) fit, rotational
-fits, alias matrices, standard multi-column OLS, closed-form SLR and
-two-term bivariate solutions, the univariate self-weighting estimator, and
-the conversion between unit-constant and response-form coefficients.
+The unity-regressand (non-response) fit, rotational fits, alias matrices,
+standard multi-column OLS, closed-form SLR and two-term bivariate
+solutions, the univariate self-weighting estimator, and the conversion
+between unit-constant and response-form coefficients.
 
 Every least-squares fit regresses one column of a design Z on some of its
 other columns: the unit column of Z = [T_1..T_m, 1] in the non-response
@@ -228,18 +228,16 @@ def _underflows(term: Term, x: np.ndarray, y: np.ndarray) -> bool:
 
 class Factor:
     """The factored design Z = [columns] of n rows, the one pass over the
-    data: the block source fill, the unit column (the constant one, if any),
-    and the column scales and unit-column R of _factor.  A term column that
-    is zero only because its values underflow raises DomainViolation.  Every
-    fit of Z is a read-off: solve, result(s), coefficients and a result's
-    lazy rows."""
+    data: the block source fill and the column scales and unit-column R of
+    _factor.  A term column that is zero only because its values underflow
+    raises DomainViolation.  Every fit of Z is a read-off: solve, result(s),
+    coefficients and a result's lazy rows."""
 
     def __init__(self, columns: Sequence[Column], n: int, x: Optional[np.ndarray] = None,
                  y: Optional[np.ndarray] = None):
         self.fill = _source(columns, x, y)
         self.n, self.k = n, len(columns)
         self.scale, self.R = _factor(self.fill, self.k, n)
-        self.unit = next((i for i, c in enumerate(columns) if isinstance(c, float)), None)
         for col, zero in zip(columns, ~self.R.any(axis=0)):
             if zero and isinstance(col, Term) and _underflows(col, x, y):
                 raise DomainViolation(f"term {col} underflows to 0 at every data row; "
@@ -331,13 +329,12 @@ class Factor:
 
         t is the target, its head the fit and its tail the residual: SSE is
         (scale[j] |t[|S|:]|)^2 and the unit-constant R^2 = a'W'1/n is
-        |t[:|S|]|^2.  An intercept fit has the unit column first in S, so
-        SSR = |t[1:|S|]|^2 and SST = SSR + SSE, with no cancellation; a term
-        fit without one takes its own QR with the unit column first and is
-        centred on the mean t[0].  R alone decides a constant target: |t[1:]|
-        within R's rounding of |t[0]|.  The standard errors are sqrt(sigma2)
-        times the row norms of the Gram inverse's root, so they stay in range
-        where the covariance does not."""
+        |t[:|S|]|^2.  Every other fit has the unit column first in S, so
+        SSR = |t[1:|S|]|^2 and SST = SSR + SSE, with no cancellation.  R
+        alone decides a constant target: |t[1:]| within R's rounding of
+        |t[0]|.  The standard errors are sqrt(sigma2) times the row norms of
+        the Gram inverse's root, so they stay in range where the covariance
+        does not."""
         if isinstance(solved, int):
             raise _singular(spec.column_labels()[solved], spec.lhs is LhsKind.UNITY)
         coeffs, gram_inverse, norms, t = solved
@@ -347,29 +344,20 @@ class Factor:
             sse = _squares(t[m:], s)
             r2, tag = float(t[:m] @ t[:m]), R2_NONRESPONSE
         else:
-            if not spec.intercept:
-                r = _qr_r(np.ascontiguousarray(self.R[:, [self.unit, *S, j]]))
-                t = r[:, -1]
             bound = (MEAN_ROUNDING * math.log2(n + 1) + FACTOR_ROUNDING * math.sqrt(n)) * EPS
             spread = math.hypot(*t[1:].tolist())
             if spread <= bound * abs(t[0]):
                 raise ZeroVariance("target has zero centered variation")
             h = spread * float(s)
             sst = _in_range(h * h, t[1:])
-            if spec.intercept:
-                sse = _squares(t[m:], s)
-                ssr = _squares(t[1:m], s)
-            else:
-                f = r[:, 1:-1] @ (coeffs * self.scale[S] / s)
-                sse = _squares(t - f, s)
-                f[0] -= t[0]
-                ssr = _squares(f, s)
+            sse = _squares(t[m:], s)
+            ssr = _squares(t[1:m], s)
             r2, tag = ssr / sst, R2_CENTERED
 
         sigma2 = sse / (n - m) if n > m else float("nan")
         if 0.0 < sigma2 < TINY:
             raise SumOfSquaresOverflow(underflow=True)
-        has_f = spec.lhs is not LhsKind.UNITY and spec.intercept and m > 1 and sigma2 > 0
+        has_f = spec.lhs is not LhsKind.UNITY and m > 1 and sigma2 > 0
         f_stat = (ssr / (m - 1)) / sigma2 if has_f else None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             cov = sigma2 * gram_inverse
@@ -397,24 +385,12 @@ class Factor:
 
 
 @one_thread
-def fit_implicit(d: Dataset, spec: ModelSpec) -> FitResult:
-    """Least-squares fit of the implicit model given by spec, read off
-    Z = [rhs terms, the target term of a term fit, 1] as every term fit is,
-    evaluated block by block from d.  The target, column m, is fitted on
-    [1, rhs] in a rotation and on the rhs alone otherwise, where in a term
-    fit the unit column still centres the sums."""
-    if spec.lhs is LhsKind.RESPONSE:
-        raise InvalidSpec("fit_implicit fits term models; fit_standard fits the response kind")
-    m = len(spec.rhs_terms)
-    target = [] if spec.lhs_term is None else [spec.lhs_term]
-    columns = [*spec.rhs_terms, *target, 1.0]
-    S = [len(columns) - 1] * spec.intercept + list(range(m))
-    return Factor(columns, d.n, d.x, d.y).result(spec, m, S)
-
-
 def fit_nonresponse(d: Dataset, terms: Sequence[Term]) -> FitResult:
-    """Fit 1 = sum_k a_k T_k (unity as the regressand, no intercept)."""
-    return fit_implicit(d, ModelSpec.nonresponse(terms))
+    """Fit 1 = sum_k a_k T_k (unity as the regressand, no intercept): the
+    unit column of Z = [T_1..T_m, 1] on the terms."""
+    spec = ModelSpec.nonresponse(terms)
+    m = len(spec.rhs_terms)
+    return Factor([*spec.rhs_terms, 1.0], d.n, d.x, d.y).result(spec, m, range(m))
 
 
 def _rotation(terms: Sequence[Term], pivot: int) -> tuple[ModelSpec, int, list[int]]:
@@ -477,7 +453,7 @@ def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
 def fit_standard(d: MultiDataset) -> FitResult:
     """Intercept OLS of the response on the explanatory columns."""
     k = d.p + 1
-    spec = ModelSpec(LhsKind.RESPONSE, d.column_names, intercept=True)
+    spec = ModelSpec(LhsKind.RESPONSE, d.column_names)
     return Factor([1.0, *d.explanatory.T, d.response], d.n).result(spec, k, range(k))
 
 

@@ -236,15 +236,18 @@ class LhsKind(Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which column sits on the left, which columns (plus optional intercept)
-    sit on the right.  The right-hand columns are terms, except in the
-    response kind, where they are the explanatory column names of a
-    MultiDataset."""
+    """Which column sits on the left, which columns sit on the right.  The
+    right-hand columns are terms, except in the response kind, where they
+    are the explanatory column names of a MultiDataset.  The kind fixes the
+    intercept: the unity regressand carries none, a term or response one."""
 
     lhs: LhsKind
     rhs_terms: tuple[Union[Term, str], ...]
-    intercept: bool = False
     lhs_term: Optional[Term] = None
+
+    @property
+    def intercept(self) -> bool:
+        return self.lhs is not LhsKind.UNITY
 
     def __post_init__(self):
         object.__setattr__(self, "rhs_terms", tuple(self.rhs_terms))
@@ -257,7 +260,7 @@ class ModelSpec:
         if len(seen) < len(self.rhs_terms):
             rhs = self.rhs_terms
             raise DuplicateTerm(next(t for i, t in enumerate(rhs) if t in rhs[:i]))
-        if self.lhs is LhsKind.UNITY and (self.intercept or Term(0, 0) in seen):
+        if self.lhs is LhsKind.UNITY and Term(0, 0) in seen:
             raise InvalidSpec("the unity-regressand model carries no intercept, so no term 1")
         if self.lhs is LhsKind.TERM:
             if not isinstance(self.lhs_term, Term):
@@ -269,7 +272,7 @@ class ModelSpec:
 
     @classmethod
     def nonresponse(cls, terms: Sequence[Term]) -> "ModelSpec":
-        return cls(LhsKind.UNITY, tuple(terms), intercept=False)
+        return cls(LhsKind.UNITY, tuple(terms))
 
     @classmethod
     def rotation(cls, terms: Sequence[Term], pivot: int) -> "ModelSpec":
@@ -279,7 +282,7 @@ class ModelSpec:
         if not 0 <= pivot < len(terms):
             raise InvalidSpec(f"pivot {pivot} out of range")
         rhs = terms[:pivot] + terms[pivot + 1:]
-        return cls(LhsKind.TERM, rhs, intercept=True, lhs_term=terms[pivot])
+        return cls(LhsKind.TERM, rhs, lhs_term=terms[pivot])
 
     def column_labels(self) -> list[str]:
         labels = ["const"] if self.intercept else []

@@ -11,7 +11,7 @@ import pytest
 from conftest import offset_line, unit_condition
 from implicitreg import cli, conics, fitters, simulate, terms
 from implicitreg.cli import (EXIT_DEGENERATE, EXIT_DOMAIN, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK,
-                            main)
+                            EXIT_PIPE, main)
 
 
 def circle_csv(tmp_path, name="circle.csv"):
@@ -27,6 +27,15 @@ def line_csv(tmp_path, name="line.csv"):
     xs = [0.0, 1.0, 2.0, 3.0]
     p.write_text("x,y\n" + "\n".join(f"{x!r},{1 + 2 * x!r}" for x in xs) + "\n")
     return p
+
+
+def cli_process(argv, **kw):
+    """The CLI run as `python -m implicitreg.cli argv` in a child process
+    that imports this tree's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "implicitreg.cli", *argv], env=env, **kw)
 
 
 def run_json(capsys, argv):
@@ -346,14 +355,12 @@ class TestFailures:
         assert main(argv + [str(p)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not UTF-8" in err and len(err.splitlines()) == 1
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "implicitreg.cli", *argv, "/dev/stdin"],
-                              input=p.read_bytes(), capture_output=True, env=env, timeout=120)
-        assert (proc.returncode, proc.stdout) == (EXIT_INPUT, b"")
-        assert proc.stderr.startswith(b"error: /dev/stdin: not UTF-8")
-        assert len(proc.stderr.splitlines()) == 1
+        with cli_process([*argv, "/dev/stdin"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE) as proc:
+            out, err = proc.communicate(p.read_bytes(), timeout=120)
+        assert (proc.returncode, out) == (EXIT_INPUT, b"")
+        assert err.startswith(b"error: /dev/stdin: not UTF-8")
+        assert len(err.splitlines()) == 1
 
     def test_cell_over_csv_field_limit_exits_2(self, tmp_path, capsys):
         p = tmp_path / "long.csv"
@@ -653,19 +660,42 @@ class TestSimulate:
                      "--noise", str(noise), "--seed", str(seed)]) == EXIT_OK
         assert capsys.readouterr().out == ref
 
-    def test_closed_pipe_exits_2_with_one_line(self):
-        # As `simulate ... | head -1`: the reader leaves after the header.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "implicitreg.cli", "simulate", "--kind", "ellipse",
-             "--params", "3,-2,2,1,0.5", "--n", str(3 * terms.ROW_BLOCK), "--noise", "0.05"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        assert proc.stdout.readline() == b"x,y\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=120), err) == (EXIT_INPUT, b"error: [Errno 32] Broken pipe\n")
+
+class TestClosedStdout:
+    """A reader that leaves stdout is no input error: the CLI exits 141,
+    128 + SIGPIPE, and says nothing."""
+
+    def test_reader_leaving_after_the_header_exits_141_silently(self):
+        # As `simulate ... | head -1`.
+        argv = ["simulate", "--kind", "ellipse", "--params", "3,-2,2,1,0.5",
+                "--n", str(3 * terms.ROW_BLOCK), "--noise", "0.05"]
+        with cli_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"x,y\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (EXIT_PIPE, b"")
+
+    def test_report_to_no_reader_exits_141_silently(self, tmp_path):
+        # As `fit ... --output json | true`: the pipe has no reader before
+        # the report is written.
+        r, w = os.pipe()
+        os.close(r)
+        argv = ["fit", "--input", str(circle_csv(tmp_path)), "--model", "nonresponse",
+                "--output", "json"]
+        try:
+            with cli_process(argv, stdout=w, stderr=subprocess.PIPE) as proc:
+                err = proc.stderr.read()
+        finally:
+            os.close(w)
+        assert (proc.returncode, err) == (EXIT_PIPE, b"")
+
+    def test_out_file_in_a_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "out.json"
+        argv = ["convert", "--direction", "beta-from-alpha", "--values", "2,1"]
+        assert main(argv + ["--out-file", str(out)]) == EXIT_INPUT
+        shown = capsys.readouterr()
+        assert shown.out == "" and shown.err.startswith("error: ")
+        assert len(shown.err.splitlines()) == 1
 
 
 class TestOutFile:

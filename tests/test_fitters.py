@@ -24,7 +24,6 @@ from implicitreg import (
     beta_from_alpha,
     conic_geometry,
     fit_all_rotations,
-    fit_implicit,
     fit_nonresponse,
     fit_rotation,
     fit_standard,
@@ -51,8 +50,11 @@ from implicitreg.terms import LhsKind, ModelSpec
 
 
 class TestFitImplicit:
+    """The two implicit fits, unit-constant and rotation, and the specs
+    they refuse."""
+
     def test_unity_two_terms(self, tri_dataset):
-        f = fit_implicit(tri_dataset, ModelSpec.nonresponse(parse_terms("x,y")))
+        f = fit_nonresponse(tri_dataset, parse_terms("x,y"))
         np.testing.assert_allclose(f.coeffs, [1, 1], atol=1e-12)
         np.testing.assert_allclose(f.residuals, 0, atol=1e-12)
         assert f.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -60,8 +62,7 @@ class TestFitImplicit:
 
     def test_exact_line_response(self):
         d = Dataset([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 7.0])
-        spec = ModelSpec.rotation(parse_terms("x,y"), pivot=1)
-        f = fit_implicit(d, spec)
+        f = fit_rotation(d, parse_terms("x,y"), pivot=1)
         np.testing.assert_allclose(f.coeffs, [1, 2], atol=1e-12)
         assert f.r_squared == pytest.approx(1.0, abs=1e-12)
         assert f.r2_formula == "Eq8-centered"
@@ -69,22 +70,9 @@ class TestFitImplicit:
     def test_underdetermined(self):
         d = Dataset([1.0, 2.0], [3.0, 5.0])
         with pytest.raises(Underdetermined):
-            fit_implicit(d, ModelSpec.nonresponse(parse_terms("x,y,xy")))
-
-    @pytest.mark.parametrize("pivot", range(5))
-    def test_rotation_spec_is_bitwise_fit_rotation(self, pivot):
-        # Both read the rotation off one design, Z = [rhs terms, target, 1].
-        d = generate(GeneratorSpec(Ellipse(3, -2, 2, 1, 0.5), n=3000, noise_sigma=0.05, seed=1))
-        spec = ModelSpec.rotation(CONIC_TERMS, pivot)
-        got = fit_implicit(d, spec)
-        want = fit_rotation(d, [*spec.rhs_terms, spec.lhs_term], len(spec.rhs_terms))
-        assert got.spec == want.spec
-        for name in ("coeffs", "stderr", "r_squared", "sigma2_hat", "target", "fitted"):
-            assert np.asarray(getattr(got, name)).tobytes() == \
-                np.asarray(getattr(want, name)).tobytes(), name
+            fit_nonresponse(d, parse_terms("x,y,xy"))
 
     @pytest.mark.parametrize("kind, rhs, lhs, message", [
-        (LhsKind.RESPONSE, ("a",), None, "fit_standard fits the response kind"),
         (LhsKind.UNITY, ("a",), None, "must be Terms"),
         (LhsKind.TERM, ("a",), Term(0, 1), "must be Terms"),
         (LhsKind.TERM, (Term(1, 0),), "y", "a Term lhs_term required"),
@@ -92,11 +80,11 @@ class TestFitImplicit:
          "pivot term must be excluded from rhs_terms"),
         (LhsKind.UNITY, (Term(1, 0),), Term(0, 1), "lhs_term only meaningful when lhs is a term"),
         (LhsKind.RESPONSE, ("a",), Term(0, 1), "lhs_term only meaningful when lhs is a term"),
-    ], ids=["response", "unity-str-rhs", "term-str-rhs", "term-str-lhs", "term-pivot-in-rhs",
+    ], ids=["unity-str-rhs", "term-str-rhs", "term-str-lhs", "term-pivot-in-rhs",
             "unity-lhs-term", "response-lhs-term"])
-    def test_spec_it_cannot_fit_is_refused(self, tri_dataset, kind, rhs, lhs, message):
+    def test_spec_it_cannot_fit_is_refused(self, kind, rhs, lhs, message):
         with pytest.raises(InvalidSpec, match=message):
-            fit_implicit(tri_dataset, ModelSpec(kind, rhs, kind is not LhsKind.UNITY, lhs))
+            ModelSpec(kind, rhs, lhs)
 
 
 class TestFitNonresponse:
@@ -209,7 +197,7 @@ class TestSolver:
     """The scaled, row-blocked QR factor behind every fit."""
 
     def test_hand_solved_system(self, tri_dataset):
-        f = fit_implicit(tri_dataset, ModelSpec.nonresponse(parse_terms("x,y")))
+        f = fit_nonresponse(tri_dataset, parse_terms("x,y"))
         W = np.column_stack([t.evaluate(tri_dataset.x, tri_dataset.y) for t in f.spec.rhs_terms])
         np.testing.assert_allclose(f.coeffs, [1, 1], atol=1e-14)
         np.testing.assert_allclose(f.gram_inverse @ (W.T @ W), np.eye(2), atol=1e-8)
@@ -256,7 +244,7 @@ class TestSolver:
             alias_matrix(W, np.ones(3))
         d = Dataset([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         with pytest.raises(SingularSystem, match="'y' is collinear"):
-            fit_implicit(d, ModelSpec.nonresponse(parse_terms("x,y")))
+            fit_nonresponse(d, parse_terms("x,y"))
 
     def test_residual_bound_on_random_systems(self):
         rng = np.random.default_rng(7)
@@ -495,14 +483,13 @@ class TestRowsOnRequest:
             fit_rotation(d, parse_terms("x,y,x2"), 1)
         assert calls == {("x", 1): 4, ("y", 1): 4, ("x", 2): 4}
 
-    @pytest.mark.parametrize("case", ["nonresponse", "rotation", "all_rotations", "standard",
-                                      "term_without_intercept"])
+    @pytest.mark.parametrize("case", ["nonresponse", "rotation", "all_rotations", "standard"])
     def test_rows_and_sums_match_the_design(self, monkeypatch, case):
         monkeypatch.setattr(fitters, "ROW_BLOCK", 7)
         d = random_dataset(np.random.default_rng(83), n=40)
         T = {t: t.evaluate(d.x, d.y) for t in CONIC_TERMS}
         one = np.ones(d.n)
-        x, y, xy = parse_terms("x,y,xy")
+        xy = Term(1, 1)
         if case == "nonresponse":
             fits = [(fit_nonresponse(d, list(CONIC_TERMS)), list(T.values()), one)]
         elif case in ("rotation", "all_rotations"):
@@ -511,12 +498,9 @@ class TestRowsOnRequest:
                        else fit_all_rotations(d, list(CONIC_TERMS)))
             fits = [(f, [one] + [v for t, v in T.items() if t != CONIC_TERMS[p]], T[CONIC_TERMS[p]])
                     for f, p in zip(results, pivots)]
-        elif case == "standard":
+        else:
             fits = [(fit_standard(MultiDataset(d.y, np.column_stack([d.x, T[xy]]), ("x", "xy"))),
                      [one, d.x, T[xy]], d.y)]
-        else:
-            spec = ModelSpec(LhsKind.TERM, (x, xy), intercept=False, lhs_term=y)
-            fits = [(fit_implicit(d, spec), [T[x], T[xy]], T[y])]
         for f, columns, t in fits:
             assert not {"target", "fitted", "residuals"} & set(vars(f))     # not made yet
             X = np.column_stack(columns)

@@ -26,7 +26,7 @@ PUBLIC = [
     "MultiDataset", "OrthogonalityCheck", "PinwheelLine", "SeparationDiagnostics", "Term",
     "Uniform", "UnivariateResult", "alias_matrix", "alpha_from_beta", "beta_from_alpha",
     "classify_conic", "conic_geometry", "conics", "diagnostics", "errors",
-    "fit_all_rotations", "fit_implicit", "fit_nonresponse", "fit_rotation", "fit_standard",
+    "fit_all_rotations", "fit_nonresponse", "fit_rotation", "fit_standard",
     "fitters", "generate", "load_csv", "load_multi_csv",
     "nra2_closed", "ols_orthogonality_check", "parse_terms", "pinwheel_data",
     "reconstruct_from_conic", "separation_bivariate", "separation_from_conic",

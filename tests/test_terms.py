@@ -17,6 +17,7 @@ from implicitreg import (
     ModelSpec,
     Term,
     fit_nonresponse,
+    fit_standard,
     load_csv,
     load_multi_csv,
     parse_terms,
@@ -579,8 +580,18 @@ class TestMultiDataset:
 
 class TestModelSpec:
     def test_unity_rejects_intercept(self):
-        with pytest.raises(InvalidSpec):
-            ModelSpec(LhsKind.UNITY, (Term(1, 0),), intercept=True)
+        # The kind fixes the intercept: none for the unity regressand, one
+        # for a rotation and for the standard fit.  It is no argument, and
+        # a unity spec still refuses the term 1.
+        x, y = Term(1, 0), Term(0, 1)
+        assert not ModelSpec.nonresponse([x, y]).intercept
+        assert ModelSpec.rotation([x, y], pivot=0).intercept
+        md = terms.MultiDataset([1.0, 3.0, 4.0], [0.0, 1.0, 2.0], ["x"])
+        assert fit_standard(md).spec.intercept
+        with pytest.raises(TypeError):
+            ModelSpec(LhsKind.UNITY, (x,), intercept=False)
+        with pytest.raises(InvalidSpec, match="carries no intercept, so no term 1"):
+            ModelSpec.nonresponse([x, Term(0, 0)])
 
     def test_pivot_excluded_from_rhs(self):
         spec = ModelSpec.rotation([Term(1, 0), Term(0, 1)], pivot=1)
